@@ -119,28 +119,30 @@ func (w *workerStateOf[T]) spa(m int) *spa.SPAOf[T] {
 }
 
 // flushStats adds the worker's structure counters into s and resets
-// them so repeated phases don't double count.
+// them so repeated phases don't double count. The reset happens even
+// when s is nil: a resident or pooled worker serves Stats-less calls
+// too, and their counts must not leak into a later call's Stats.
 func (w *workerStateOf[T]) flushStats(s *OpStats) {
+	var probes, symProbes, heapOps, touches int64
+	if w.table != nil {
+		probes, w.table.Probes = w.table.Probes, 0
+	}
+	if w.sym != nil {
+		symProbes, w.sym.Probes = w.sym.Probes, 0
+	}
+	if w.heap != nil {
+		heapOps, w.heap.Ops = w.heap.Ops, 0
+	}
+	if w.acc != nil {
+		touches, w.acc.Touches = w.acc.Touches, 0
+	}
 	if s == nil {
 		return
 	}
-	if w.table != nil {
-		s.HashProbes.Add(w.table.Probes)
-		w.table.Probes = 0
-	}
-	if w.sym != nil {
-		s.HashProbes.Add(w.sym.Probes)
-		s.SymProbes.Add(w.sym.Probes)
-		w.sym.Probes = 0
-	}
-	if w.heap != nil {
-		s.HeapOps.Add(w.heap.Ops)
-		w.heap.Ops = 0
-	}
-	if w.acc != nil {
-		s.SPATouches.Add(w.acc.Touches)
-		w.acc.Touches = 0
-	}
+	s.HashProbes.Add(probes + symProbes)
+	s.SymProbes.Add(symProbes)
+	s.HeapOps.Add(heapOps)
+	s.SPATouches.Add(touches)
 }
 
 // colInputNNZ returns Σ_i nnz(A_i(:,j)).

@@ -226,6 +226,25 @@ func TestPhasesSortedOutputBitIdentical(t *testing.T) {
 	}
 }
 
+// TestPhasesUnsortedHashOrderIdentical pins the unsorted Hash layout:
+// every engine emits a column in first-seen row order, so the output
+// is identical entry for entry although the two-pass engine sizes its
+// tables by output nnz and the single-pass engines by input nnz.
+func TestPhasesUnsortedHashOrderIdentical(t *testing.T) {
+	as := generate.RMATCollection(8, generate.Opts{Rows: 400, Cols: 16, NNZPerCol: 12, Seed: 83}, generate.Graph500)
+	ref, err := Add(as, Options{Algorithm: Hash, Phases: PhasesTwoPass})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Phases{PhasesFused, PhasesUpperBound} {
+		got, err := Add(as, Options{Algorithm: Hash, Phases: p, Threads: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, got, ref, "unsorted Hash/"+p.String())
+	}
+}
+
 func TestPhasesAutoPolicy(t *testing.T) {
 	// Rare duplicates within the staging cap: upper bound.
 	sparse := erInputs(4, 100000, 8, 16, 81)

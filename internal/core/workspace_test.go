@@ -161,6 +161,32 @@ func TestWorkspaceScaledAndStats(t *testing.T) {
 	}
 }
 
+// TestWorkspaceStatsNoLeak checks that a Stats-less call's work counts
+// never reach a later call's Stats: the worker structures outlive the
+// call, so their counters must be reset whether or not a call flushes
+// them into a Stats.
+func TestWorkspaceStatsNoLeak(t *testing.T) {
+	as := wsTestCollection(t, "ER", 6, 1024, 32, 8, 55)
+	upperBound := func(ws *Workspace) (probes, sym int64) {
+		t.Helper()
+		var st OpStats
+		if _, err := ws.Add(as, Options{Algorithm: Hash, Phases: PhasesUpperBound, Threads: 1, Stats: &st}); err != nil {
+			t.Fatal(err)
+		}
+		return st.HashProbes.Load(), st.SymProbes.Load()
+	}
+	wantProbes, _ := upperBound(NewWorkspace(false))
+
+	ws := NewWorkspace(false)
+	if _, err := ws.Add(as, Options{Algorithm: Hash, Phases: PhasesTwoPass, Threads: 1}); err != nil {
+		t.Fatal(err)
+	}
+	probes, sym := upperBound(ws)
+	if sym != 0 || probes != wantProbes {
+		t.Fatalf("after a Stats-less two-pass call: sym=%d probes=%d, want sym=0 probes=%d", sym, probes, wantProbes)
+	}
+}
+
 // TestAccumulatorRecycledSum checks the Accumulator against a
 // reference sum now that its running total lives in recycled
 // workspace buffers across many small-budget reductions.

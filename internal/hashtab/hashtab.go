@@ -23,6 +23,12 @@
 // table — that would silently destroy the cache behaviour the sliding
 // hash algorithm is built around.
 //
+// Emitting a column must not cost O(capacity) either: the numeric
+// table records each occupied slot in insertion order, so
+// AppendEntries gathers its Len entries without scanning the window,
+// and unsorted output comes out in first-insertion order whatever
+// window the caller sized.
+//
 // Tables are not safe for concurrent use; the parallel SpKAdd driver
 // gives each worker its own table, exactly as the paper's
 // thread-private data structures (§III-A).
@@ -78,6 +84,7 @@ type TableOf[T matrix.Number] struct {
 	keys   []matrix.Index
 	vals   []T
 	stamps []uint32
+	slots  []uint32 // slots[:n]: occupied slot indices, insertion order
 	epoch  uint32
 	mask   uint32 // active window size - 1 (window may be smaller than storage)
 	n      int
@@ -130,6 +137,7 @@ func (t *TableOf[T]) Grow(n int, loadFactor float64) {
 		t.keys = make([]matrix.Index, size)
 		t.vals = make([]T, size)
 		t.stamps = make([]uint32, size)
+		t.slots = make([]uint32, size)
 		t.epoch = 0
 	}
 	t.mask = uint32(size - 1)
@@ -151,6 +159,7 @@ func Accum[T matrix.Arith](t *TableOf[T], r matrix.Index, v T) {
 			t.stamps[h] = t.epoch
 			t.keys[h] = r
 			t.vals[h] = v
+			t.slots[t.n] = h
 			t.n++
 			return
 		}
@@ -177,6 +186,7 @@ func (t *TableOf[T]) AddWith(r matrix.Index, v T, combine func(a, b T) T) {
 			t.stamps[h] = t.epoch
 			t.keys[h] = r
 			t.vals[h] = v
+			t.slots[t.n] = h
 			t.n++
 			return
 		}
@@ -204,14 +214,14 @@ func (t *TableOf[T]) Get(r matrix.Index) (T, bool) {
 }
 
 // AppendEntries appends all valid (row, value) pairs to rows/vals in
-// table order (lines 13-14 of Algorithm 5) and returns the extended
-// slices. Table order is not sorted; callers sort afterwards if needed.
+// insertion order (lines 13-14 of Algorithm 5) and returns the extended
+// slices. It costs O(Len), not O(Cap): it walks the occupied-slot list
+// instead of the probe window. Insertion order is not sorted; callers
+// sort afterwards if needed.
 func (t *TableOf[T]) AppendEntries(rows []matrix.Index, vals []T) ([]matrix.Index, []T) {
-	for h := 0; h <= int(t.mask); h++ {
-		if t.stamps[h] == t.epoch {
-			rows = append(rows, t.keys[h])
-			vals = append(vals, t.vals[h])
-		}
+	for _, h := range t.slots[:t.n] {
+		rows = append(rows, t.keys[h])
+		vals = append(vals, t.vals[h])
 	}
 	return rows, vals
 }

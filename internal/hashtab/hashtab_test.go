@@ -1,6 +1,7 @@
 package hashtab
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -91,6 +92,66 @@ func TestAppendEntriesRoundTrip(t *testing.T) {
 	for i := 1; i < len(rows); i++ {
 		if rows[i] == rows[i-1] {
 			t.Error("duplicate key extracted")
+		}
+	}
+}
+
+// TestAppendEntriesInsertionOrder checks that entries come out in
+// first-insertion order under both insert paths, whatever the table
+// went through first: a Grow that narrows the window, a Grow that
+// reallocates storage, or a Reset across an epoch wraparound. Each
+// case starts from a table holding stale entries, so a leftover stamp
+// or slot would show up in the output.
+func TestAppendEntriesInsertionOrder(t *testing.T) {
+	plus := func(a, b matrix.Value) matrix.Value { return a + b }
+	inserts := []struct {
+		name   string
+		insert func(*Table, matrix.Index, matrix.Value)
+	}{
+		{"Accum", func(tab *Table, r matrix.Index, v matrix.Value) { Accum(tab, r, v) }},
+		{"AddWith", func(tab *Table, r matrix.Index, v matrix.Value) { tab.AddWith(r, v, plus) }},
+	}
+	const stale = 1024
+	cases := []struct {
+		name    string
+		prepare func(*Table)
+		storage int // len(keys) the case must leave behind
+	}{
+		{"narrowed", func(tab *Table) { tab.Grow(64, 0.5) }, SizeFor(stale, 0.5)},
+		{"reallocated", func(tab *Table) { tab.Grow(4*stale, 0.5) }, SizeFor(4*stale, 0.5)},
+		{"wraparound", func(tab *Table) { tab.epoch = math.MaxUint32; tab.Reset() }, SizeFor(stale, 0.5)},
+	}
+	for _, in := range inserts {
+		for _, c := range cases {
+			tab := NewTable(stale, 0.5)
+			for r := 0; r < stale; r++ {
+				Accum(tab, matrix.Index(3*r), 1)
+			}
+			c.prepare(tab)
+			if tab.Len() != 0 || len(tab.keys) != c.storage {
+				t.Fatalf("%s/%s: Len=%d storage=%d after prepare, want 0 and %d", in.name, c.name, tab.Len(), len(tab.keys), c.storage)
+			}
+			rng := rand.New(rand.NewSource(3))
+			var first []matrix.Index
+			want := map[matrix.Index]matrix.Value{}
+			for i := 0; i < 200; i++ {
+				r := matrix.Index(rng.Intn(100))
+				v := matrix.Value(rng.Intn(10))
+				if _, seen := want[r]; !seen {
+					first = append(first, r)
+				}
+				in.insert(tab, r, v)
+				want[r] += v
+			}
+			rows, vals := tab.AppendEntries(nil, nil)
+			if len(rows) != len(first) {
+				t.Fatalf("%s/%s: %d entries, want %d", in.name, c.name, len(rows), len(first))
+			}
+			for i, r := range rows {
+				if r != first[i] || vals[i] != want[r] {
+					t.Fatalf("%s/%s: entry %d = (%d,%v), want (%d,%v)", in.name, c.name, i, r, vals[i], first[i], want[first[i]])
+				}
+			}
 		}
 	}
 }

@@ -175,8 +175,14 @@ func sortPairs(rows []matrix.Index, vals []matrix.Value) {
 		}
 		return
 	}
-	mid := len(rows) / 2
-	pivot := rows[mid]
+	// Median of three pseudo-randomly placed samples. The numeric phase
+	// emits a column in first-seen order, one sorted run per A(:,k)
+	// merged in, and on a few long runs a fixed middle pivot sits near
+	// a run's end, so every partition peels off only a sliver.
+	n := uint64(len(rows))
+	x := n * 0x9E3779B97F4A7C15
+	a, b, c := rows[(x>>11)%n], rows[(x>>27)%n], rows[(x>>43)%n]
+	pivot := max(min(a, b), min(max(a, b), c))
 	// Three-way partition.
 	lt, i, gt := 0, 0, len(rows)
 	for i < gt {

@@ -272,10 +272,17 @@ func blockBytes(b *matrix.CSC) int64 {
 // span returns the w-th of g near-equal subranges of [0, n).
 func span(n, g, w int) (int, int) { return w * n / g, (w + 1) * n / g }
 
-// assemble pastes the g x g output blocks back into one global CSC.
+// assemble pastes the g x g output blocks back into one global CSC,
+// allocated once at the blocks' total nnz.
 func assemble(blocks [][]*matrix.CSC, rows, cols int) *matrix.CSC {
 	g := len(blocks)
-	out := matrix.NewCSC(rows, cols, 0)
+	nnz := 0
+	for _, row := range blocks {
+		for _, blk := range row {
+			nnz += blk.NNZ()
+		}
+	}
+	out := matrix.NewCSC(rows, cols, nnz)
 	for gj := 0; gj < g; gj++ {
 		c0, c1 := span(cols, g, gj)
 		for j := c0; j < c1; j++ {
