@@ -120,22 +120,6 @@ func (ad *AdderOf[T]) note(err error) {
 	}
 }
 
-// SetTuner installs (or, with nil, clears) a resident self-tuning
-// planner: calls whose Options carry no Tuner of their own consult it
-// during plan resolution and feed their measured cost back afterwards.
-// The Tuner may be shared with other Adders, Pools or a serving
-// process — it is safe for concurrent use even though the Adder is
-// not. Returns ErrAdderInUse if a call is in flight.
-func (ad *AdderOf[T]) SetTuner(t *Tuner) error {
-	ws, err := ad.acquire()
-	if err != nil {
-		return err
-	}
-	defer ad.release()
-	ws.SetTuner(t)
-	return nil
-}
-
 // Add computes the sum of the given matrices like the package-level
 // Add, reusing the Adder's scratch and output storage. The result is
 // owned by the Adder; see the type documentation for the lifetime

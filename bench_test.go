@@ -460,51 +460,6 @@ func BenchmarkAdderReuseFaultsOff(b *testing.B) {
 	}
 }
 
-// BenchmarkAdderReusePlanner gates the self-tuning planner's
-// steady-state cost: a warmed Adder with a resident Tuner — lookup,
-// decision and cost recording on every call — must still report
-// exactly 0 allocs/op (CI greps it with the other reuse benchmarks).
-// The warmup first runs every tuner arm explicitly so each arm's
-// scratch is sized, then lets a full-exploration tuner fill its table,
-// then freezes it to pure exploitation for the measured region.
-func BenchmarkAdderReusePlanner(b *testing.B) {
-	as := adderReuseInputs()
-	ad := spkadd.NewAdder()
-	armOpts := []spkadd.Options{}
-	for _, s := range []spkadd.Schedule{spkadd.ScheduleWeighted, spkadd.ScheduleWeightedStealing} {
-		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesFused, spkadd.PhasesUpperBound} {
-			armOpts = append(armOpts, spkadd.Options{Algorithm: spkadd.Hash, Phases: p, Schedule: s, SortedOutput: true, Threads: 1})
-		}
-		armOpts = append(armOpts, spkadd.Options{Algorithm: spkadd.SlidingHash, Schedule: s, SortedOutput: true, Threads: 1})
-	}
-	for _, opt := range armOpts {
-		for warm := 0; warm < 3; warm++ {
-			if _, err := ad.Add(as, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	tn := spkadd.NewTuner(77)
-	tn.SetEpsilon(1) // pure exploration while the table fills
-	if err := ad.SetTuner(tn); err != nil {
-		b.Fatal(err)
-	}
-	opt := spkadd.Options{SortedOutput: true, Threads: 1}
-	for warm := 0; warm < 32; warm++ {
-		if _, err := ad.Add(as, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-	tn.SetEpsilon(0) // pure exploitation in the measured region
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ad.Add(as, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // convertInputs maps the float64 reuse inputs into a T-valued twin
 // collection via f; the index structure is shared (it is read-only
 // during an addition).

@@ -11,13 +11,10 @@
 // a producer-count × shard-count grid), monoid (generic combine
 // overhead: every built-in monoid vs the Plus fast path), sched (the
 // schedule × skew × threads grid on the resident executor, including
-// WeightedStealing), tune, ablation, planner (the self-tuning
-// planner's A/B gate: static Auto vs a warmed tuner on every cell,
-// with a deliberately mis-predicted cell the learned table must win;
-// -tuner-state persists the cost table across runs), and dtype (the
-// value-type A/B: identical additions over float64 and float32 values,
-// interleaved, on cells sized so the accumulator straddles a per-core
-// cache at 8-byte values but fits at 4). See EXPERIMENTS.md for the
+// WeightedStealing), tune, ablation, and dtype (the value-type A/B:
+// identical additions over float64 and float32 values, interleaved,
+// on cells sized so the accumulator straddles a per-core cache at
+// 8-byte values but fits at 4). See EXPERIMENTS.md for the
 // workload mapping and expected shapes.
 //
 // With -baseline, the harness instead measures a small fixed grid of
@@ -42,13 +39,12 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("spkadd-bench: ")
-	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(bench.Experiments, ", ")+", phases, reuse, pool, monoid, sched, tune, ablation, planner, dtype, or all")
+	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(bench.Experiments, ", ")+", phases, reuse, pool, monoid, sched, tune, ablation, dtype, or all")
 	reps := flag.Int("reps", 1, "timed repetitions per cell (minimum reported)")
 	threads := flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 	scale := flag.Int("scale", 1, "divide workload sizes by this factor")
 	cacheMB := flag.Int64("cache-mb", 32, "modelled last-level cache in MB")
 	baseline := flag.String("baseline", "", "write the JSON perf baseline to this path and exit")
-	tunerState := flag.String("tuner-state", "", "planner experiment: load/save the tuner cost table at this path")
 	flag.Parse()
 
 	cfg := bench.Config{
@@ -57,7 +53,6 @@ func main() {
 		Threads:    *threads,
 		Scale:      *scale,
 		CacheBytes: *cacheMB << 20,
-		TunerState: *tunerState,
 	}
 	if *baseline != "" {
 		// Measure into a temp file and rename on success, so a failed

@@ -29,7 +29,6 @@ import (
 
 	"spkadd/internal/core"
 	"spkadd/internal/server"
-	"spkadd/internal/tuner"
 )
 
 func main() {
@@ -49,7 +48,6 @@ func run(args []string) int {
 		sumWait       = fs.Duration("sum-wait", 0, "max snapshot barrier wait before 503 (0 = 10s)")
 		drainDeadline = fs.Duration("drain-deadline", 20*time.Second, "graceful shutdown budget on SIGTERM")
 		maxDeltaNNZ   = fs.Int("max-delta-nnz", 0, "entry cap per delta frame (0 = 1<<22, negative uncapped)")
-		tunerState    = fs.String("tuner-state", "", "enable the self-tuning planner, persisting its cost table at this path")
 		quiet         = fs.Bool("quiet", false, "suppress per-event logging")
 	)
 	fs.Parse(args)
@@ -58,31 +56,12 @@ func run(args []string) int {
 	if *quiet {
 		logf = func(string, ...any) {}
 	}
-	// The planner table is process-wide: every tenant's pool shares
-	// it, and it survives restarts through the snapshot file. A
-	// corrupt or version-skewed snapshot is discarded (the table
-	// relearns), never fatal; only a missing file is silent.
-	var tun *tuner.Tuner
-	if *tunerState != "" {
-		tun = tuner.New(0)
-		switch err := tun.LoadFile(*tunerState); {
-		case err == nil:
-			log.Printf("tuner: loaded %d signature(s) from %s", tun.Len(), *tunerState)
-		case errors.Is(err, os.ErrNotExist):
-		case errors.Is(err, tuner.ErrBadSnapshot):
-			log.Printf("tuner: ignoring unusable state %s: %v", *tunerState, err)
-		default:
-			log.Printf("tuner: cannot read %s: %v", *tunerState, err)
-			return 1
-		}
-	}
 	srv := server.New(server.Config{
 		MaxTenants:  *maxTenants,
 		IdleTTL:     *idleTTL,
 		QueueWait:   *queueWait,
 		SumWait:     *sumWait,
 		MaxDeltaNNZ: *maxDeltaNNZ,
-		Tuner:       tun,
 		Pool: core.PoolOptions{
 			Shards:      *shards,
 			BudgetBytes: int64(*budgetMB) << 20,
@@ -128,16 +107,6 @@ func run(args []string) int {
 			}
 		case d.Err != nil:
 			log.Printf("drain: tenant %s drained unhealthy: %v", d.Tenant, d.Err)
-		}
-	}
-	// Persist whatever the planner learned this run — even after a
-	// lossy drain the cost table is valid (it records plan timings,
-	// not pool contents).
-	if tun != nil {
-		if err := tun.SaveFile(*tunerState); err != nil {
-			log.Printf("tuner: saving state to %s: %v", *tunerState, err)
-		} else {
-			log.Printf("tuner: saved %d signature(s) to %s", tun.Len(), *tunerState)
 		}
 	}
 	if !rep.Clean() {

@@ -112,7 +112,7 @@
 // hold per instantiation — see TestDtypeParity,
 // BenchmarkAdderReuseDtype and examples/reach. Mixing element types
 // in one addition is not supported; convert inputs first. DESIGN.md
-// §15 covers how the type parameter layers through the kernels.
+// §14 covers how the type parameter layers through the kernels.
 //
 // # Repeated additions
 //
@@ -173,31 +173,6 @@
 // pool; results never depend on the executor, schedule or thread
 // count. OpStats reports per-phase load balance (LoadImbalance,
 // Steals). See DESIGN.md §9.
-//
-// # Self-tuning
-//
-// The Auto algorithm, PhasesAuto and the default schedule are static
-// heuristics parameterized by Options.CacheBytes — one model of one
-// machine. A Tuner replaces the model with measurement: it is an
-// online learned cost table, keyed by a quantized workload signature
-// (k, column density, duplicate rate, skew, sortedness, monoid,
-// threads), that records the observed cost of every plan it resolves
-// and steers later calls with matching shape onto the cheapest
-// observed (algorithm, engine, schedule) plan, with a small
-// deterministic epsilon of exploration:
-//
-//	tn := spkadd.NewTuner(1)
-//	ad, _ := spkadd.NewAdder(rows, cols)
-//	ad.SetTuner(tn) // every Add on ad now consults and feeds tn
-//
-// Unseen shapes and pinned options fall back to the static
-// heuristics, so a Tuner never makes a cold call worse; lookups and
-// recording allocate nothing, so a warmed Adder with a Tuner stays 0
-// allocs/op. One Tuner may be shared by any number of Adders and
-// Pools (PoolOptions.Add.Tuner), and Save/Load persist the table
-// across processes — corrupt or version-skewed snapshots are refused
-// with ErrBadSnapshot, leaving the table intact. `spkadd-bench -exp
-// planner` is the A/B harness; DESIGN.md §14 has the design.
 //
 // # Errors, cancellation and failure containment
 //

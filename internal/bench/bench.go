@@ -36,11 +36,6 @@ type Config struct {
 	// CacheBytes models the last-level cache for the sliding hash and
 	// the Table V cache simulation; <=0 means 32MB (Skylake-like).
 	CacheBytes int64
-	// TunerState is an optional snapshot path for the planner A/B
-	// experiment: loaded (if present) before the grid runs and saved
-	// after, so repeated invocations keep refining one cost table.
-	// Empty means the experiment starts cold and persists nothing.
-	TunerState string
 }
 
 func (c Config) reps() int {

@@ -30,7 +30,6 @@ func TestAllocGateRegexSelectsReuseBenchmarks(t *testing.T) {
 		"BenchmarkAdderReuseMonoid",
 		"BenchmarkAdderReuseSched",
 		"BenchmarkAdderReuseFaultsOff",
-		"BenchmarkAdderReusePlanner",
 		"BenchmarkAdderReuseDtype",
 	} {
 		if !re.MatchString(name) {

@@ -13,7 +13,6 @@ import (
 	"spkadd/internal/generate"
 	"spkadd/internal/matrix"
 	"spkadd/internal/ops"
-	"spkadd/internal/tuner"
 )
 
 // phasesCase is one workload of the engine-comparison experiment.
@@ -95,10 +94,6 @@ type BaselineCell struct {
 	Engine    string `json:"engine"`
 	Monoid    string `json:"monoid"`
 	Schedule  string `json:"schedule"`
-	// Planner marks the schema-6 planner sweep: "static" for the
-	// heuristic Auto plan, "tuned" for the same cell resolved by a
-	// warmed self-tuning planner. Empty on all other cells.
-	Planner string `json:"planner,omitempty"`
 	// Dtype is the element type of the value axis (schema 7):
 	// "float64" on the classic grid, "float32" on the narrow-value
 	// sweep. Cells from pre-7 baselines have no dtype and are all
@@ -162,9 +157,9 @@ func Baseline(cfg Config, out io.Writer) error {
 		// 2 added allocs/bytes per op; 3 added monoid cells; 4 added
 		// the schedule field (Weighted on pre-4 cells) and a schedule
 		// sweep on the first workload; 5 added the host topology
-		// (num_cpu, cpu_model); 6 added the planner sweep (static Auto
-		// vs warmed tuner on the first workload); 7 added the dtype
-		// field and a float32 sweep on the second workload.
+		// (num_cpu, cpu_model); 6 added a planner sweep, since removed;
+		// 7 added the dtype field and a float32 sweep on the second
+		// workload.
 		Schema:     7,
 		CreatedAt:  time.Now().UTC().Format(time.RFC3339),
 		GoVersion:  runtime.Version(),
@@ -241,33 +236,6 @@ func Baseline(cfg Config, out io.Writer) error {
 				}
 				rep.Cells = append(rep.Cells, cell)
 			}
-			// Planner sweep (schema 6): the same fully-automatic cell
-			// resolved by the static heuristics and by a warmed
-			// self-tuning planner frozen to exploitation, so the
-			// planner's overhead-plus-decisions has a perf trajectory.
-			static := core.Options{Threads: cfg.Threads, CacheBytes: cfg.cacheBytes()}
-			cell, err := measureBaselineCell(c, as, in, static, cfg)
-			if err != nil {
-				return fmt.Errorf("baseline %s planner static: %w", c.pattern, err)
-			}
-			cell.Planner = "static"
-			rep.Cells = append(rep.Cells, cell)
-			tn := tuner.New(42)
-			tuned := static
-			tuned.Tuner = tn
-			tn.SetEpsilon(1)
-			for r := 0; r < 3*tuner.NumArms; r++ {
-				if _, err := core.Add(as, tuned); err != nil {
-					return fmt.Errorf("baseline %s planner warmup: %w", c.pattern, err)
-				}
-			}
-			tn.SetEpsilon(0)
-			cell, err = measureBaselineCell(c, as, in, tuned, cfg)
-			if err != nil {
-				return fmt.Errorf("baseline %s planner tuned: %w", c.pattern, err)
-			}
-			cell.Planner = "tuned"
-			rep.Cells = append(rep.Cells, cell)
 		}
 	}
 	enc := json.NewEncoder(out)

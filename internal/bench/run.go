@@ -44,8 +44,6 @@ func Run(name string, cfg Config) error {
 		return Tune(cfg)
 	case "ablation":
 		return Ablation(cfg)
-	case "planner":
-		return Planner(cfg)
 	case "dtype":
 		return Dtype(cfg)
 	case "all":
@@ -56,6 +54,6 @@ func Run(name string, cfg Config) error {
 		}
 		return nil
 	default:
-		return fmt.Errorf("%w: %q (want one of %v, \"phases\", \"reuse\", \"pool\", \"monoid\", \"sched\", \"tune\", \"ablation\", \"planner\", \"dtype\", or \"all\")", ErrUnknownExperiment, name, Experiments)
+		return fmt.Errorf("%w: %q (want one of %v, \"phases\", \"reuse\", \"pool\", \"monoid\", \"sched\", \"tune\", \"ablation\", \"dtype\", or \"all\")", ErrUnknownExperiment, name, Experiments)
 	}
 }

@@ -128,8 +128,7 @@ func allColumnsSorted[T matrix.Number](as []*matrix.CSCOf[T]) bool {
 // hash family wins across shapes and sparsities; choose SlidingHash
 // once the estimated per-thread symbolic tables spill out of the
 // last-level cache, and plain Hash otherwise. The density estimate is
-// the shared workloadEstimate, the same one pickPhases and the tuner
-// signature read.
+// the shared workloadEstimate, the same one pickPhases reads.
 func autoSelect[T matrix.Number](est workloadEstimate, opt OptionsOf[T]) Algorithm {
 	if est.cols == 0 {
 		return Hash

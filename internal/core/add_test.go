@@ -141,6 +141,24 @@ func TestUnsortedInputs(t *testing.T) {
 	if !got.Equal(want) {
 		t.Error("sliding hash scan-filter path wrong on unsorted inputs")
 	}
+	// Auto reaching SlidingHash (a tiny CacheBytes makes the tables
+	// spill) runs the sortedness scan after resolution and hands its
+	// answer to the kernels.
+	auto := Options{CacheBytes: 64, SortedOutput: true}
+	p, err := auto.validate(as, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.alg != SlidingHash || p.sortedIn {
+		t.Fatalf("Auto on unsorted inputs resolved to %v with sortedIn=%v, want SlidingHash, false", p.alg, p.sortedIn)
+	}
+	got, err = Add(as, auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Error("Auto-resolved sliding hash wrong on unsorted inputs")
+	}
 
 	// 2-way merge and heap must refuse unsorted input.
 	for _, alg := range []Algorithm{TwoWayIncremental, TwoWayTree, Heap} {

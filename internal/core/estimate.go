@@ -4,26 +4,15 @@ import (
 	"math"
 
 	"spkadd/internal/matrix"
-	"spkadd/internal/sched"
-	"spkadd/internal/tuner"
 )
-
-// wideOf reports whether T is wider than 4 bytes (float64/int64): the
-// tuner signature's element-width bit, so wide and narrow calls learn
-// separate cost cells.
-//
-//spkadd:noalloc
-func wideOf[T matrix.Number]() bool {
-	return entryBytesOf[T]() > BytesPerSymbolicEntry+4
-}
 
 // This file is the single source of the per-call workload estimate —
 // the shape summary (k, mean column density, duplicate rate) that
-// autoSelect, pickPhases and the self-tuning planner's signature all
-// consume. Before it existed, autoSelect and pickPhases each computed
-// their own total-nnz scan and density estimate, which let the two
-// heuristics silently drift apart; TestEstimateSharedAcrossHeuristics
-// pins them to this one computation.
+// autoSelect and pickPhases both consume. Before it existed, each
+// computed its own total-nnz scan and density estimate, which let the
+// two heuristics silently drift apart;
+// TestEstimateSharedAcrossHeuristics pins them to this one
+// computation.
 
 // workloadEstimate summarizes one call's inputs for the planning
 // heuristics: everything here is O(k) to compute (one NNZ read per
@@ -63,190 +52,4 @@ func estimateWorkload[T matrix.Number](as []*matrix.CSCOf[T]) workloadEstimate {
 		e.dupRate = 1 - distinct/e.avgColNNZ
 	}
 	return e
-}
-
-// maxColInputNNZ upper-bounds the heaviest combined input column:
-// Σ_i max_j nnz(A_i(:,j)). One O(cols) scan per input, no extra
-// storage — computed only when a tuner is consulted, where its ratio
-// to the mean separates uniform (ER-like) from skewed (RMAT-like)
-// workloads in the signature.
-//
-//spkadd:noalloc
-func maxColInputNNZ[T matrix.Number](as []*matrix.CSCOf[T]) int64 {
-	var sum int64
-	for _, a := range as {
-		var max int64
-		ptr := a.ColPtr
-		for j := 0; j < a.Cols; j++ {
-			if c := ptr[j+1] - ptr[j]; c > max {
-				max = c
-			}
-		}
-		sum += max
-	}
-	return sum
-}
-
-// The arm-code translation between internal/tuner's host-agnostic plan
-// codes and core's enums. tuner deliberately does not import core, so
-// the mapping lives here, next to the only caller.
-
-//spkadd:noalloc
-func armAlg(a tuner.Alg) Algorithm {
-	if a == tuner.AlgSliding {
-		return SlidingHash
-	}
-	return Hash
-}
-
-//spkadd:noalloc
-func armEngine(e tuner.Engine) Phases {
-	switch e {
-	case tuner.EngineFused:
-		return PhasesFused
-	case tuner.EngineUpperBound:
-		return PhasesUpperBound
-	}
-	return PhasesTwoPass
-}
-
-//spkadd:noalloc
-func armSched(s tuner.Sched) Schedule {
-	if s == tuner.SchedStealing {
-		return ScheduleWeightedStealing
-	}
-	return ScheduleWeighted
-}
-
-//spkadd:noalloc
-func phasesEngine(p Phases) tuner.Engine {
-	switch p {
-	case PhasesFused:
-		return tuner.EngineFused
-	case PhasesUpperBound:
-		return tuner.EngineUpperBound
-	}
-	return tuner.EngineTwoPass
-}
-
-// staticArm maps the statically resolved plan to its tuner arm index,
-// or -1 when the plan is outside the arm table (never the case for a
-// call armMask admitted, but the planner treats -1 as "nothing to
-// record for the static side" rather than trusting that).
-//
-//spkadd:noalloc
-func staticArm[T matrix.Number](p *planOf[T]) int8 {
-	for a := 0; a < tuner.NumArms; a++ {
-		c := tuner.Arms[a]
-		if armAlg(c.Alg) == p.alg && armEngine(c.Engine) == p.engine && armSched(c.Sched) == p.schedule {
-			return int8(a)
-		}
-	}
-	return -1
-}
-
-// armMask computes the bitset of tuner arms valid for this call — the
-// caller's explicit constraints, enforced before learning gets a vote:
-//
-//   - Only the hash family is tuned. A pinned non-hash algorithm (the
-//     baselines, Heap, SPA) disables the planner for the call; a
-//     pinned Hash or SlidingHash restricts arms to that algorithm.
-//   - Only the weighted schedules are tuned. The default
-//     ScheduleWeighted admits both weighted arms (the planner may
-//     discover stealing pays); an explicit ScheduleWeightedStealing
-//     restricts to stealing arms; Static and Dynamic are explicit
-//     opt-ins the planner never overrides.
-//   - A pinned Phases engine restricts Hash arms to that engine.
-//     SlidingHash arms stay eligible: sliding keeps its native
-//     two-pass driver whatever the caller asks, exactly as the static
-//     path's fallback does.
-//   - A DropIdentity monoid needs a single-pass engine, so only the
-//     fused and upper-bound Hash arms remain.
-//
-//spkadd:noalloc
-func (o OptionsOf[T]) armMask(p *planOf[T]) uint32 {
-	switch o.Algorithm {
-	case Auto, Hash, SlidingHash:
-	default:
-		return 0
-	}
-	if p.schedule != ScheduleWeighted && p.schedule != ScheduleWeightedStealing {
-		return 0
-	}
-	var mask uint32
-	for a := 0; a < tuner.NumArms; a++ {
-		c := tuner.Arms[a]
-		if o.Algorithm == Hash && c.Alg != tuner.AlgHash {
-			continue
-		}
-		if o.Algorithm == SlidingHash && c.Alg != tuner.AlgSliding {
-			continue
-		}
-		if p.schedule == ScheduleWeightedStealing && c.Sched != tuner.SchedStealing {
-			continue
-		}
-		if o.Phases != PhasesAuto && c.Alg == tuner.AlgHash && c.Engine != phasesEngine(o.Phases) {
-			continue
-		}
-		if p.generic && p.mon.drop && (c.Alg != tuner.AlgHash || c.Engine == tuner.EngineTwoPass) {
-			continue
-		}
-		mask |= 1 << a
-	}
-	return mask
-}
-
-// consultTuner lets Options.Tuner overrule the statically resolved
-// {algorithm, engine, schedule} from its learned cost table. Called at
-// the end of validate, after every constraint check: the mask encodes
-// what the caller pinned, so no tuner decision can reach a
-// configuration validate would have rejected. On any decision —
-// including a fallback to the static plan — the plan carries the
-// signature key and arm so the dispatcher measures the call and
-// records its cost, which is how both the static plan's and the
-// explored plans' costs enter the table.
-//
-// The path is allocation-free: it runs inside plan resolution on the
-// warmed Adder's zero-alloc steady state (BenchmarkPlanResolve and the
-// CI allocation gate hold it there).
-//
-//spkadd:noalloc
-func (o OptionsOf[T]) consultTuner(p *planOf[T], est workloadEstimate, as []*matrix.CSCOf[T]) {
-	mask := o.armMask(p)
-	if mask == 0 {
-		return
-	}
-	sig := tuner.Signature{
-		K:          est.k,
-		MeanColNNZ: est.avgColNNZ,
-		MaxColNNZ:  maxColInputNNZ(as),
-		DupRate:    est.dupRate,
-		Sorted:     p.sortedIn,
-		Generic:    p.generic,
-		Threads:    sched.Threads(o.Threads),
-		Wide:       wideOf[T](),
-	}
-	key := sig.Key()
-	static := staticArm(p)
-	arm, dec := o.Tuner.Lookup(key, mask, static)
-	if s := o.Stats; s != nil {
-		s.PlannerLookups.Add(1)
-		switch dec {
-		case tuner.Explore:
-			s.PlannerExplores.Add(1)
-		case tuner.Fallback:
-			s.PlannerFallbacks.Add(1)
-		}
-		s.RecordPlanner(arm, static)
-	}
-	if arm < 0 {
-		return
-	}
-	if dec != tuner.Fallback {
-		c := tuner.Arms[arm]
-		p.alg = armAlg(c.Alg)
-		p.engine = armEngine(c.Engine)
-		p.schedule = armSched(c.Sched)
-	}
-	p.sigKey, p.arm, p.total = key, arm, est.total
 }

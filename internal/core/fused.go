@@ -64,8 +64,8 @@ func fusedSupported(alg Algorithm) bool {
 // pickPhases resolves the engine for one call. An explicit request is
 // honored whenever the algorithm supports it; Auto reads the shared
 // workloadEstimate's balls-into-bins duplicate rate (the same estimate
-// autoSelect and the tuner signature consume) and checks memory
-// headroom (see the Phases constants and DESIGN.md).
+// autoSelect consumes) and checks memory headroom (see the Phases
+// constants and DESIGN.md).
 func pickPhases[T matrix.Number](est workloadEstimate, alg Algorithm, opt OptionsOf[T]) Phases {
 	if !fusedSupported(alg) {
 		return PhasesTwoPass

@@ -18,7 +18,6 @@ import (
 	"spkadd/internal/matrix"
 	"spkadd/internal/ops"
 	"spkadd/internal/sched"
-	"spkadd/internal/tuner"
 )
 
 // Algorithm selects the SpKAdd implementation.
@@ -260,21 +259,6 @@ type OptionsOf[T matrix.Number] struct {
 	// heap ops, SPA touches, entries moved) for complexity tests and
 	// the ablation benches.
 	Stats *OpStats
-	// Tuner, when non-nil, consults the self-tuning planner during
-	// plan resolution: the call's workload signature (quantized k,
-	// column density, duplicate rate, skew, sortedness, monoid path,
-	// threads) is looked up in the tuner's learned cost table and the
-	// cheapest observed {Algorithm, Phases, Schedule} combination the
-	// caller's options admit replaces the static heuristics' guess,
-	// with the measured cost fed back after the call. Explicit
-	// constraints always win: a pinned Algorithm, Phases or
-	// Static/Dynamic Schedule restricts (or disables) what the tuner
-	// may choose. One tuner is safe to share across goroutines,
-	// Adders, a Pool's shards and a server's tenants — sharing is the
-	// point, the table converges faster. See internal/tuner and
-	// DESIGN.md §14.
-	Tuner *tuner.Tuner
-
 	// faultKey is the fault-injection zone the call's kernel sites
 	// report: a Pool shard sets its 1-based shard index so chaos
 	// schedules can target one shard, direct calls use zone 0.
@@ -373,20 +357,6 @@ type OpStats struct {
 	ShardsDegraded  atomic.Int64 //spkadd:atomic
 	ShardsPoisoned  atomic.Int64 //spkadd:atomic
 	ShardsRecovered atomic.Int64 //spkadd:atomic
-	// Self-tuning planner counters (Options.Tuner; DESIGN.md §14).
-	// PlannerLookups counts the calls the planner was consulted on;
-	// PlannerExplores the subset answered by an epsilon-greedy
-	// exploration draw; PlannerFallbacks the subset where the learned
-	// table had nothing usable and the static heuristics' plan ran
-	// unchanged. Lookups minus explores minus fallbacks is the exploit
-	// count — calls planned from observed cost.
-	PlannerLookups   atomic.Int64 //spkadd:atomic
-	PlannerExplores  atomic.Int64 //spkadd:atomic
-	PlannerFallbacks atomic.Int64 //spkadd:atomic
-	// plannerDecision records the most recent consulted call's chosen
-	// and static arms (read via PlannerDecision), each stored +1 in
-	// one byte so the zero value means "no consulted call observed".
-	plannerDecision atomic.Int64 //spkadd:atomic
 }
 
 // RecordRegion folds one parallel region's load statistics into the
@@ -413,26 +383,6 @@ func (s *OpStats) LoadImbalance() float64 {
 		return 1
 	}
 	return float64(s.SchedMaxWeight.Load()) / float64(mean)
-}
-
-// RecordPlanner notes one planner-consulted call's decision: the
-// tuner arm the call will run and the arm the static heuristics
-// resolved to (-1 when the static plan maps to no arm). Equal values
-// mean the tuner agreed with — or fell back to — the static plan.
-func (s *OpStats) RecordPlanner(chosen, static int8) {
-	s.plannerDecision.Store((int64(chosen)+1)<<8 | (int64(static) + 1))
-}
-
-// PlannerDecision returns the most recent planner-consulted call's
-// chosen and static arm indices (into tuner.Arms), and whether any
-// consulted call has been observed by these stats. chosen != static
-// is the observable "the learned table overrode the static guess".
-func (s *OpStats) PlannerDecision() (chosen, static int8, ok bool) {
-	v := s.plannerDecision.Load()
-	if v == 0 {
-		return -1, -1, false
-	}
-	return int8(v>>8) - 1, int8(v&0xff) - 1, true
 }
 
 // RecordEngine notes the engine a dispatched addition resolved to.

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"spkadd/internal/matrix"
+	"spkadd/internal/sched"
 )
 
 func TestLoadFactorClamp(t *testing.T) {
@@ -89,5 +91,97 @@ func TestEngineUsedObservable(t *testing.T) {
 	}
 	if got, ok := stats.EngineUsed(); !ok || got == PhasesAuto {
 		t.Errorf("PhasesAuto recorded %v (ok=%v), want a concrete engine", got, ok)
+	}
+}
+
+// TestEstimateSharedAcrossHeuristics pins autoSelect and pickPhases to
+// the one shared workloadEstimate: the estimate's fields must equal
+// the formulas the two heuristics historically computed independently,
+// and both decisions must flip exactly at the thresholds the shared
+// estimate predicts — so the heuristics can no longer drift apart.
+func TestEstimateSharedAcrossHeuristics(t *testing.T) {
+	for _, tc := range []struct{ k, rows, cols, d int }{
+		{4, 300, 8, 20},
+		{8, 100000, 64, 16},
+		{2, 50, 5, 3},
+	} {
+		as := erInputs(tc.k, tc.rows, tc.cols, tc.d, 81)
+		est := estimateWorkload(as)
+
+		total := 0
+		for _, a := range as {
+			total += a.NNZ()
+		}
+		if est.k != tc.k || est.rows != tc.rows || est.cols != tc.cols || est.total != int64(total) {
+			t.Fatalf("estimate shape = (%d, %d, %d, %d), want (%d, %d, %d, %d)",
+				est.k, est.rows, est.cols, est.total, tc.k, tc.rows, tc.cols, total)
+		}
+		avg := float64(total) / float64(tc.cols)
+		if est.avgColNNZ != avg {
+			t.Errorf("avgColNNZ = %g, want %g", est.avgColNNZ, avg)
+		}
+		distinct := float64(tc.rows) * -math.Expm1(avg*math.Log1p(-1/float64(tc.rows)))
+		if want := 1 - distinct/avg; est.dupRate != want {
+			t.Errorf("dupRate = %g, want %g (the balls-into-bins estimate)", est.dupRate, want)
+		}
+
+		// autoSelect flips Hash -> SlidingHash exactly at the symbolic
+		// table footprint the shared estimate predicts.
+		threads := sched.Threads(1)
+		memSym := int64(est.avgColNNZ) * BytesPerSymbolicEntry * int64(threads)
+		if alg := autoSelect(est, Options{Threads: 1, CacheBytes: memSym}); alg != Hash {
+			t.Errorf("at exactly the footprint: auto = %v, want Hash", alg)
+		}
+		if alg := autoSelect(est, Options{Threads: 1, CacheBytes: memSym - 1}); alg != SlidingHash {
+			t.Errorf("one byte under: auto = %v, want SlidingHash", alg)
+		}
+
+		// pickPhases flips Hash's engine to TwoPass at the numeric
+		// footprint from the same estimate.
+		memNum := int64(est.avgColNNZ) * BytesPerAddEntry * int64(threads)
+		if p := pickPhases(est, Hash, Options{Threads: 1, CacheBytes: memNum - 1}); p != PhasesTwoPass {
+			t.Errorf("under numeric footprint: engine = %v, want TwoPass", p)
+		}
+		if p := pickPhases(est, Hash, Options{Threads: 1, CacheBytes: memNum}); p == PhasesTwoPass {
+			t.Error("at numeric footprint: engine fell back to TwoPass")
+		}
+		// And its duplicate-rate branch reads est.dupRate.
+		wantEngine := PhasesFused
+		if est.dupRate <= autoDupRateCutoff && est.total*entryBytes <= upperBoundStagingCap {
+			wantEngine = PhasesUpperBound
+		}
+		if p := pickPhases(est, Hash, Options{Threads: 1, CacheBytes: memNum}); p != wantEngine {
+			t.Errorf("dup-rate branch: engine = %v, want %v", p, wantEngine)
+		}
+	}
+}
+
+// TestPlanResolveAllocFree enforces that plan resolution — validate,
+// the per-call planning work every Adder call pays — allocates
+// nothing. BenchmarkPlanResolve reports the same property with
+// timings; this test enforces it on every `go test` run (validate is
+// unexported, so the root-package CI gate cannot see it directly).
+func TestPlanResolveAllocFree(t *testing.T) {
+	as := erInputs(8, 1<<11, 64, 4, 21)
+	opt := Options{Threads: 1}
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, err := opt.validate(as, nil, 0); err != nil {
+			panic(err)
+		}
+	}); avg != 0 {
+		t.Errorf("plan resolution: %g allocs/op, want 0", avg)
+	}
+}
+
+// BenchmarkPlanResolve times plan resolution, reporting allocations
+// (0 allocs/op, enforced by TestPlanResolveAllocFree).
+func BenchmarkPlanResolve(b *testing.B) {
+	as := erInputs(8, 1<<11, 64, 4, 21)
+	opt := Options{Threads: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := opt.validate(as, nil, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

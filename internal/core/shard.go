@@ -854,6 +854,11 @@ func (s *poolShardOf[T]) run(wg *sync.WaitGroup) {
 			s.exited = true
 			s.done.Broadcast()
 			s.mu.Unlock()
+			// The reducer is the workspace's only user: release its
+			// parked workers with it rather than at GC time.
+			if s.ws != nil {
+				s.ws.closeExecutor()
+			}
 			return
 		}
 	}
@@ -873,6 +878,9 @@ func (s *poolShardOf[T]) fail(err error, claimed int) {
 	st := s.opt.Stats
 	if isPanicErr(err) {
 		s.poisoned = true
+		if s.ws != nil {
+			s.ws.closeExecutor()
+		}
 		s.ws = nil
 		if st != nil {
 			st.PanicsRecovered.Add(1)

@@ -67,8 +67,11 @@ func (m *monoidStateOf[T]) mapFor(i int) func(T) T {
 // and the combine monoid. Producing the whole plan in one place keeps
 // every entry point's behaviour identical.
 type planOf[T matrix.Number] struct {
-	alg      Algorithm
-	engine   Phases
+	alg    Algorithm
+	engine Phases
+	// sortedIn reports that every input column is sorted. It is
+	// computed only for the algorithms that read it (see validate) and
+	// stays false for the rest, whatever their inputs.
 	sortedIn bool
 	// schedule is the resolved column-scheduling strategy:
 	// Options.Schedule, with out-of-range values normalized to the
@@ -86,16 +89,6 @@ type planOf[T matrix.Number] struct {
 	// meaningless.
 	generic bool
 	mon     monoidStateOf[T]
-	// Tuner bookkeeping (consultTuner). arm is the tuner arm this call
-	// runs, -1 when no tuner decision applies (no tuner configured,
-	// untunable call, single-input copy); sigKey is the quantized
-	// workload signature and total the input entry count that
-	// normalizes the recorded cost. The dispatcher measures the call
-	// and feeds (sigKey, arm, elapsed, total) back to the tuner iff
-	// arm >= 0.
-	sigKey uint32
-	arm    int8
-	total  int64
 }
 
 // monoid returns the resolved monoid definition (T's Plus on the fast
@@ -113,7 +106,6 @@ func (p *planOf[T]) monoid() *ops.MonoidOf[T] {
 // domain (see monoidStateOf.mapped); plain calls pass 0.
 func (o OptionsOf[T]) validate(as []*matrix.CSCOf[T], coeffs []T, premapped int) (planOf[T], error) {
 	var p planOf[T]
-	p.arm = -1 // arm 0 is a valid tuner arm; -1 means "none chosen"
 	if coeffs != nil && len(coeffs) != len(as) {
 		return p, fmt.Errorf("%w: %d coefficients for %d matrices", ErrDimMismatch, len(coeffs), len(as))
 	}
@@ -160,18 +152,24 @@ func (o OptionsOf[T]) validate(as []*matrix.CSCOf[T], coeffs []T, premapped int)
 		return p, nil
 	}
 
-	p.sortedIn = allColumnsSorted(as)
 	est := estimateWorkload(as)
 	alg := o.Algorithm
 	if alg == Auto {
 		alg = autoSelect(est, o)
 	}
 	p.alg = alg
+	// The O(nnz) sortedness scan runs only where its answer is used:
+	// the merge-based algorithms reject unsorted input, and SlidingHash
+	// passes it to its kernels, which then bound each row window by
+	// binary search. Hash, SPA and the map baselines accept any order.
 	switch alg {
 	case TwoWayIncremental, TwoWayTree, Heap:
-		if !p.sortedIn {
+		if !allColumnsSorted(as) {
 			return p, unsortedErr(alg)
 		}
+		p.sortedIn = true
+	case SlidingHash:
+		p.sortedIn = allColumnsSorted(as)
 	}
 	if kWay := alg == Heap || alg == SPA || alg == Hash || alg == SlidingHash; !kWay {
 		if coeffs != nil {
@@ -200,12 +198,6 @@ func (o OptionsOf[T]) validate(as []*matrix.CSCOf[T], coeffs []T, premapped int)
 		if p.engine == PhasesTwoPass { // PhasesAuto preferred two-pass
 			p.engine = PhasesFused
 		}
-	}
-	// The self-tuning planner gets the last word, after every
-	// constraint check: it only ever moves the plan between
-	// configurations the caller's options admit (see armMask).
-	if o.Tuner != nil {
-		o.consultTuner(&p, est, as)
 	}
 	return p, nil
 }

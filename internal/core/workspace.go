@@ -9,7 +9,6 @@ import (
 	"spkadd/internal/matrix"
 	"spkadd/internal/ops"
 	"spkadd/internal/sched"
-	"spkadd/internal/tuner"
 )
 
 // Workspace owns every scratch structure a k-way SpKAdd call needs —
@@ -46,10 +45,10 @@ type WorkspaceOf[T matrix.Number] struct {
 	// Scratch reused across calls.
 	workers []*workerStateOf[T]
 	arenas  []arenaOf[T]
-	weights []int64          // per-column Σ_i nnz(A_i(:,j))
-	counts  []int64          // per-column output nnz
-	cols    []fusedColOf[T]  // fused engine's per-column arena extents
-	ubPtr   []int64          // upper-bound engine's staging column pointers
+	weights []int64         // per-column Σ_i nnz(A_i(:,j))
+	counts  []int64         // per-column output nnz
+	cols    []fusedColOf[T] // fused engine's per-column arena extents
+	ubPtr   []int64         // upper-bound engine's staging column pointers
 	stRows  []matrix.Index
 	stVals  []T
 
@@ -59,14 +58,6 @@ type WorkspaceOf[T matrix.Number] struct {
 	// kit binds the instantiation's Plus fast paths once per
 	// workspace (nil for bool; see kitFor).
 	kit *numKit[T]
-
-	// tun is the workspace-resident self-tuning planner (SetTuner):
-	// the default Options.Tuner for calls that carry none of their
-	// own. Like the executor it survives across calls, but unlike the
-	// rest of the workspace a *tuner.Tuner is safe to share — the
-	// Adder, a Pool's shards and a server's tenants can all feed one
-	// table.
-	tun *tuner.Tuner
 
 	// ownEx is the workspace-resident executor: a pool of parked
 	// worker goroutines plus the partitioning scratch every parallel
@@ -132,16 +123,6 @@ func NewWorkspaceOf[T matrix.Number](recycleOutput bool) *WorkspaceOf[T] {
 	return ws
 }
 
-// SetTuner installs (or, with nil, clears) the workspace-resident
-// self-tuning planner: calls whose Options carry no Tuner of their
-// own consult it during plan resolution and feed their measured cost
-// back afterwards. The pooled workspaces behind the package-level Add
-// never set one — one-shot callers opt in per call via Options.Tuner.
-func (ws *WorkspaceOf[T]) SetTuner(t *tuner.Tuner) { ws.tun = t }
-
-// Tuner returns the workspace-resident planner, nil when none is set.
-func (ws *WorkspaceOf[T]) Tuner() *tuner.Tuner { return ws.tun }
-
 // The wsPools back the package-level Add/AddTimed/AddScaled: one-shot
 // callers get scratch amortization across calls for free, while the
 // output stays caller-owned (no recycling). One pool per supported
@@ -196,9 +177,6 @@ func (ws *WorkspaceOf[T]) AddContext(ctx context.Context, as []*matrix.CSCOf[T],
 // the first input, and it must not pass through MapInput again.
 func (ws *WorkspaceOf[T]) addTimedPremapped(ctx context.Context, as []*matrix.CSCOf[T], opt OptionsOf[T], premapped int) (*matrix.CSCOf[T], PhaseTimings, error) {
 	var pt PhaseTimings
-	if opt.Tuner == nil {
-		opt.Tuner = ws.tun // workspace-resident planner, nil when unset
-	}
 	p, err := opt.validate(as, nil, premapped)
 	if err != nil {
 		return nil, pt, err
@@ -211,20 +189,10 @@ func (ws *WorkspaceOf[T]) addTimedPremapped(ctx context.Context, as []*matrix.CS
 	// into the buffer still holding the caller's running sum while
 	// reading it.
 	cur := ws.cur
-	// Tuner-planned calls are measured wall-to-wall around the
-	// dispatch; the cost lands in the table only after success, outside
-	// the measured region (Record is CAS-only, no allocation).
-	var start time.Time
-	if p.arm >= 0 {
-		start = time.Now()
-	}
 	b, pt, err := ws.addDispatch(ctx, as, p, opt, nil)
 	if err != nil {
 		ws.cur = cur
 		return nil, pt, err
-	}
-	if p.arm >= 0 {
-		opt.Tuner.Record(p.sigKey, p.arm, time.Since(start), p.total)
 	}
 	return b, pt, nil
 }
@@ -248,25 +216,15 @@ func (ws *WorkspaceOf[T]) AddScaled(as []*matrix.CSCOf[T], coeffs []T, opt Optio
 	if len(coeffs) != len(as) {
 		return nil, fmt.Errorf("%w: %d coefficients for %d matrices", ErrDimMismatch, len(coeffs), len(as))
 	}
-	if opt.Tuner == nil {
-		opt.Tuner = ws.tun
-	}
 	p, err := opt.validate(as, coeffs, 0)
 	if err != nil {
 		return nil, err
 	}
 	cur := ws.cur
-	var start time.Time
-	if p.arm >= 0 {
-		start = time.Now()
-	}
 	b, _, err := ws.addDispatch(nil, as, p, opt, coeffs)
 	if err != nil {
 		ws.cur = cur
 		return nil, err
-	}
-	if p.arm >= 0 {
-		opt.Tuner.Record(p.sigKey, p.arm, time.Since(start), p.total)
 	}
 	return b, nil
 }
@@ -382,6 +340,18 @@ func (ws *WorkspaceOf[T]) executorFor(opt OptionsOf[T], t int) *sched.Executor {
 		ws.ownEx = sched.NewElasticExecutor()
 	}
 	return ws.ownEx
+}
+
+// closeExecutor releases the workspace-resident executor's parked
+// workers now instead of at GC time. Owners call it when the
+// workspace is retired (a Pool shard's reducer exiting, a poisoned
+// workspace quarantined); a later multi-threaded call would create a
+// fresh executor.
+func (ws *WorkspaceOf[T]) closeExecutor() {
+	if ws.ownEx != nil {
+		ws.ownEx.Close()
+		ws.ownEx = nil
+	}
 }
 
 // end drops the references to caller data so a pooled or idle

@@ -371,6 +371,11 @@ func (s *execState) runLocked(parts int) (LoadStats, error) {
 	}
 	s.runWorkerRecover(0)
 	s.wg.Wait()
+	// Drop the body at the barrier: parked workers reference s, and a
+	// body bound to the executor's owner (a workspace phase method
+	// value) would otherwise keep the handle reachable, so the cleanup
+	// backstop in newExecutor could never fire.
+	s.body = nil
 	var total, max int64
 	for i := 0; i < parts; i++ {
 		v := s.loads[i].v

@@ -3,8 +3,11 @@ package sched
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"spkadd/internal/faults/leakcheck"
 )
 
 // chunkRecorder collects every (worker, lo, hi) chunk a region
@@ -185,6 +188,30 @@ func TestExecutorCloseRunsInline(t *testing.T) {
 	if ls.Workers != 1 {
 		t.Errorf("closed executor ran %d workers, want 1 (inline)", ls.Workers)
 	}
+}
+
+// TestDroppedExecutorReclaimedAfterRegion pins the precondition of
+// the cleanup backstop: a region must not leave its body reachable
+// from the parked workers. A workspace's phase bodies are method
+// values bound to the workspace that owns the executor, so a retained
+// body would keep the handle alive and the dropped owner's workers
+// parked forever.
+func TestDroppedExecutorReclaimedAfterRegion(t *testing.T) {
+	leakcheck.Begin(t)
+	type owner struct {
+		ex      *Executor
+		covered atomic.Int64
+	}
+	o := &owner{ex: NewElasticExecutor()}
+	body := func(_, lo, hi int) { o.covered.Add(int64(hi - lo)) }
+	if _, err := o.ex.Static(8, 2, body); err != nil {
+		t.Fatalf("region error: %v", err)
+	}
+	if got := o.covered.Load(); got != 8 {
+		t.Fatalf("region covered %d of 8 items", got)
+	}
+	// o, body and the handle are dropped here; leakcheck's GC cycles
+	// must run the cleanup and let the parked worker exit.
 }
 
 // TestExecutorStealOccurs forces the steal path: worker 0 stalls on

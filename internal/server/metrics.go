@@ -105,15 +105,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.add("spkadd_tenant_evictions_total", c, "Tenants evicted after sitting idle past the TTL.",
 		float64(s.reg.evictions.Load()))
 
-	if s.cfg.Tuner != nil {
-		p.add("spkadd_tuner_entries", g,
-			"Workload signatures resident in the process-wide planner cost table.",
-			float64(s.cfg.Tuner.Len()))
-		p.add("spkadd_tuner_epsilon", g,
-			"Exploration rate of the process-wide planner.",
-			s.cfg.Tuner.Epsilon())
-	}
-
 	tenants := s.reg.list()
 	p.add("spkadd_tenants", g, "Live tenants in the registry.", float64(len(tenants)))
 
@@ -175,15 +166,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			float64(st.ShardsRecovered.Load()), lt...)
 		p.add("spkadd_tenant_shards_poisoned_total", c, "Shards permanently poisoned by panics.",
 			float64(st.ShardsPoisoned.Load()), lt...)
-		p.add("spkadd_tenant_planner_lookups_total", c,
-			"Self-tuning planner consultations during plan resolution.",
-			float64(st.PlannerLookups.Load()), lt...)
-		p.add("spkadd_tenant_planner_explores_total", c,
-			"Planner lookups answered by epsilon-greedy exploration.",
-			float64(st.PlannerExplores.Load()), lt...)
-		p.add("spkadd_tenant_planner_fallbacks_total", c,
-			"Planner lookups that fell back to the static heuristics (cold signature or pinned plan).",
-			float64(st.PlannerFallbacks.Load()), lt...)
 	}
 	p.writeTo(w)
 }

@@ -148,12 +148,6 @@ func (r *registry) getOrCreate(name string, rows, cols int) (*tenant, error) {
 	popt := r.cfg.Pool
 	popt.FaultZone = t.id * faultZoneStride
 	popt.Add.Stats = t.stats
-	if r.cfg.Tuner != nil {
-		// Every tenant feeds the one process-wide cost table: the
-		// planner's workload signature keys by shape, not tenant, so
-		// tenants producing similar deltas share what each learns.
-		popt.Add.Tuner = r.cfg.Tuner
-	}
 	t.pool = core.NewPool(rows, cols, popt)
 	t.touch()
 	r.tenants[name] = t

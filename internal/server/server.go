@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"spkadd/internal/core"
-	"spkadd/internal/tuner"
 )
 
 // Config configures a Server. The zero value is ready to use.
@@ -63,12 +62,6 @@ type Config struct {
 	// Pool configures each tenant's core.Pool. FaultZone and
 	// Add.Stats are owned by the registry and overwritten.
 	Pool core.PoolOptions
-	// Tuner, when non-nil, is the process-wide self-tuning planner
-	// cost table: every tenant's pool consults and feeds the same
-	// table, so a workload shape learned under one tenant speeds up
-	// every other tenant that produces it. Nil leaves the static
-	// heuristics in charge.
-	Tuner *tuner.Tuner
 	// Logf, when set, receives one line per notable server event
 	// (evictions, rejected pushes, drain progress). Nil discards.
 	Logf func(format string, args ...any)

@@ -17,11 +17,8 @@ echo "== build"
 go build -o "$WORK/spkadd-serve" ./cmd/spkadd-serve
 go build -o "$WORK/firehose" ./examples/firehose
 
-TUNER_STATE="$WORK/tuner.state"
-
 echo "== start daemon on $ADDR"
 "$WORK/spkadd-serve" -addr "$ADDR" -queue-wait 50ms -drain-deadline 15s \
-  -tuner-state "$TUNER_STATE" \
   >"$WORK/serve.log" 2>&1 &
 SERVE_PID=$!
 # The daemon must not die on its own while we work.
@@ -44,8 +41,6 @@ curl -sf "http://$ADDR/healthz" >"$WORK/healthz.json"
 grep -q '"status": "ok"' "$WORK/healthz.json"
 curl -sf "http://$ADDR/metrics" >"$WORK/metrics.txt"
 grep -q 'spkadd_tenant_pushes_total{tenant="smoke"}' "$WORK/metrics.txt"
-grep -q 'spkadd_tenant_planner_lookups_total{tenant="smoke"}' "$WORK/metrics.txt"
-grep -q 'spkadd_tuner_entries' "$WORK/metrics.txt"
 
 echo "== flood 2: SIGTERM mid-flood"
 "$WORK/firehose" -serve "http://$ADDR" -tenant smoke2 \
@@ -68,35 +63,3 @@ if [ "$SERVE_RC" -ne 0 ]; then
 fi
 grep -q 'drain' "$WORK/serve.log"
 echo "PASS: clean drain under SIGTERM mid-flood"
-
-echo "== tuner state round-trip across restart"
-# The drain must have persisted the planner cost table learned during
-# the floods; a restarted daemon must load it and report the reloaded
-# table through /metrics before serving a single request.
-[ -s "$TUNER_STATE" ] || { echo "FAIL: drain left no tuner state at $TUNER_STATE" >&2; exit 1; }
-grep -q 'tuner: saved' "$WORK/serve.log"
-"$WORK/spkadd-serve" -addr "$ADDR" -queue-wait 50ms -drain-deadline 15s \
-  -tuner-state "$TUNER_STATE" \
-  >"$WORK/serve2.log" 2>&1 &
-SERVE2_PID=$!
-for i in $(seq 1 50); do
-  if curl -sf "http://$ADDR/readyz" >/dev/null; then break; fi
-  [ "$i" = 50 ] && { echo "restarted daemon never became ready" >&2; exit 1; }
-  sleep 0.1
-done
-curl -sf "http://$ADDR/metrics" >"$WORK/metrics2.txt"
-ENTRIES="$(awk '$1 == "spkadd_tuner_entries" { print $2 }' "$WORK/metrics2.txt")"
-if ! [ "${ENTRIES:-0}" -gt 0 ] 2>/dev/null; then
-  echo "FAIL: restarted daemon reports spkadd_tuner_entries=${ENTRIES:-missing} (expected > 0)" >&2
-  cat "$WORK/serve2.log"
-  exit 1
-fi
-kill -TERM "$SERVE2_PID"
-SERVE2_RC=0; wait "$SERVE2_PID" || SERVE2_RC=$?
-if [ "$SERVE2_RC" -ne 0 ]; then
-  echo "FAIL: restarted daemon exited $SERVE2_RC after SIGTERM" >&2
-  cat "$WORK/serve2.log"
-  exit 1
-fi
-grep -q 'tuner: loaded' "$WORK/serve2.log"
-echo "PASS: tuner cost table survived the restart ($ENTRIES signature(s))"

@@ -11,7 +11,6 @@ import (
 	"spkadd/internal/sched"
 	"spkadd/internal/spgemm"
 	"spkadd/internal/summa"
-	"spkadd/internal/tuner"
 )
 
 // Core matrix types. Matrix is a sparse matrix in compressed sparse
@@ -204,33 +203,6 @@ type Executor = sched.Executor
 // of t (t < 1 means GOMAXPROCS): no parallel phase run on it uses
 // more than t workers, whatever Threads its caller requests.
 func NewExecutor(t int) *Executor { return sched.NewExecutor(t) }
-
-// Tuner is the self-tuning planner: an online learned cost model that
-// replaces the static algorithm/engine/schedule heuristics with
-// observed per-call costs. Set Options.Tuner (or Adder.SetTuner for a
-// resident one) and every call quantizes its workload shape — k,
-// column density, duplicate rate, skew, sortedness, monoid path,
-// threads — into a signature, looks up the cheapest observed
-// {Algorithm, Phases, Schedule} combination the call's options admit,
-// and feeds the measured cost back after the call. Unseen signatures
-// fall back to the static heuristics; epsilon-greedy exploration keeps
-// the table converging and exponentially decayed estimates re-learn
-// drifting workloads. One Tuner is safe to share across goroutines,
-// Adders, a Pool's shards and a server's tenants — sharing converges
-// the table faster. Save/Load persist the learned state across runs
-// (see the spkadd-serve and spkadd-bench -tuner-state flag). See
-// DESIGN.md §14.
-type Tuner = tuner.Tuner
-
-// NewTuner returns an empty self-tuning planner whose exploration
-// draws from seed; the same seed replays the same decisions for a
-// fixed call sequence.
-func NewTuner(seed uint64) *Tuner { return tuner.New(seed) }
-
-// ErrBadSnapshot is returned by Tuner.Load for snapshots the tuner
-// will not trust (truncated, corrupt, wrong version or arm count).
-// Treat it as "start cold", never as fatal.
-var ErrBadSnapshot = tuner.ErrBadSnapshot
 
 // Fault-tolerance types: how failures inside the streaming stack are
 // reported instead of killing the process. See DESIGN.md §11.
