@@ -18,10 +18,10 @@ var ErrAdderInUse = errors.New("spkadd: Adder used from multiple goroutines conc
 
 // Adder performs repeated SpKAdd calls with amortized allocations: it
 // owns every scratch structure an addition needs (per-worker hash
-// tables, sparse accumulators, heaps, the single-pass engines' arenas
-// and staging buffers, per-column size arrays) plus recyclable output
-// storage, so in steady state — once shapes stop growing — a call
-// allocates nothing. For the repeated small and medium additions of
+// tables, sparse accumulators, heaps, the single-pass engine's staging
+// buffer, per-column size arrays) plus recyclable output storage, so
+// in steady state — once shapes stop growing — a call allocates
+// nothing, whatever the engine, schedule or input size. For the repeated small and medium additions of
 // streaming workloads this roughly halves the cost of each call
 // relative to one-shot Add (see `spkadd-bench -exp reuse` and
 // BenchmarkAdderReuse).

@@ -44,7 +44,7 @@ func TestAdderParity(t *testing.T) {
 		spkadd.TwoWayIncremental, spkadd.TwoWayTree,
 	}
 	for _, alg := range algs {
-		for _, p := range []spkadd.Phases{spkadd.PhasesAuto, spkadd.PhasesTwoPass, spkadd.PhasesFused, spkadd.PhasesUpperBound} {
+		for _, p := range []spkadd.Phases{spkadd.PhasesAuto, spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
 			for _, sorted := range []bool{true, false} {
 				for _, in := range [][]*spkadd.Matrix{as, small} {
 					opt := spkadd.Options{Algorithm: alg, Phases: p, SortedOutput: sorted}
@@ -119,13 +119,13 @@ func TestAdderStreaming(t *testing.T) {
 
 // TestAdderZeroSteadyStateAllocs is the tentpole's acceptance
 // criterion: once warmed, an Adder allocates nothing — for Hash, SPA
-// and Heap under all three Phases engines, sorted and unsorted.
+// and Heap under both Phases engines, sorted and unsorted.
 // Threads is pinned to 1 because spawning worker goroutines allocates
 // their closures; the multi-threaded path reuses all the same scratch.
 func TestAdderZeroSteadyStateAllocs(t *testing.T) {
 	as := adderTestInputs(8, 2048, 48, 8, 9)
 	for _, alg := range []spkadd.Algorithm{spkadd.Hash, spkadd.SPA, spkadd.Heap} {
-		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesFused, spkadd.PhasesUpperBound} {
+		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
 			for _, sorted := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%v/%v/sorted=%v", alg, p, sorted), func(t *testing.T) {
 					ad := spkadd.NewAdder()
@@ -156,7 +156,7 @@ func TestAdderZeroSteadyStateAllocs(t *testing.T) {
 func TestAdderZeroSteadyStateAllocsMonoid(t *testing.T) {
 	as := adderTestInputs(8, 2048, 48, 8, 9)
 	for _, m := range []*spkadd.Monoid{spkadd.Min, spkadd.Any, spkadd.Count} {
-		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesFused, spkadd.PhasesUpperBound} {
+		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
 			t.Run(fmt.Sprintf("%s/%v", m.Name, p), func(t *testing.T) {
 				ad := spkadd.NewAdder()
 				opt := spkadd.Options{Algorithm: spkadd.Hash, Phases: p, Monoid: m, SortedOutput: true, Threads: 1}
@@ -186,12 +186,6 @@ func TestAdderZeroSteadyStateAllocsMonoid(t *testing.T) {
 // calls. (The older alloc tests predate the executor and pin Threads
 // to 1 because the spawn-per-phase scheduler allocated goroutines;
 // that restriction is exactly what this PR removed.)
-//
-// The workload's total input nnz (~3K entries) must stay well under
-// one fused arena chunk (32Ki entries): under racy schedules the
-// fused engine's zero is strict only while any worker's staged
-// volume fits one chunk — larger workloads would make this assertion
-// flaky (see arena.reserve).
 func TestAdderZeroSteadyStateAllocsSchedules(t *testing.T) {
 	as := adderTestInputs(8, 2048, 48, 8, 9)
 	schedules := []spkadd.Schedule{
@@ -199,7 +193,7 @@ func TestAdderZeroSteadyStateAllocsSchedules(t *testing.T) {
 		spkadd.ScheduleDynamic, spkadd.ScheduleWeightedStealing,
 	}
 	for _, s := range schedules {
-		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesFused, spkadd.PhasesUpperBound} {
+		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
 			t.Run(fmt.Sprintf("%v/%v", s, p), func(t *testing.T) {
 				ad := spkadd.NewAdder()
 				opt := spkadd.Options{Algorithm: spkadd.Hash, Phases: p, Schedule: s, SortedOutput: true, Threads: 2}
@@ -241,7 +235,7 @@ func TestPooledAddConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				p := []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesFused, spkadd.PhasesUpperBound}[(g+i)%3]
+				p := []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound}[(g+i)%2]
 				got, err := spkadd.Add(as, spkadd.Options{Algorithm: spkadd.Hash, Phases: p, SortedOutput: true, Threads: 2})
 				if err != nil {
 					errs <- err

@@ -287,15 +287,15 @@ func BenchmarkSpGEMM(b *testing.B) {
 }
 
 // BenchmarkPhasesEngines compares the execution engines on the Hash
-// path: the two-pass driver reads every input twice, while the fused
-// and upper-bound engines read each input exactly once (their
-// symbolic probe count is zero — see TestWorkComplexitySinglePass).
+// path: the two-pass driver reads every input twice, while the
+// upper-bound engine reads each input exactly once (its symbolic
+// probe count is zero — see TestWorkComplexitySinglePass).
 // The large-d ER configurations are where the saved input pass
 // dominates.
 func BenchmarkPhasesEngines(b *testing.B) {
 	for _, c := range []struct{ k, d int }{{8, 64}, {32, 256}, {16, 1024}} {
 		as := generate.ERCollection(c.k, generate.Opts{Rows: benchRows, Cols: 32, NNZPerCol: c.d, Seed: 19})
-		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesFused, spkadd.PhasesUpperBound} {
+		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
 			b.Run(fmt.Sprintf("ER/k=%d/d=%d/%v", c.k, c.d, p), func(b *testing.B) {
 				addLoop(b, as, spkadd.Options{Algorithm: spkadd.Hash, Phases: p})
 			})
@@ -303,7 +303,7 @@ func BenchmarkPhasesEngines(b *testing.B) {
 	}
 	// One skewed workload to keep the engines honest off the ER path.
 	rmat := generate.RMATCollection(32, generate.Opts{Rows: benchRows, Cols: 32, NNZPerCol: 128, Seed: 20}, generate.Graph500)
-	for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesFused, spkadd.PhasesUpperBound} {
+	for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
 		b.Run(fmt.Sprintf("RMAT/k=32/d=128/%v", p), func(b *testing.B) {
 			addLoop(b, rmat, spkadd.Options{Algorithm: spkadd.Hash, Phases: p})
 		})
@@ -320,7 +320,7 @@ func BenchmarkPhasesEngines(b *testing.B) {
 func adderReuseConfigs() []spkadd.Options {
 	var opts []spkadd.Options
 	for _, alg := range []spkadd.Algorithm{spkadd.Hash, spkadd.SPA, spkadd.Heap} {
-		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesFused, spkadd.PhasesUpperBound} {
+		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
 			for _, sorted := range []bool{false, true} {
 				opts = append(opts, spkadd.Options{Algorithm: alg, Phases: p, SortedOutput: sorted, Threads: 1})
 			}
@@ -330,12 +330,6 @@ func adderReuseConfigs() []spkadd.Options {
 }
 
 func adderReuseInputs() []*spkadd.Matrix {
-	// Total input nnz (~2K entries) must stay well under one fused
-	// arena chunk (32Ki entries): BenchmarkAdderReuseSched gates
-	// Fused × racy schedules at strictly 0 allocs/op, which holds
-	// deterministically only while any worker's staged volume fits one
-	// chunk (see arena.reserve — beyond that, zero is amortized, and
-	// the gate would flake).
 	return generate.ERCollection(8, generate.Opts{Rows: 1 << 11, Cols: 64, NNZPerCol: 4, Seed: 21})
 }
 
@@ -374,7 +368,7 @@ func BenchmarkAdderReuseMonoid(b *testing.B) {
 	as := adderReuseInputs()
 	for _, m := range []*spkadd.Monoid{spkadd.Min, spkadd.Count} {
 		for _, alg := range []spkadd.Algorithm{spkadd.Hash, spkadd.SPA, spkadd.Heap} {
-			for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesFused, spkadd.PhasesUpperBound} {
+			for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
 				opt := spkadd.Options{Algorithm: alg, Phases: p, Monoid: m, SortedOutput: true, Threads: 1}
 				b.Run(fmt.Sprintf("%s/%v/%v", m.Name, opt.Algorithm, opt.Phases), func(b *testing.B) {
 					ad := spkadd.NewAdder()
@@ -405,7 +399,7 @@ func BenchmarkAdderReuseMonoid(b *testing.B) {
 func BenchmarkAdderReuseSched(b *testing.B) {
 	as := adderReuseInputs()
 	for _, s := range []spkadd.Schedule{spkadd.ScheduleDynamic, spkadd.ScheduleWeightedStealing} {
-		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesFused, spkadd.PhasesUpperBound} {
+		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
 			opt := spkadd.Options{Algorithm: spkadd.Hash, Phases: p, Schedule: s, SortedOutput: true}
 			b.Run(fmt.Sprintf("%v/%v", s, p), func(b *testing.B) {
 				ad := spkadd.NewAdder()
@@ -438,7 +432,7 @@ func BenchmarkAdderReuseFaultsOff(b *testing.B) {
 		b.Fatal("an injector is active; this benchmark gates the disabled path")
 	}
 	as := adderReuseInputs()
-	for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesFused, spkadd.PhasesUpperBound} {
+	for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
 		for _, threads := range []int{1, 4} {
 			opt := spkadd.Options{Algorithm: spkadd.Hash, Phases: p, SortedOutput: true, Threads: threads}
 			b.Run(fmt.Sprintf("%v/T=%d", p, threads), func(b *testing.B) {
@@ -504,7 +498,7 @@ func dtypeReuseLoop[T spkadd.Number](b *testing.B, as []*spkadd.MatrixOf[T], opt
 // steady-state path.
 func BenchmarkAdderReuseDtype(b *testing.B) {
 	as := adderReuseInputs()
-	engines := []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesFused, spkadd.PhasesUpperBound}
+	engines := []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound}
 	for _, p := range engines {
 		b.Run(fmt.Sprintf("float32/%v", p), func(b *testing.B) {
 			dtypeReuseLoop(b, convertInputs(as, func(v float64) float32 { return float32(v) }),

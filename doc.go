@@ -39,25 +39,19 @@
 // passes the driver takes over the inputs. The paper's two-phase
 // formulation (PhasesTwoPass) reads every input twice: a symbolic
 // phase sizes each output column, then a numeric phase fills it. The
-// single-pass engines read each input exactly once — the paper's
-// O(knd) memory-traffic lower bound:
+// single-pass engine, PhasesUpperBound, reads each input exactly
+// once — the paper's O(knd) memory-traffic lower bound: its staging
+// buffer is allocated from the per-column sum of input nonzeros,
+// filled in one pass, and compacted in parallel. Extra memory ≈ input
+// size.
 //
-//   - PhasesFused: workers accumulate their columns into per-worker
-//     growable arenas, then a parallel stitch assembles the final
-//     matrix. Extra memory ≈ output size.
-//   - PhasesUpperBound: the staging buffer is allocated from the
-//     per-column sum of input nonzeros, filled in one pass, and
-//     compacted in parallel. Extra memory ≈ input size; fastest when
-//     duplicate rows are rare.
-//
-// The default, PhasesAuto, estimates the duplicate rate and picks
-// UpperBound when duplicates are rare, Fused otherwise, and falls
-// back to TwoPass when the fused hash tables would spill the
-// last-level cache. Heap, SPA and Hash support all engines, with all
-// option combinations; SlidingHash and the 2-way baselines always use
-// their native drivers. Results are identical between engines for any
-// fixed algorithm (bit-for-bit with SortedOutput). DESIGN.md covers
-// the engine trade-offs in detail.
+// The default, PhasesAuto, picks UpperBound and falls back to TwoPass
+// when the single-pass hash tables would spill the last-level cache or
+// the staging buffer would exceed 1 GiB. Heap, SPA and Hash support
+// both engines, with all option combinations; SlidingHash and the
+// 2-way baselines always use their native drivers. Results are
+// identical between engines for any fixed algorithm (bit-for-bit with
+// SortedOutput). DESIGN.md covers the engine trade-offs in detail.
 //
 // # Combine monoids
 //

@@ -23,7 +23,7 @@ func dtypeParityGrid[T spkadd.Number](t *testing.T, as []*spkadd.MatrixOf[T], mo
 	// bool), which matches Any on bool inputs and Plus on the rest.
 	want := matrix.ReferenceAdd(as)
 	for _, alg := range []spkadd.Algorithm{spkadd.Hash, spkadd.SPA, spkadd.Heap} {
-		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesFused, spkadd.PhasesUpperBound} {
+		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
 			t.Run(fmt.Sprintf("%v/%v", alg, p), func(t *testing.T) {
 				opt := spkadd.OptionsOf[T]{Algorithm: alg, Phases: p, Monoid: mon, SortedOutput: true, Threads: 1}
 				got, err := spkadd.Add(as, opt)
@@ -73,7 +73,7 @@ func TestBoolRequiresMonoid(t *testing.T) {
 // one instantiation across the engines.
 func dtypeAllocGrid[T spkadd.Number](t *testing.T, as []*spkadd.MatrixOf[T], mon *spkadd.MonoidOf[T]) {
 	t.Helper()
-	for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesFused, spkadd.PhasesUpperBound} {
+	for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
 		t.Run(fmt.Sprintf("%v", p), func(t *testing.T) {
 			ad := spkadd.NewAdderOf[T]()
 			opt := spkadd.OptionsOf[T]{Algorithm: spkadd.Hash, Phases: p, Monoid: mon, SortedOutput: true, Threads: 1}

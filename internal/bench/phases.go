@@ -38,11 +38,10 @@ func phasesCollection(c phasesCase, rows, cols int) []*matrix.CSC {
 	return generate.ERCollection(c.k, o)
 }
 
-// Phases compares the execution engines — two-pass, fused, upper
-// bound — across algorithms and workloads. This is the experiment
-// behind the fused engine's headline claim: the single-pass engines
-// hit the O(knd) memory-traffic lower bound while the two-pass driver
-// runs at ~2x it.
+// Phases compares the execution engines — two-pass and upper bound —
+// across algorithms and workloads. This is the experiment behind the
+// single-pass engine's headline claim: it hits the O(knd)
+// memory-traffic lower bound while the two-pass driver runs at ~2x it.
 func Phases(cfg Config) error {
 	m := 1 << 18 / cfg.scale()
 	n := 64 / cfg.scale()

@@ -1,13 +1,9 @@
 package core
 
-import (
-	"math"
-
-	"spkadd/internal/matrix"
-)
+import "spkadd/internal/matrix"
 
 // This file is the single source of the per-call workload estimate —
-// the shape summary (k, mean column density, duplicate rate) that
+// the shape summary (k, total and mean column density) that
 // autoSelect and pickPhases both consume. Before it existed, each
 // computed its own total-nnz scan and density estimate, which let the
 // two heuristics silently drift apart;
@@ -26,11 +22,6 @@ type workloadEstimate struct {
 	// avgColNNZ is total/cols — the mean combined input nnz per output
 	// column, the paper's kd. Zero when cols is zero.
 	avgColNNZ float64
-	// dupRate estimates the duplicate fraction with the balls-into-bins
-	// model: throwing avgColNNZ entries uniformly at rows rows yields
-	// rows·(1-(1-1/rows)^avg) distinct rows in expectation; the rest
-	// are duplicates. Zero when rows or avgColNNZ is zero.
-	dupRate float64
 }
 
 // estimateWorkload computes the shared estimate. as must be non-empty
@@ -46,10 +37,6 @@ func estimateWorkload[T matrix.Number](as []*matrix.CSCOf[T]) workloadEstimate {
 	e.total = int64(total)
 	if e.cols > 0 {
 		e.avgColNNZ = float64(total) / float64(e.cols)
-	}
-	if e.rows > 0 && e.avgColNNZ > 0 {
-		distinct := float64(e.rows) * -math.Expm1(e.avgColNNZ*math.Log1p(-1/float64(e.rows)))
-		e.dupRate = 1 - distinct/e.avgColNNZ
 	}
 	return e
 }

@@ -520,7 +520,7 @@ func accumInputsInto[T matrix.Number](kit *numKit[T], tab *hashtab.TableOf[T], a
 
 // hashAccumCol accumulates column j of every input into the worker's
 // hash table, sized for `size` keys (output nnz in the two-pass
-// engine, input nnz in the single-pass engines), and returns the
+// engine, input nnz in the single-pass engine), and returns the
 // table.
 func hashAccumCol[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf[T], j, size int, coeffs []T, mon *monoidStateOf[T]) *hashtab.TableOf[T] {
 	return accumInputsInto(w.kit, w.hashTable(size), as, j, coeffs, mon)

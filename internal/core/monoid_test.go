@@ -13,7 +13,7 @@ import (
 )
 
 // The monoid parity suite: every built-in monoid must produce
-// bit-identical results across {Hash, SPA, Heap} × {TwoPass, Fused,
+// bit-identical results across {Hash, SPA, Heap} × {TwoPass,
 // UpperBound} with SortedOutput, all matching a dense reference that
 // combines in the same deterministic per-cell order (matrix order —
 // the order the hash insert sequence, the SPA insert sequence and the
@@ -157,7 +157,7 @@ func TestMonoidSingleInput(t *testing.T) {
 }
 
 // TestMonoidDropIdentity: the drop-identity output policy removes
-// exact-identity results on the single-pass engines and is rejected
+// exact-identity results on the single-pass engine and is rejected
 // where values are not seen before output sizing.
 func TestMonoidDropIdentity(t *testing.T) {
 	plusDrop := &ops.Monoid{
@@ -178,7 +178,7 @@ func TestMonoidDropIdentity(t *testing.T) {
 		t.Fatalf("reference nnz = %d, want 3 (one cancellation dropped)", want.NNZ())
 	}
 	for _, alg := range []Algorithm{Hash, SPA, Heap} {
-		for _, p := range []Phases{PhasesAuto, PhasesFused, PhasesUpperBound} {
+		for _, p := range []Phases{PhasesAuto, PhasesUpperBound} {
 			got, err := Add(as, Options{Algorithm: alg, Phases: p, Monoid: plusDrop, SortedOutput: true})
 			if err != nil {
 				t.Fatalf("%v/%v: %v", alg, p, err)
@@ -193,6 +193,16 @@ func TestMonoidDropIdentity(t *testing.T) {
 	}
 	if _, err := Add(as, Options{Algorithm: SlidingHash, Monoid: plusDrop}); !errors.Is(err, ErrMonoidUnsupported) {
 		t.Errorf("SlidingHash with DropIdentity: %v, want ErrMonoidUnsupported", err)
+	}
+	// A cache too small for hash tables makes Algorithm Auto pick
+	// SlidingHash; an unpinned DropIdentity call must resolve to Hash
+	// (and Phases Auto to UpperBound) instead of being rejected.
+	got, err := Add(as, Options{Monoid: plusDrop, CacheBytes: 8})
+	if err != nil {
+		t.Fatalf("Auto with DropIdentity and a tiny cache: %v", err)
+	}
+	if !got.Equal(want) {
+		t.Errorf("Auto with DropIdentity and a tiny cache: identity entries not dropped (nnz=%d)", got.NNZ())
 	}
 }
 

@@ -131,41 +131,32 @@ var Schedules = []Schedule{
 // algorithms (Heap, SPA, Hash): how many passes the driver takes over
 // the input matrices. The paper's lower bound is O(knd) memory
 // traffic; the classic two-phase driver reads every input twice (once
-// to size the output, once to fill it), while the fused and
-// upper-bound engines read each input exactly once. SlidingHash and
-// the 2-way baselines always use their native drivers regardless of
-// this setting. See DESIGN.md for the full engine comparison.
+// to size the output, once to fill it), while the upper-bound engine
+// reads each input exactly once. SlidingHash and the 2-way baselines
+// always use their native drivers regardless of this setting. See
+// DESIGN.md for the full engine comparison.
 type Phases int
 
 const (
-	// PhasesAuto picks an engine from the estimated duplicate rate and
-	// memory headroom: PhasesUpperBound when duplicates are rare (the
-	// staging buffer stays close to the output size), PhasesFused
-	// otherwise, and PhasesTwoPass when the fused engine's input-sized
-	// hash tables would spill the last-level cache or the algorithm has
-	// no single-pass engine.
+	// PhasesAuto picks an engine from memory headroom:
+	// PhasesUpperBound, unless the algorithm has no single-pass engine,
+	// its input-sized hash tables would spill the last-level cache, or
+	// its staging buffer would exceed 1 GiB — then PhasesTwoPass.
 	PhasesAuto Phases = iota
 	// PhasesTwoPass is the classic driver of §III-A: a symbolic phase
 	// computes nnz(B(:,j)) for every column, the output is allocated
 	// exactly, and a numeric phase fills it — reading all inputs twice.
 	PhasesTwoPass
-	// PhasesFused reads each input once: every worker accumulates its
-	// columns' results into a growable per-worker arena of
-	// (rows, values) chunks, then a parallel stitch assembles the final
-	// CSC from the per-column extents. Peak extra memory is about the
-	// output size.
-	PhasesFused
 	// PhasesUpperBound reads each input once into a staging buffer
 	// whose columns are sized by the Σ_i nnz(A_i(:,j)) upper bound,
-	// then compacts in parallel. Cheapest when duplicates are rare
-	// (staging ≈ output); peak extra memory is the total input size.
+	// then compacts in parallel. Peak extra memory is the total input
+	// size.
 	PhasesUpperBound
 )
 
 var phasesNames = map[Phases]string{
 	PhasesAuto:       "Auto",
 	PhasesTwoPass:    "TwoPass",
-	PhasesFused:      "Fused",
 	PhasesUpperBound: "UpperBound",
 }
 
@@ -178,7 +169,7 @@ func (p Phases) String() string {
 }
 
 // PhasesPolicies lists every concrete engine (everything but Auto).
-var PhasesPolicies = []Phases{PhasesTwoPass, PhasesFused, PhasesUpperBound}
+var PhasesPolicies = []Phases{PhasesTwoPass, PhasesUpperBound}
 
 const (
 	// BytesPerSymbolicEntry is b in Algorithm 7: a symbolic hash-table
@@ -234,11 +225,10 @@ type OptionsOf[T matrix.Number] struct {
 	// calls exactly like the rest of the scratch.
 	Executor *sched.Executor
 	// Phases selects the execution engine for the k-way algorithms:
-	// the classic two-pass symbolic+numeric driver, the single-pass
-	// fused arena engine, or the single-pass upper-bound engine. The
-	// zero value (PhasesAuto) picks one from the duplicate-rate
-	// estimate and memory headroom. Ignored by SlidingHash and the
-	// 2-way baselines, which keep their native drivers.
+	// the classic two-pass symbolic+numeric driver or the single-pass
+	// upper-bound engine. The zero value (PhasesAuto) picks one from
+	// memory headroom. Ignored by SlidingHash and the 2-way baselines,
+	// which keep their native drivers.
 	Phases Phases
 	// Monoid selects the combine operation folded over colliding
 	// entries: nil (or ops.PlusFor[T]()) means T's addition, the
@@ -301,14 +291,14 @@ type OpStats struct {
 	// EntriesMoved counts entries written to materialized matrix
 	// storage: the intermediate sums of the 2-way algorithms and the
 	// final output. Scratch structures (hash tables, SPAs, the
-	// single-pass engines' arena/staging buffers) don't count, so the
-	// counter is comparable across engines.
+	// single-pass engine's staging buffer) don't count, so the counter
+	// is comparable across engines.
 	EntriesMoved atomic.Int64 //spkadd:atomic
 	// SymProbes counts the subset of HashProbes spent in the symbolic
-	// (output-sizing) tables. The single-pass engines never size the
-	// output symbolically, so SymProbes stays zero under PhasesFused
-	// and PhasesUpperBound — the observable proof that each input is
-	// read exactly once.
+	// (output-sizing) tables. The single-pass engine never sizes the
+	// output symbolically, so SymProbes stays zero under
+	// PhasesUpperBound — the observable proof that each input is read
+	// exactly once.
 	SymProbes atomic.Int64 //spkadd:atomic
 	// engineUsed records the Phases engine the most recent dispatched
 	// addition actually ran (read via EngineUsed). Options.Phases is a
@@ -327,7 +317,7 @@ type OpStats struct {
 	// from a busy worker to an idle one, across all recorded regions.
 	Steals atomic.Int64 //spkadd:atomic
 	// SchedRegions counts the multi-worker parallel regions (one per
-	// phase per addition: symbolic, numeric, fused pass, stitch, ...)
+	// phase per addition: symbolic, numeric, single pass, compact, ...)
 	// the executor dispatched; single-worker phases run inline and are
 	// not regions. SchedMaxWeight and SchedMeanWeight accumulate each
 	// region's maximum and mean per-worker executed weight — the
@@ -426,9 +416,9 @@ func (s *OpStats) EngineUsed() (Phases, bool) {
 
 // PhaseTimings reports the wall-clock split between the symbolic
 // (output-size) phase and the numeric addition phase, the series shown
-// separately in the paper's Fig 4. The single-pass engines
-// (PhasesFused, PhasesUpperBound) have no symbolic phase and report
-// their full time as Numeric, like the 2-way algorithms.
+// separately in the paper's Fig 4. The single-pass engine
+// (PhasesUpperBound) has no symbolic phase and reports its full time
+// as Numeric, like the 2-way algorithms.
 type PhaseTimings struct {
 	Symbolic time.Duration
 	Numeric  time.Duration

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"spkadd/internal/matrix"
@@ -56,16 +55,14 @@ func TestEngineUsedObservable(t *testing.T) {
 		req  Phases
 		want Phases
 	}{
-		{Hash, PhasesFused, PhasesFused},
 		{Hash, PhasesUpperBound, PhasesUpperBound},
 		{Hash, PhasesTwoPass, PhasesTwoPass},
-		{SPA, PhasesFused, PhasesFused},
+		{SPA, PhasesUpperBound, PhasesUpperBound},
 		{Heap, PhasesUpperBound, PhasesUpperBound},
-		// The fallbacks the issue calls out: requesting a single-pass
-		// engine on algorithms that have none.
-		{SlidingHash, PhasesFused, PhasesTwoPass},
+		// The fallbacks: requesting the single-pass engine on
+		// algorithms that have none.
 		{SlidingHash, PhasesUpperBound, PhasesTwoPass},
-		{TwoWayTree, PhasesFused, PhasesTwoPass},
+		{TwoWayTree, PhasesUpperBound, PhasesTwoPass},
 		{TwoWayIncremental, PhasesUpperBound, PhasesTwoPass},
 	} {
 		var stats OpStats
@@ -120,10 +117,6 @@ func TestEstimateSharedAcrossHeuristics(t *testing.T) {
 		if est.avgColNNZ != avg {
 			t.Errorf("avgColNNZ = %g, want %g", est.avgColNNZ, avg)
 		}
-		distinct := float64(tc.rows) * -math.Expm1(avg*math.Log1p(-1/float64(tc.rows)))
-		if want := 1 - distinct/avg; est.dupRate != want {
-			t.Errorf("dupRate = %g, want %g (the balls-into-bins estimate)", est.dupRate, want)
-		}
 
 		// autoSelect flips Hash -> SlidingHash exactly at the symbolic
 		// table footprint the shared estimate predicts.
@@ -142,16 +135,8 @@ func TestEstimateSharedAcrossHeuristics(t *testing.T) {
 		if p := pickPhases(est, Hash, Options{Threads: 1, CacheBytes: memNum - 1}); p != PhasesTwoPass {
 			t.Errorf("under numeric footprint: engine = %v, want TwoPass", p)
 		}
-		if p := pickPhases(est, Hash, Options{Threads: 1, CacheBytes: memNum}); p == PhasesTwoPass {
-			t.Error("at numeric footprint: engine fell back to TwoPass")
-		}
-		// And its duplicate-rate branch reads est.dupRate.
-		wantEngine := PhasesFused
-		if est.dupRate <= autoDupRateCutoff && est.total*entryBytes <= upperBoundStagingCap {
-			wantEngine = PhasesUpperBound
-		}
-		if p := pickPhases(est, Hash, Options{Threads: 1, CacheBytes: memNum}); p != wantEngine {
-			t.Errorf("dup-rate branch: engine = %v, want %v", p, wantEngine)
+		if p := pickPhases(est, Hash, Options{Threads: 1, CacheBytes: memNum}); p != PhasesUpperBound {
+			t.Errorf("at numeric footprint: engine = %v, want UpperBound", p)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"spkadd/internal/matrix"
 )
 
-// The parity suite: the single-pass engines must produce output
+// The parity suite: the single-pass engine must produce output
 // entry-for-entry identical (after canonical sort; Equal compares
 // sorted columns with zero tolerance) to the two-phase engine for
 // every supported kernel/option combination.
@@ -31,25 +31,23 @@ func TestPhasesParityAllCombos(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%v two-pass: %v", pattern, alg, err)
 				}
-				for _, p := range []Phases{PhasesFused, PhasesUpperBound} {
-					for _, s := range []Schedule{ScheduleWeighted, ScheduleStatic, ScheduleDynamic} {
-						name := fmt.Sprintf("%s/%v/sorted=%v/%v/sched=%d", pattern, alg, sorted, p, s)
-						got, err := Add(as, Options{
-							Algorithm: alg, Phases: p, SortedOutput: sorted,
-							Schedule: s, Threads: 3,
-						})
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if err := got.Validate(); err != nil {
-							t.Fatalf("%s: invalid output: %v", name, err)
-						}
-						if !got.Equal(want) {
-							t.Errorf("%s: differs from two-pass engine", name)
-						}
-						if sorted && !got.IsColumnSorted() {
-							t.Errorf("%s: SortedOutput violated", name)
-						}
+				for _, s := range []Schedule{ScheduleWeighted, ScheduleStatic, ScheduleDynamic} {
+					name := fmt.Sprintf("%s/%v/sorted=%v/sched=%d", pattern, alg, sorted, s)
+					got, err := Add(as, Options{
+						Algorithm: alg, Phases: PhasesUpperBound, SortedOutput: sorted,
+						Schedule: s, Threads: 3,
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if err := got.Validate(); err != nil {
+						t.Fatalf("%s: invalid output: %v", name, err)
+					}
+					if !got.Equal(want) {
+						t.Errorf("%s: differs from two-pass engine", name)
+					}
+					if sorted && !got.IsColumnSorted() {
+						t.Errorf("%s: SortedOutput violated", name)
 					}
 				}
 			}
@@ -72,36 +70,32 @@ func TestPhasesParityUnsortedInputs(t *testing.T) {
 	}
 	want := matrix.ReferenceAdd(as)
 	for _, alg := range []Algorithm{Hash, SPA} {
-		for _, p := range []Phases{PhasesFused, PhasesUpperBound} {
-			got, err := Add(as, Options{Algorithm: alg, Phases: p, SortedOutput: true})
-			if err != nil {
-				t.Fatalf("%v/%v: %v", alg, p, err)
-			}
-			if !got.Equal(want) {
-				t.Errorf("%v/%v: wrong result on unsorted inputs", alg, p)
-			}
+		got, err := Add(as, Options{Algorithm: alg, Phases: PhasesUpperBound, SortedOutput: true})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%v: wrong result on unsorted inputs", alg)
 		}
 	}
 }
 
 func TestPhasesSlidingHashFallsBack(t *testing.T) {
-	// SlidingHash has no single-pass engine; an explicit fused or
-	// upper-bound request silently keeps the two-phase driver and the
-	// result stays correct.
+	// SlidingHash has no single-pass engine; an explicit upper-bound
+	// request silently keeps the two-phase driver and the result stays
+	// correct.
 	as := erInputs(8, 500, 16, 20, 75)
 	want := matrix.ReferenceAdd(as)
-	for _, p := range []Phases{PhasesFused, PhasesUpperBound} {
-		var st OpStats
-		got, err := Add(as, Options{Algorithm: SlidingHash, Phases: p, SortedOutput: true, Stats: &st, MaxTableEntries: 8})
-		if err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
-		if !got.Equal(want) {
-			t.Errorf("%v: wrong result", p)
-		}
-		if st.SymProbes.Load() == 0 {
-			t.Errorf("%v: sliding hash should have run its symbolic phase", p)
-		}
+	var st OpStats
+	got, err := Add(as, Options{Algorithm: SlidingHash, Phases: PhasesUpperBound, SortedOutput: true, Stats: &st, MaxTableEntries: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Error("wrong result")
+	}
+	if st.SymProbes.Load() == 0 {
+		t.Error("sliding hash should have run its symbolic phase")
 	}
 }
 
@@ -112,21 +106,19 @@ func TestPhasesCancellationAndEmpty(t *testing.T) {
 	b := matrix.FromTriples(4, 1, []matrix.Triple{{Row: 2, Col: 0, Val: -1}})
 	empty := matrix.NewCSC(10, 5, 0)
 	for _, alg := range []Algorithm{Hash, SPA, Heap} {
-		for _, p := range []Phases{PhasesFused, PhasesUpperBound} {
-			got, err := Add([]*matrix.CSC{a, b}, Options{Algorithm: alg, Phases: p, SortedOutput: true})
-			if err != nil {
-				t.Fatalf("%v/%v: %v", alg, p, err)
-			}
-			if got.NNZ() != 1 || got.Val[0] != 0 {
-				t.Errorf("%v/%v: cancellation produced nnz=%d, want one explicit zero", alg, p, got.NNZ())
-			}
-			zero, err := Add([]*matrix.CSC{empty, empty.Clone()}, Options{Algorithm: alg, Phases: p})
-			if err != nil {
-				t.Fatalf("%v/%v empty: %v", alg, p, err)
-			}
-			if zero.NNZ() != 0 || zero.Rows != 10 || zero.Cols != 5 {
-				t.Errorf("%v/%v: empty sum = %v", alg, p, zero)
-			}
+		got, err := Add([]*matrix.CSC{a, b}, Options{Algorithm: alg, Phases: PhasesUpperBound, SortedOutput: true})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if got.NNZ() != 1 || got.Val[0] != 0 {
+			t.Errorf("%v: cancellation produced nnz=%d, want one explicit zero", alg, got.NNZ())
+		}
+		zero, err := Add([]*matrix.CSC{empty, empty.Clone()}, Options{Algorithm: alg, Phases: PhasesUpperBound})
+		if err != nil {
+			t.Fatalf("%v empty: %v", alg, err)
+		}
+		if zero.NNZ() != 0 || zero.Rows != 10 || zero.Cols != 5 {
+			t.Errorf("%v: empty sum = %v", alg, zero)
 		}
 	}
 }
@@ -142,14 +134,12 @@ func TestPhasesAddScaledParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v two-pass: %v", alg, err)
 		}
-		for _, p := range []Phases{PhasesFused, PhasesUpperBound} {
-			got, err := AddScaled(as, coeffs, Options{Algorithm: alg, Phases: p, SortedOutput: true})
-			if err != nil {
-				t.Fatalf("%v/%v: %v", alg, p, err)
-			}
-			if !got.Equal(want) {
-				t.Errorf("%v/%v: scaled sum differs from two-pass engine", alg, p)
-			}
+		got, err := AddScaled(as, coeffs, Options{Algorithm: alg, Phases: PhasesUpperBound, SortedOutput: true})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%v: scaled sum differs from two-pass engine", alg)
 		}
 	}
 }
@@ -157,21 +147,19 @@ func TestPhasesAddScaledParity(t *testing.T) {
 func TestPhasesAccumulatorParity(t *testing.T) {
 	as := erInputs(20, 800, 16, 12, 77)
 	want := matrix.ReferenceAdd(as)
-	for _, p := range []Phases{PhasesFused, PhasesUpperBound} {
-		for _, budget := range []int64{1, 10 * entryBytes, 1 << 20} {
-			ac := NewAccumulator(800, 16, budget, Options{Algorithm: Hash, Phases: p, SortedOutput: true})
-			for _, a := range as {
-				if err := ac.Push(a); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, err := ac.Sum()
-			if err != nil {
+	for _, budget := range []int64{1, 10 * entryBytes, 1 << 20} {
+		ac := NewAccumulator(800, 16, budget, Options{Algorithm: Hash, Phases: PhasesUpperBound, SortedOutput: true})
+		for _, a := range as {
+			if err := ac.Push(a); err != nil {
 				t.Fatal(err)
 			}
-			if !got.Equal(want) {
-				t.Errorf("%v/budget=%d: streaming sum differs", p, budget)
-			}
+		}
+		got, err := ac.Sum()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("budget=%d: streaming sum differs", budget)
 		}
 	}
 }
@@ -183,24 +171,22 @@ func TestPhasesAddCSRParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []Phases{PhasesFused, PhasesUpperBound} {
-		got, err := AddCSR([]*matrix.CSR{a, b}, Options{Algorithm: Hash, Phases: p, SortedOutput: true})
-		if err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
-		if got.Rows != want.Rows || got.Cols != want.Cols || len(got.ColIdx) != len(want.ColIdx) {
-			t.Fatalf("%v: shape/nnz mismatch", p)
-		}
-		for i := range got.ColIdx {
-			if got.ColIdx[i] != want.ColIdx[i] || got.Val[i] != want.Val[i] {
-				t.Fatalf("%v: CSR entry %d differs", p, i)
-			}
+	got, err := AddCSR([]*matrix.CSR{a, b}, Options{Algorithm: Hash, Phases: PhasesUpperBound, SortedOutput: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Rows != want.Rows || got.Cols != want.Cols || len(got.ColIdx) != len(want.ColIdx) {
+		t.Fatal("shape/nnz mismatch")
+	}
+	for i := range got.ColIdx {
+		if got.ColIdx[i] != want.ColIdx[i] || got.Val[i] != want.Val[i] {
+			t.Fatalf("CSR entry %d differs", i)
 		}
 	}
 }
 
 func TestPhasesSortedOutputBitIdentical(t *testing.T) {
-	// With sorted output, all three engines must agree bit for bit:
+	// With sorted output, both engines must agree bit for bit:
 	// per-row accumulation order is the input order in every engine,
 	// so even the float sums match exactly.
 	as := generate.RMATCollection(8, generate.Opts{Rows: 400, Cols: 16, NNZPerCol: 12, Seed: 80}, generate.Graph500)
@@ -209,40 +195,36 @@ func TestPhasesSortedOutputBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range []Phases{PhasesFused, PhasesUpperBound} {
-			got, err := Add(as, Options{Algorithm: alg, Phases: p, SortedOutput: true, Threads: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.NNZ() != ref.NNZ() {
-				t.Fatalf("%v/%v: nnz %d != %d", alg, p, got.NNZ(), ref.NNZ())
-			}
-			for i := range got.RowIdx {
-				if got.RowIdx[i] != ref.RowIdx[i] || got.Val[i] != ref.Val[i] {
-					t.Fatalf("%v/%v: layout differs at %d", alg, p, i)
-				}
+		got, err := Add(as, Options{Algorithm: alg, Phases: PhasesUpperBound, SortedOutput: true, Threads: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NNZ() != ref.NNZ() {
+			t.Fatalf("%v: nnz %d != %d", alg, got.NNZ(), ref.NNZ())
+		}
+		for i := range got.RowIdx {
+			if got.RowIdx[i] != ref.RowIdx[i] || got.Val[i] != ref.Val[i] {
+				t.Fatalf("%v: layout differs at %d", alg, i)
 			}
 		}
 	}
 }
 
 // TestPhasesUnsortedHashOrderIdentical pins the unsorted Hash layout:
-// every engine emits a column in first-seen row order, so the output
+// both engines emit a column in first-seen row order, so the output
 // is identical entry for entry although the two-pass engine sizes its
-// tables by output nnz and the single-pass engines by input nnz.
+// tables by output nnz and the single-pass engine by input nnz.
 func TestPhasesUnsortedHashOrderIdentical(t *testing.T) {
 	as := generate.RMATCollection(8, generate.Opts{Rows: 400, Cols: 16, NNZPerCol: 12, Seed: 83}, generate.Graph500)
 	ref, err := Add(as, Options{Algorithm: Hash, Phases: PhasesTwoPass})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []Phases{PhasesFused, PhasesUpperBound} {
-		got, err := Add(as, Options{Algorithm: Hash, Phases: p, Threads: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdentical(t, got, ref, "unsorted Hash/"+p.String())
+	got, err := Add(as, Options{Algorithm: Hash, Phases: PhasesUpperBound, Threads: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
+	requireIdentical(t, got, ref, "unsorted Hash")
 }
 
 func TestPhasesAutoPolicy(t *testing.T) {
@@ -251,24 +233,46 @@ func TestPhasesAutoPolicy(t *testing.T) {
 	if p := pickPhases(estimateWorkload(sparse), Hash, Options{}); p != PhasesUpperBound {
 		t.Errorf("sparse ER: auto = %v, want UpperBound", p)
 	}
-	// Heavy duplicates (k identical supports): fused.
+	// Heavy duplicates (k identical supports): upper bound too.
 	base := generate.ER(generate.Opts{Rows: 200, Cols: 8, NNZPerCol: 16, Seed: 82})
 	dup := []*matrix.CSC{base, base.Clone(), base.Clone(), base.Clone(), base.Clone(), base.Clone(), base.Clone(), base.Clone()}
-	if p := pickPhases(estimateWorkload(dup), Hash, Options{}); p != PhasesFused {
-		t.Errorf("duplicate-heavy: auto = %v, want Fused", p)
+	if p := pickPhases(estimateWorkload(dup), Hash, Options{}); p != PhasesUpperBound {
+		t.Errorf("duplicate-heavy: auto = %v, want UpperBound", p)
 	}
-	// Fused hash tables spilling the cache: two-pass.
+	// Single-pass hash tables spilling the cache: two-pass.
 	if p := pickPhases(estimateWorkload(sparse), Hash, Options{CacheBytes: 16}); p != PhasesTwoPass {
 		t.Errorf("tiny cache: auto = %v, want TwoPass", p)
 	}
+	// Staging past the cap: two-pass, which needs no staging.
+	autoPolicyStagingCap[float64](t)
+	autoPolicyStagingCap[float32](t)
 	// Unsupported algorithms always resolve to two-pass, even when
-	// asked for a single-pass engine.
-	if p := pickPhases(estimateWorkload(sparse), SlidingHash, Options{Phases: PhasesFused}); p != PhasesTwoPass {
+	// asked for the single-pass engine.
+	if p := pickPhases(estimateWorkload(sparse), SlidingHash, Options{Phases: PhasesUpperBound}); p != PhasesTwoPass {
 		t.Errorf("sliding hash: resolved %v, want TwoPass", p)
 	}
 	// An explicit request on a supported algorithm is honored.
 	if p := pickPhases(estimateWorkload(dup), Heap, Options{Phases: PhasesUpperBound}); p != PhasesUpperBound {
 		t.Errorf("explicit request: resolved %v, want UpperBound", p)
+	}
+}
+
+// autoPolicyStagingCap checks that Auto flips from UpperBound to
+// TwoPass exactly at upperBoundStagingCap. The cap is in bytes, so the
+// entry count that crosses it depends on T's entry width.
+func autoPolicyStagingCap[T matrix.Number](t *testing.T) {
+	t.Helper()
+	limit := upperBoundStagingCap / entryBytesOf[T]()
+	const cols = 1 << 20 // ~100 entries per column: tables stay in cache
+	for _, tc := range []struct {
+		total int64
+		want  Phases
+	}{{limit - 1, PhasesUpperBound}, {limit + 1, PhasesTwoPass}} {
+		est := workloadEstimate{k: 1, rows: cols, cols: cols, total: tc.total, avgColNNZ: float64(tc.total) / cols}
+		if p := pickPhases(est, Hash, OptionsOf[T]{}); p != tc.want {
+			var z T
+			t.Errorf("%T staging of %d entries: auto = %v, want %v", z, tc.total, p, tc.want)
+		}
 	}
 }
 
@@ -292,13 +296,8 @@ func TestQuickPhasesParity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, p := range []Phases{PhasesFused, PhasesUpperBound} {
-			got, err := Add(as, Options{Algorithm: alg, Phases: p, SortedOutput: sorted, Threads: 1 + rng.Intn(3)})
-			if err != nil || got.Validate() != nil || !got.Equal(want) {
-				return false
-			}
-		}
-		return true
+		got, err := Add(as, Options{Algorithm: alg, Phases: PhasesUpperBound, SortedOutput: sorted, Threads: 1 + rng.Intn(3)})
+		return err == nil && got.Validate() == nil && got.Equal(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -27,7 +27,7 @@ func TestScheduleParity(t *testing.T) {
 	for _, pattern := range []string{"ER", "RMAT"} {
 		as := schedTestInputs(pattern, 8, 4096, 48, 12, 7)
 		for _, alg := range []Algorithm{Hash, SPA, Heap, SlidingHash, TwoWayIncremental} {
-			engines := []Phases{PhasesTwoPass, PhasesFused, PhasesUpperBound}
+			engines := PhasesPolicies
 			if alg == SlidingHash || alg == TwoWayIncremental {
 				engines = []Phases{PhasesTwoPass}
 			}
@@ -134,30 +134,34 @@ func TestSharedExecutorOptionParity(t *testing.T) {
 // every schedule × engine combination without allocating — including
 // the racy schedules, whose column→worker assignment varies run to
 // run (the reservation path), and including the executor's own
-// scheduling machinery. The workload's total input nnz (~3K entries)
-// must stay well under one fused arena chunk (32Ki entries), or the
-// Fused × racy-schedule cells' strict zero would become amortized
-// and this assertion flaky (see arena.reserve).
+// scheduling machinery. Both engines stage in workspace-owned
+// buffers, so the zero is strict at any size: the second input holds
+// ~48K entries, 28% of them duplicates.
 func TestWorkspaceZeroAllocAllSchedules(t *testing.T) {
-	as := schedTestInputs("RMAT", 8, 2048, 48, 8, 13)
+	inputs := [][]*matrix.CSC{
+		schedTestInputs("RMAT", 8, 2048, 48, 8, 13),
+		schedTestInputs("ER", 16, 1024, 64, 48, 14),
+	}
 	for _, alg := range []Algorithm{Hash, SPA, Heap} {
 		for _, s := range Schedules {
-			for _, p := range []Phases{PhasesTwoPass, PhasesFused, PhasesUpperBound} {
+			for _, p := range PhasesPolicies {
 				t.Run(fmt.Sprintf("%v/%v/%v", alg, s, p), func(t *testing.T) {
-					ws := NewWorkspace(true)
-					opt := Options{Algorithm: alg, Phases: p, Schedule: s, SortedOutput: true, Threads: 2}
-					for warm := 0; warm < 3; warm++ {
-						if _, err := ws.Add(as, opt); err != nil {
-							t.Fatal(err)
+					for _, as := range inputs {
+						ws := NewWorkspace(true)
+						opt := Options{Algorithm: alg, Phases: p, Schedule: s, SortedOutput: true, Threads: 2}
+						for warm := 0; warm < 3; warm++ {
+							if _, err := ws.Add(as, opt); err != nil {
+								t.Fatal(err)
+							}
 						}
-					}
-					allocs := testing.AllocsPerRun(10, func() {
-						if _, err := ws.Add(as, opt); err != nil {
-							t.Fatal(err)
+						allocs := testing.AllocsPerRun(10, func() {
+							if _, err := ws.Add(as, opt); err != nil {
+								t.Fatal(err)
+							}
+						})
+						if allocs != 0 {
+							t.Errorf("%d input entries: steady state allocates %.1f times per op, want 0", totalNNZ(as), allocs)
 						}
-					})
-					if allocs != 0 {
-						t.Errorf("steady state allocates %.1f times per op, want 0", allocs)
 					}
 				})
 			}

@@ -1,0 +1,235 @@
+package core
+
+import (
+	"time"
+
+	"spkadd/internal/matrix"
+	"spkadd/internal/sched"
+)
+
+// This file implements the single-pass execution engine. The paper
+// proves SpKAdd's memory-traffic lower bound is O(knd); the classic
+// two-phase driver (add.go) streams all k inputs through memory twice
+// — once to size the output, once to fill it — so it runs at ~2x that
+// bound. addUpperBound reads each input exactly once: the output
+// staging area is allocated from the Σ_i nnz(A_i(:,j)) per-column
+// upper bound, filled in one pass, and compacted in parallel. Peak
+// extra memory ≈ total input size.
+//
+// It supports the Hash, SPA and Heap kernels, sorted and unsorted
+// output, coefficients, and all schedules, with output entry-for-entry
+// identical (after canonical sort) to the two-phase engine. It runs on
+// a Workspace: staging buffers and column extents survive the call, so
+// repeated additions allocate nothing in steady state.
+
+const (
+	// upperBoundStagingCap bounds the staging buffer PhasesAuto lets
+	// the upper-bound engine allocate (entryBytesOf per input entry —
+	// 12 for float64/int64, 8 for float32/int32, 5 for bool) before
+	// preferring the two-pass engine, which needs no staging.
+	upperBoundStagingCap = 1 << 30
+	// inputWeightsParallelMin is the column count above which the
+	// per-column input-nnz weights are computed in parallel.
+	inputWeightsParallelMin = 1 << 12
+)
+
+// singlePassSupported reports whether alg has a single-pass engine.
+// SlidingHash keeps the two-pass driver: its row-range partitioning is
+// derived from per-part symbolic counts, which a single pass cannot
+// provide without giving up the in-cache table guarantee.
+func singlePassSupported(alg Algorithm) bool {
+	switch alg {
+	case Hash, SPA, Heap:
+		return true
+	}
+	return false
+}
+
+// pickPhases resolves the engine for one call. An explicit request is
+// honored whenever the algorithm supports it; Auto picks the
+// single-pass engine unless its input-sized scratch would not fit,
+// reading the shared workloadEstimate autoSelect consumes (see the
+// Phases constants and DESIGN.md §2).
+func pickPhases[T matrix.Number](est workloadEstimate, alg Algorithm, opt OptionsOf[T]) Phases {
+	if !singlePassSupported(alg) {
+		return PhasesTwoPass
+	}
+	if opt.Phases != PhasesAuto {
+		return opt.Phases
+	}
+	// Memory headroom: the single-pass hash engine sizes per-worker
+	// tables by input nnz instead of output nnz. If those larger
+	// tables would spill the last-level cache, the two-pass engine's
+	// smaller numeric tables recover more than the saved symbolic pass
+	// costs. Entry cost is T's — a float32 call keeps the single-pass
+	// engine (and the staging budget below) viable at twice the input
+	// size.
+	eb := entryBytesOf[T]()
+	if alg == Hash {
+		t := sched.Threads(opt.Threads)
+		if int64(est.avgColNNZ)*eb*int64(t) > opt.cacheBytes() {
+			return PhasesTwoPass
+		}
+	}
+	if est.total*eb > upperBoundStagingCap {
+		return PhasesTwoPass
+	}
+	return PhasesUpperBound
+}
+
+// allocCSC builds an empty CSC whose ColPtr is the prefix sum of the
+// per-column counts, with RowIdx/Val allocated to match.
+func allocCSC[T matrix.Number](rows, cols int, counts []int64) *matrix.CSCOf[T] {
+	b := &matrix.CSCOf[T]{Rows: rows, Cols: cols, ColPtr: make([]int64, cols+1)}
+	for j := 0; j < cols; j++ {
+		b.ColPtr[j+1] = b.ColPtr[j] + counts[j]
+	}
+	nnz := b.ColPtr[cols]
+	b.RowIdx = make([]matrix.Index, nnz)
+	b.Val = make([]T, nnz)
+	return b
+}
+
+// emitColInto computes one output column with the single-pass kernels,
+// writing into outRows/outVals — length inz, the Σ_i nnz(A_i(:,j))
+// upper bound, the column's staging extent — and returns the entry
+// count. This is also where the drop-identity output policy applies:
+// only the single-pass engine sees values before the output is sized,
+// so only it can drop identity-valued results (validation pins
+// DropIdentity monoids here).
+//
+//spkadd:noalloc single-pass emit: accumulate one column straight into its staging extent
+func emitColInto[T matrix.Number](ws *workerStateOf[T], as []*matrix.CSCOf[T], j, inz int, alg Algorithm, sorted bool, coeffs []T, mon *monoidStateOf[T], outRows []matrix.Index, outVals []T) int {
+	nz := 0
+	switch alg {
+	case Hash:
+		tab := hashAccumCol(ws, as, j, inz, coeffs, mon)
+		nz = tab.Len()
+		r, v := tab.AppendEntries(outRows[:0:inz], outVals[:0:inz])
+		if len(r) != nz {
+			panic("core: single-pass hash emitted a different count than it accumulated")
+		}
+		if sorted {
+			sortPairs(r, v)
+		}
+	case SPA:
+		acc := spaAccumCol(ws, as, j, coeffs, mon)
+		nz = acc.Len()
+		var r []matrix.Index
+		if sorted {
+			r, _ = acc.AppendSorted(outRows[:0:inz], outVals[:0:inz])
+		} else {
+			r, _ = acc.AppendUnsorted(outRows[:0:inz], outVals[:0:inz])
+		}
+		acc.Clear()
+		if len(r) != nz {
+			panic("core: single-pass SPA emitted a different count than it accumulated")
+		}
+	case Heap:
+		nz = heapMergeCol(ws, as, j, outRows, outVals, coeffs, mon)
+	default:
+		panic("core: single-pass engine dispatched an unsupported algorithm")
+	}
+	if mon != nil && mon.drop {
+		nz = dropIdentityEntries(outRows, outVals, nz, mon.def.Identity)
+	}
+	return nz
+}
+
+// dropIdentityEntries compacts the first nz entries in place, removing
+// those whose value equals the monoid identity, and returns the new
+// count. Compaction is order-preserving, so a sorted column stays
+// sorted.
+func dropIdentityEntries[T matrix.Number](rows []matrix.Index, vals []T, nz int, id T) int {
+	out := 0
+	for p := 0; p < nz; p++ {
+		if vals[p] == id {
+			continue
+		}
+		rows[out], vals[out] = rows[p], vals[p]
+		out++
+	}
+	return out
+}
+
+// addUpperBound is the upper-bound single-pass engine
+// (PhasesUpperBound): the staging area is allocated from the
+// per-column Σ_i nnz(A_i(:,j)) bound, filled in one pass over the
+// inputs, and compacted in parallel into the exact-size output.
+func (ws *WorkspaceOf[T]) addUpperBound() (*matrix.CSCOf[T], PhaseTimings, error) {
+	var pt PhaseTimings
+	n := ws.as[0].Cols
+	ws.colScratch(n)
+	if err := ws.ctxCheck(); err != nil {
+		return nil, pt, err
+	}
+
+	if err := ws.fillInputWeights(); err != nil {
+		return nil, pt, err
+	}
+	ws.reserveWorkers(ws.weights, false)
+	start := time.Now()
+	ws.ubPtr = grow(ws.ubPtr, n+1)
+	ws.ubPtr[0] = 0
+	for j := 0; j < n; j++ {
+		ws.ubPtr[j+1] = ws.ubPtr[j] + ws.weights[j]
+	}
+	total := int(ws.ubPtr[n])
+	ws.stRows = grow(ws.stRows, total)
+	ws.stVals = grow(ws.stVals, total)
+	if err := ws.runCols(n, ws.weights, ws.ubFn); err != nil {
+		pt.Numeric = time.Since(start)
+		return nil, pt, err
+	}
+	if err := ws.ctxCheck(); err != nil {
+		pt.Numeric = time.Since(start)
+		return nil, pt, err
+	}
+
+	// Compact: copy each column's filled prefix to its final position.
+	// Out of place — final extents can overlap staged extents of other
+	// columns, so in-place parallel moves would race.
+	b := ws.allocOutput(ws.as[0].Rows, n, ws.counts)
+	ws.b = b
+	err := ws.runCols(n, ws.counts, ws.compactFn)
+	pt.Numeric = time.Since(start)
+	if err != nil {
+		return nil, pt, err
+	}
+	if ws.opt.Stats != nil {
+		ws.opt.Stats.EntriesMoved.Add(b.ColPtr[n])
+	}
+	return b, pt, nil
+}
+
+// ubBody fills the staging extents of columns [lo, hi) in one input
+// pass, recording each column's exact nnz. Empty columns keep the
+// zero count colScratch installed.
+//
+//spkadd:noalloc executor region body of the upper-bound engine
+func (ws *WorkspaceOf[T]) ubBody(w, lo, hi int) {
+	ws.kernelFault()
+	s := ws.worker(w)
+	for j := lo; j < hi; j++ {
+		inz := int(ws.weights[j])
+		if inz == 0 {
+			continue
+		}
+		outRows := ws.stRows[ws.ubPtr[j]:ws.ubPtr[j+1]]
+		outVals := ws.stVals[ws.ubPtr[j]:ws.ubPtr[j+1]]
+		ws.counts[j] = int64(emitColInto(s, ws.as, j, inz, ws.alg, ws.opt.SortedOutput, ws.coeffs, ws.monP, outRows, outVals))
+	}
+	s.flushStats(ws.opt.Stats)
+}
+
+// compactBody copies the filled staging prefix of columns [lo, hi)
+// into the exact-size output.
+//
+//spkadd:noalloc executor region body: compacts upper-bound columns into place
+func (ws *WorkspaceOf[T]) compactBody(_, lo, hi int) {
+	b := ws.b
+	for j := lo; j < hi; j++ {
+		copy(b.RowIdx[b.ColPtr[j]:b.ColPtr[j+1]], ws.stRows[ws.ubPtr[j]:ws.ubPtr[j]+ws.counts[j]])
+		copy(b.Val[b.ColPtr[j]:b.ColPtr[j+1]], ws.stVals[ws.ubPtr[j]:ws.ubPtr[j]+ws.counts[j]])
+	}
+}

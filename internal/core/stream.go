@@ -36,9 +36,9 @@ var ErrAccumulatorInUse = errors.New("spkadd: Accumulator used from multiple gor
 // ErrAccumulatorInUse instead of corrupting the resident workspace.
 // Each addition it performs is internally parallel per the configured
 // Options, including the execution-engine policy: when Phases
-// resolves to a single-pass engine (the common PhasesAuto outcome for
-// in-cache workloads) each batched reduction reads its inputs exactly
-// once.
+// resolves to the single-pass engine (the common PhasesAuto outcome
+// for in-cache workloads) each batched reduction reads its inputs
+// exactly once.
 type AccumulatorOf[T matrix.Number] struct {
 	rows, cols int
 	opt        OptionsOf[T]

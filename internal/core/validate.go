@@ -156,6 +156,11 @@ func (o OptionsOf[T]) validate(as []*matrix.CSCOf[T], coeffs []T, premapped int)
 	alg := o.Algorithm
 	if alg == Auto {
 		alg = autoSelect(est, o)
+		if alg == SlidingHash && p.mon.drop {
+			// DropIdentity needs a single-pass engine, which
+			// SlidingHash lacks: an unpinned call falls back to Hash.
+			alg = Hash
+		}
 	}
 	p.alg = alg
 	// The O(nnz) sortedness scan runs only where its answer is used:
@@ -183,11 +188,11 @@ func (o OptionsOf[T]) validate(as []*matrix.CSCOf[T], coeffs []T, premapped int)
 
 	// Engine resolution. The 2-way baselines and SlidingHash keep
 	// their native two-pass drivers; DropIdentity additionally needs
-	// a single-pass engine, because only those see values before the
+	// the single-pass engine, because only it sees values before the
 	// output is sized.
 	p.engine = pickPhases(est, alg, o)
 	if p.generic && p.mon.drop {
-		if !fusedSupported(alg) {
+		if !singlePassSupported(alg) {
 			return p, fmt.Errorf("%w: DropIdentity monoid %s needs a single-pass engine, but %v has none",
 				ErrMonoidUnsupported, p.mon.def.Name, alg)
 		}
@@ -196,7 +201,7 @@ func (o OptionsOf[T]) validate(as []*matrix.CSCOf[T], coeffs []T, premapped int)
 				ErrMonoidUnsupported, p.mon.def.Name)
 		}
 		if p.engine == PhasesTwoPass { // PhasesAuto preferred two-pass
-			p.engine = PhasesFused
+			p.engine = PhasesUpperBound
 		}
 	}
 	return p, nil

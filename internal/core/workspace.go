@@ -12,12 +12,12 @@ import (
 )
 
 // Workspace owns every scratch structure a k-way SpKAdd call needs —
-// per-worker hash tables, SPAs and heaps, the fused engine's arenas,
-// the upper-bound engine's staging buffer, the per-column nnz and
-// weight arrays, and (optionally) a recyclable output CSC — so that
-// repeated calls allocate nothing in steady state. All buffers are
-// grow-only: a call with a larger shape enlarges them, a call with a
-// smaller shape reuses a prefix.
+// per-worker hash tables, SPAs and heaps, the single-pass engine's
+// staging buffer, the per-column nnz and weight arrays, and
+// (optionally) a recyclable output CSC — so that repeated calls
+// allocate nothing in steady state. All buffers are grow-only: a call
+// with a larger shape enlarges them, a call with a smaller shape
+// reuses a prefix.
 //
 // The paper's O(knd)-work algorithms (§III-A) assume the thread-
 // private scratch structures are resident; without a workspace every
@@ -44,11 +44,9 @@ type WorkspaceOf[T matrix.Number] struct {
 
 	// Scratch reused across calls.
 	workers []*workerStateOf[T]
-	arenas  []arenaOf[T]
-	weights []int64         // per-column Σ_i nnz(A_i(:,j))
-	counts  []int64         // per-column output nnz
-	cols    []fusedColOf[T] // fused engine's per-column arena extents
-	ubPtr   []int64         // upper-bound engine's staging column pointers
+	weights []int64 // per-column Σ_i nnz(A_i(:,j))
+	counts  []int64 // per-column output nnz
+	ubPtr   []int64 // single-pass engine's staging column pointers
 	stRows  []matrix.Index
 	stVals  []T
 
@@ -86,7 +84,7 @@ type WorkspaceOf[T matrix.Number] struct {
 	mon  monoidStateOf[T]
 	monP *monoidStateOf[T]
 
-	symFn, numFn, fusedFn, stitchFn, ubFn, compactFn, weightsFn func(w, lo, hi int)
+	symFn, numFn, ubFn, compactFn, weightsFn func(w, lo, hi int)
 }
 
 // Workspace is the float64 workspace, the paper's element type.
@@ -115,8 +113,6 @@ func NewWorkspaceOf[T matrix.Number](recycleOutput bool) *WorkspaceOf[T] {
 	ws := &WorkspaceOf[T]{recycleOut: recycleOutput, kit: kitFor[T]()}
 	ws.symFn = ws.symBody
 	ws.numFn = ws.numBody
-	ws.fusedFn = ws.fusedBody
-	ws.stitchFn = ws.stitchBody
 	ws.ubFn = ws.ubBody
 	ws.compactFn = ws.compactBody
 	ws.weightsFn = ws.weightsBody
@@ -278,12 +274,9 @@ func (ws *WorkspaceOf[T]) addDispatch(ctx context.Context, as []*matrix.CSCOf[T]
 		if opt.Stats != nil {
 			opt.Stats.RecordEngine(p.engine)
 		}
-		switch p.engine {
-		case PhasesFused:
-			b, pt, err = ws.addFused()
-		case PhasesUpperBound:
+		if p.engine == PhasesUpperBound {
 			b, pt, err = ws.addUpperBound()
-		default:
+		} else {
 			b, pt, err = ws.addKWay()
 		}
 		ws.end()
@@ -382,14 +375,14 @@ func (ws *WorkspaceOf[T]) racySched() bool {
 }
 
 // reserveWorkers pre-creates every worker's thread-private scratch
-// and reserves its hash-table storage for the phase's largest
-// per-column bound, under the racy schedules only. The deterministic
-// schedules map columns to workers reproducibly, so a reused
-// workspace's warmup calls have already sized every structure each
-// worker needs; Dynamic and WeightedStealing can hand any column to
-// any worker, and without the reservation a steady-state call could
-// still allocate when the largest column lands on a worker that had
-// not seen it — breaking the Adder's zero-allocation contract for
+// and reserves its hash-table or SPA index storage for the phase's
+// largest per-column bound, under the racy schedules only. The
+// deterministic schedules map columns to workers reproducibly, so a
+// reused workspace's warmup calls have already sized every structure
+// each worker needs; Dynamic and WeightedStealing can hand any column
+// to any worker, and without the reservation a steady-state call
+// could still allocate when the largest column lands on a worker that
+// had not seen it — breaking the Adder's zero-allocation contract for
 // exactly the schedules that exist to fix skew. Reservation only
 // grows backing storage; the per-column probe-window sizing (the
 // cache behaviour the hash algorithms are built around) is untouched.
@@ -411,7 +404,8 @@ func (ws *WorkspaceOf[T]) reserveWorkers(bound []int64, sym bool) {
 				s.hashTableSized(int(maxW))
 			}
 		case SPA:
-			s.spa(ws.as[0].Rows)
+			rows := ws.as[0].Rows
+			s.spa(rows).Reserve(min(int(maxW), rows))
 		case Heap:
 			s.kheap(len(ws.as))
 		}
@@ -470,7 +464,7 @@ func (ws *WorkspaceOf[T]) colScratch(n int) {
 
 // fillInputWeights computes Σ_i nnz(A_i(:,j)) for every column into
 // ws.weights (zeroed by colScratch) — the symbolic load-balancing
-// weights and the staging upper bounds of the single-pass engines.
+// weights and the staging upper bounds of the single-pass engine.
 // Wide matrices are summed in parallel on the call's executor (always
 // statically: the weights this precompute exists to produce are not
 // known yet, and the per-column work is one pointer subtraction per

@@ -62,7 +62,7 @@ func TestWorkspaceReuseParity(t *testing.T) {
 	seed := uint64(100)
 	for _, sorted := range []bool{true, false} {
 		for _, alg := range []Algorithm{Hash, SPA, Heap, SlidingHash} {
-			for _, p := range []Phases{PhasesTwoPass, PhasesFused, PhasesUpperBound, PhasesAuto} {
+			for _, p := range []Phases{PhasesTwoPass, PhasesUpperBound, PhasesAuto} {
 				if alg == SlidingHash && p != PhasesTwoPass {
 					continue // SlidingHash has only the two-pass driver
 				}
@@ -95,7 +95,7 @@ func TestWorkspaceReuseParity(t *testing.T) {
 // call. The ping-pong output buffers must keep the running sum correct
 // over many iterations.
 func TestWorkspaceStreamingSelfInput(t *testing.T) {
-	for _, p := range []Phases{PhasesTwoPass, PhasesFused, PhasesUpperBound} {
+	for _, p := range PhasesPolicies {
 		ws := NewWorkspace(true)
 		rng := rand.New(rand.NewSource(7))
 		var sum *matrix.CSC
@@ -137,7 +137,7 @@ func TestWorkspaceScaledAndStats(t *testing.T) {
 	for i := range coeffs {
 		coeffs[i] = matrix.Value(i+1) * 0.5
 	}
-	for _, p := range []Phases{PhasesTwoPass, PhasesFused, PhasesUpperBound} {
+	for _, p := range PhasesPolicies {
 		for rep := 0; rep < 3; rep++ {
 			var st OpStats
 			opt := Options{Algorithm: Hash, Phases: p, SortedOutput: true, Stats: &st}

@@ -73,7 +73,7 @@ type MonoidOf[T matrix.Number] struct {
 
 	// DropIdentity selects the drop-identity output policy: entries
 	// whose combined value equals Identity are removed from the
-	// output instead of stored. Only the single-pass engines can
+	// output instead of stored. Only the single-pass engine can
 	// honor it (the two-pass driver sizes the output structurally,
 	// before values exist), so requesting it with PhasesTwoPass or an
 	// algorithm without a single-pass engine is a validation error.

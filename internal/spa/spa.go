@@ -64,6 +64,15 @@ func (s *SPAOf[T]) Grow(m int) {
 	s.idx = s.idx[:0]
 }
 
+// Reserve grows the valid-index list to hold n entries, so a column
+// with up to n distinct rows accumulates without allocating. It must
+// only be called on a cleared SPA (between columns).
+func (s *SPAOf[T]) Reserve(n int) {
+	if cap(s.idx) < n {
+		s.idx = make([]matrix.Index, 0, n)
+	}
+}
+
 // Accum accumulates v at row r with += (lines 5-7 of Algorithm 4).
 // It is the "+" fast path, a free function constrained to the
 // arithmetic types so each instantiation inlines to a stamped

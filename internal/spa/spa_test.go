@@ -25,6 +25,24 @@ func TestAddAndGet(t *testing.T) {
 	}
 }
 
+// TestReserve: after Reserve(n), a column of n distinct rows
+// accumulates into the reserved index list without regrowing it.
+func TestReserve(t *testing.T) {
+	const n = 1000
+	s := New(n)
+	s.Reserve(n)
+	reserved := cap(s.Indices())
+	if reserved < n {
+		t.Fatalf("Reserve(%d): index capacity %d", n, reserved)
+	}
+	for r := 0; r < n; r++ {
+		Accum(s, matrix.Index(r), 1)
+	}
+	if got := cap(s.Indices()); got != reserved {
+		t.Errorf("index list regrew from %d to %d", reserved, got)
+	}
+}
+
 func TestAppendSorted(t *testing.T) {
 	s := New(100)
 	for _, r := range []matrix.Index{42, 7, 99, 7, 0} {

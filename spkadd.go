@@ -72,8 +72,8 @@ type (
 	// Schedule selects the column-scheduling strategy.
 	Schedule = core.Schedule
 	// Phases selects the execution engine for the k-way algorithms:
-	// the classic two-pass symbolic+numeric driver or one of the
-	// single-pass engines that read each input exactly once.
+	// the classic two-pass symbolic+numeric driver or the single-pass
+	// upper-bound engine that reads each input exactly once.
 	Phases = core.Phases
 	// OpStats accumulates work counters across a call.
 	OpStats = core.OpStats
@@ -104,18 +104,14 @@ const (
 )
 
 // Execution-engine (phase-policy) constants. The two-phase driver
-// reads every input twice (symbolic sizing + numeric fill); the fused
-// and upper-bound engines read each input exactly once, at the paper's
+// reads every input twice (symbolic sizing + numeric fill); the
+// upper-bound engine reads each input exactly once, at the paper's
 // O(knd) memory-traffic lower bound. See DESIGN.md.
 const (
-	// PhasesAuto picks an engine from the duplicate-rate estimate and
-	// memory headroom (the default).
+	// PhasesAuto picks an engine from memory headroom (the default).
 	PhasesAuto = core.PhasesAuto
 	// PhasesTwoPass is the classic symbolic+numeric two-pass driver.
 	PhasesTwoPass = core.PhasesTwoPass
-	// PhasesFused accumulates into per-worker arenas in one input
-	// pass, then stitches the final matrix in parallel.
-	PhasesFused = core.PhasesFused
 	// PhasesUpperBound allocates from the per-column input-nnz upper
 	// bound, fills in one pass, then compacts in parallel.
 	PhasesUpperBound = core.PhasesUpperBound
