@@ -618,6 +618,44 @@ func TestChaosAccumulatorPanicSticky(t *testing.T) {
 	}
 }
 
+// TestChaosAccumulatorPanicClosesExecutor: quarantining a poisoned
+// accumulator's workspace releases its executor's parked workers at
+// once, as a poisoned Pool shard does, rather than leaving them parked
+// until GC runs the executor's cleanup.
+func TestChaosAccumulatorPanicClosesExecutor(t *testing.T) {
+	leakcheck.Begin(t)
+	as := erInputs(4, 200, 8, 6, 81)
+	ac := NewAccumulator(200, 8, 1<<20, Options{Algorithm: Hash, SortedOutput: true, Threads: 2})
+	for _, a := range as[:2] {
+		if err := ac.Push(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ac.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ws := ac.ws
+	if ws == nil || ws.ownEx == nil {
+		t.Fatal("a Threads: 2 flush left no resident executor")
+	}
+	in := faults.New(18, faults.Rule{Point: faults.PanicInKernel, Key: 0, Count: 1})
+	defer faults.Activate(in)()
+	for _, a := range as[2:] {
+		if err := ac.Push(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ac.Sum(); !isPanicErr(err) {
+		t.Fatalf("Sum over a panicking kernel = %v, want *PanicError", err)
+	}
+	if ac.ws != nil {
+		t.Error("poisoned accumulator kept its workspace")
+	}
+	if ws.ownEx != nil {
+		t.Error("quarantined workspace still owns its executor; its workers stay parked until GC")
+	}
+}
+
 // TestChaosAddContextPreCanceled: the lowest-level context entry point
 // rejects an already-canceled context before doing any work.
 func TestChaosAddContextPreCanceled(t *testing.T) {

@@ -29,13 +29,11 @@ import (
 // zero-copy, via matrix.ColView — and enqueues each piece under that
 // shard's lock only, so producers touching a shard never contend with
 // a reduction in flight and different shards never contend at all.
-// Per-shard reducer goroutines drain their queues asynchronously with
-// the same budget trigger as Accumulator.Flush (running sum + pending
-// bytes against the shard's budget share, plus the pending-count cap),
-// keeping every reduction k-way; each reduction takes at most a
-// budget's worth of pending pieces, so the Accumulator's bound — a
-// reduction's input never exceeds budget + one matrix — holds here
-// too, and a high-water mark (2x the shard budget) blocks producers
+// Each shard embeds the Accumulator's batched reduction (streamOf): one
+// budget rule, claim and reduce path against the shard's budget share.
+// A per-shard reducer goroutine drains the queue asynchronously,
+// keeping every reduction k-way and its input within budget + one
+// matrix, and a high-water mark (2x the shard budget) blocks producers
 // that outrun their reducer instead of pinning unbounded queues. Sum
 // barriers the reducers and stitches the per-shard sums — disjoint
 // column ranges — into one CSC with a pure copy; no merge is needed,
@@ -231,10 +229,6 @@ type PoolOf[T matrix.Number] struct {
 // Pool is the float64 pool, the paper's element type.
 type Pool = PoolOf[matrix.Value]
 
-// poolShard is the float64 shard (the in-package chaos tests build
-// shards directly).
-type poolShard = poolShardOf[matrix.Value]
-
 // NewPool returns a pool for rows x cols matrices. See PoolOptions for
 // the shard-count and budget defaults.
 func NewPool(rows, cols int, popt PoolOptions) *Pool {
@@ -286,7 +280,7 @@ func NewPoolOf[T matrix.Number](rows, cols int, popt PoolOptionsOf[T]) *PoolOf[T
 	for i := range p.shards {
 		c0, c1 := sched.Span(cols, s, i)
 		sh := &poolShardOf[T]{
-			c0: c0, c1: c1, budget: shardBudget, opt: opt,
+			c0: c0, c1: c1, streamOf: streamOf[T]{budget: shardBudget, opt: opt},
 			maxRetries: retries, baseBackoff: backoff, quitc: p.quitc,
 			zone: popt.FaultZone + int64(i) + 1,
 		}
@@ -623,56 +617,46 @@ func (p *PoolOf[T]) Reductions() int {
 	total := 0
 	for _, s := range p.shards {
 		s.mu.Lock()
-		total += int(s.reductions)
+		total += s.reductions
 		s.mu.Unlock()
 	}
 	return total
 }
 
-// poolShard owns one contiguous column range [c0, c1) of the pool: a
+// poolShardOf owns one contiguous column range [c0, c1) of the pool: a
 // producer-facing pending queue and a reducer goroutine with a
 // resident workspace and the range's running sum.
 //
 // Locking: mu guards the queue, the reservation counter, the
-// flush/close handshake, the health fields and the sum POINTER. The
-// workspace and the sum's storage belong to the reducer goroutine;
-// reductions run outside the lock so producers enqueue wait-free
-// relative to reduction work. cond wakes the reducer (work over
-// budget, flush requested, closed); done wakes flush waiters; space
-// wakes producers blocked on the high-water mark.
+// flush/close handshake, the health fields, the reduction count and
+// the sum POINTER. The workspace, the batch and the sum's storage
+// belong to the reducer goroutine; reductions run outside the lock so
+// producers enqueue wait-free relative to reduction work. cond wakes
+// the reducer (work over budget, flush requested, closed); done wakes
+// flush waiters; space wakes producers blocked on the high-water mark.
 type poolShardOf[T matrix.Number] struct {
 	c0, c1      int
-	budget      int64
-	opt         OptionsOf[T]
 	maxRetries  int
 	baseBackoff time.Duration
 	quitc       <-chan struct{}
 	zone        int64 // 1-based fault-injection key
 
 	//spkadd:lockorder(2)
-	mu           sync.Mutex
-	cond         *sync.Cond // wakes the reducer
-	done         *sync.Cond // wakes flush-barrier waiters
-	space        *sync.Cond // wakes producers blocked on the high-water mark
-	pending      []*matrix.CSCOf[T]
-	pendingBytes int64
-	reserved     int64 // bytes reserved by in-flight pushes, not yet committed
-	flushReq     int64
-	flushAck     int64
-	closed       bool
-	exited       bool
-	err          error // current failure; see poisoned for its class
-	poisoned     bool  // err came from a recovered panic; ws quarantined
-	dropped      int64 // pushed pieces discarded across the shard's lifetime
-	inflight     int   // pieces claimed by the reduction currently running
-	sum          *matrix.CSCOf[T]
-	reductions   int64
+	mu       sync.Mutex
+	cond     *sync.Cond // wakes the reducer
+	done     *sync.Cond // wakes flush-barrier waiters
+	space    *sync.Cond // wakes producers blocked on the high-water mark
+	reserved int64      // bytes reserved by in-flight pushes, not yet committed
+	flushReq int64
+	flushAck int64
+	closed   bool
+	exited   bool
+	err      error // current failure; see poisoned for its class
+	poisoned bool  // err came from a recovered panic; ws quarantined
+	dropped  int64 // pushed pieces discarded across the shard's lifetime
+	inflight int   // pieces claimed by the reduction currently running
 
-	// Reducer-private; never touched while a reduction is in flight
-	// except by the reducer itself.
-	ws    *WorkspaceOf[T]
-	take  []*matrix.CSCOf[T] // the batch claimed from pending
-	batch []*matrix.CSCOf[T] // [sum, take...] input slice for the k-way add
+	streamOf[T]
 }
 
 // reserve claims bytes of high-water capacity for one push, blocking
@@ -733,29 +717,10 @@ func (s *poolShardOf[T]) commit(piece *matrix.CSCOf[T], bytes int64) {
 	s.reserved -= bytes
 	s.pending = append(s.pending, piece)
 	s.pendingBytes += bytes
-	if s.reduceNeeded() {
+	if s.due(0) {
 		s.cond.Signal()
 	}
 	s.mu.Unlock()
-}
-
-// reduceNeeded reports whether the pending queue should be reduced
-// now: the same trigger as Accumulator.Push — the next reduction's
-// total input (running sum + pending) against the budget, plus the
-// pending-count cap so zero-byte pieces cannot grow the queue
-// unboundedly. Callers hold mu.
-func (s *poolShardOf[T]) reduceNeeded() bool {
-	if len(s.pending) == 0 {
-		return false
-	}
-	return s.sumNNZBytes()+s.pendingBytes > s.budget || len(s.pending) >= maxPendingMatrices
-}
-
-func (s *poolShardOf[T]) sumNNZBytes() int64 {
-	if s.sum == nil {
-		return 0
-	}
-	return int64(s.sum.NNZ()) * entryBytesOf[T]()
 }
 
 // wakeNeeded reports whether the reducer has anything to do. A
@@ -763,32 +728,18 @@ func (s *poolShardOf[T]) sumNNZBytes() int64 {
 // discards them so producers blocked on the high-water mark and
 // barriers waiting on the queue are released. Callers hold mu.
 func (s *poolShardOf[T]) wakeNeeded() bool {
-	return s.closed || s.flushReq > s.flushAck || s.reduceNeeded() ||
+	return s.closed || s.flushReq > s.flushAck || s.due(0) ||
 		(s.poisoned && len(s.pending) > 0)
 }
 
-// claimBatch moves a budget-bounded prefix of the pending queue into
-// the reducer-private take slice: pieces are claimed until the next
-// reduction's input (sum + claimed) would pass the budget — always at
-// least one, mirroring Accumulator's budget + one matrix bound — or
-// the count cap. Callers hold mu.
-func (s *poolShardOf[T]) claimBatch() {
-	n, bytes := 0, int64(0)
-	sumBytes := s.sumNNZBytes()
-	for n < len(s.pending) && n < maxPendingMatrices {
-		b := int64(s.pending[n].NNZ()) * entryBytes
-		if n > 0 && sumBytes+bytes+b > s.budget {
-			break
-		}
-		bytes += b
-		n++
-	}
-	s.take = append(s.take[:0], s.pending[:n]...)
-	m := copy(s.pending, s.pending[n:])
-	clear(s.pending[m:])
-	s.pending = s.pending[:m]
-	s.pendingBytes -= bytes
+// claimBatch moves the next budget-bounded batch out of the queue into
+// the reducer-private batch slice, freeing its high-water space at
+// once, and returns the number of pieces claimed. Callers hold mu.
+func (s *poolShardOf[T]) claimBatch() int {
+	n, bytes := s.claim()
+	s.drop(n, bytes)
 	s.space.Broadcast()
+	return n
 }
 
 // run is the shard's reducer goroutine: sleep until woken, reduce one
@@ -814,14 +765,11 @@ func (s *poolShardOf[T]) run(wg *sync.WaitGroup) {
 				// barriers, backpressured producers and Close still
 				// terminate.
 				s.dropped += int64(len(s.pending))
-				clear(s.pending)
-				s.pending = s.pending[:0]
-				s.pendingBytes = 0
+				s.drop(len(s.pending), s.pendingBytes)
 				s.space.Broadcast()
 				continue
 			}
-			s.claimBatch()
-			claimed := len(s.take)
+			claimed := s.claimBatch()
 			s.inflight = claimed
 			s.mu.Unlock()
 			sum, err := s.reduceWithRetry()
@@ -878,12 +826,8 @@ func (s *poolShardOf[T]) fail(err error, claimed int) {
 	st := s.opt.Stats
 	if isPanicErr(err) {
 		s.poisoned = true
-		if s.ws != nil {
-			s.ws.closeExecutor()
-		}
-		s.ws = nil
+		s.quarantine()
 		if st != nil {
-			st.PanicsRecovered.Add(1)
 			st.ShardsPoisoned.Add(1)
 		}
 	} else if st != nil && wasOK {
@@ -903,7 +847,7 @@ func (s *poolShardOf[T]) fail(err error, claimed int) {
 // here, after the final attempt, so every retry reduces the same
 // input.
 func (s *poolShardOf[T]) reduceWithRetry() (*matrix.CSCOf[T], error) {
-	sum, err := s.reduce()
+	sum, err := s.reduceOnce()
 	for attempt := 1; err != nil && !isPanicErr(err) && attempt <= s.maxRetries; attempt++ {
 		if st := s.opt.Stats; st != nil {
 			st.Retries.Add(1)
@@ -911,10 +855,9 @@ func (s *poolShardOf[T]) reduceWithRetry() (*matrix.CSCOf[T], error) {
 		if !s.backoff(attempt) {
 			break
 		}
-		sum, err = s.reduce()
+		sum, err = s.reduceOnce()
 	}
-	clear(s.take)
-	s.take = s.take[:0]
+	s.clearBatch()
 	return sum, err
 }
 
@@ -937,16 +880,10 @@ func (s *poolShardOf[T]) backoff(n int) bool {
 	}
 }
 
-// reduce folds the claimed batch into the running sum with a single
-// k-way addition on the shard's resident workspace. The previous sum
-// is the first input; the workspace's ping-pong output buffers make
-// that safe (see Workspace.allocOutput), including across failed
-// attempts — an attempt that errors does not consume a buffer flip,
-// so retries never write the buffer holding the sum they read. A
-// panic anywhere in the reduction (kernel, validation, a worker of an
-// internally parallel region) comes back as a *PanicError. Runs
-// outside the shard lock.
-func (s *poolShardOf[T]) reduce() (b *matrix.CSCOf[T], err error) {
+// reduceOnce is one attempt at the claimed batch: the shard's
+// fault-injection sites, then the shared reduction. Runs outside the
+// shard lock.
+func (s *poolShardOf[T]) reduceOnce() (*matrix.CSCOf[T], error) {
 	if faults.SleepOn(faults.SlowReduction, s.zone) {
 		if st := s.opt.Stats; st != nil {
 			st.FaultsInjected.Add(1)
@@ -958,28 +895,5 @@ func (s *poolShardOf[T]) reduce() (b *matrix.CSCOf[T], err error) {
 		}
 		return nil, ferr
 	}
-	if s.ws == nil {
-		s.ws = NewWorkspaceOf[T](true)
-	}
-	s.batch = s.batch[:0]
-	premapped := 0
-	if s.sum != nil {
-		// Like Accumulator.flush: the running sum is already in the
-		// monoid's result domain and must not pass MapInput again.
-		s.batch = append(s.batch, s.sum)
-		premapped = 1
-	}
-	s.batch = append(s.batch, s.take...)
-	defer func() {
-		// Belt and suspenders for panics outside the recovered
-		// parallel regions (validation, output allocation): convert
-		// instead of killing the process. Drop the batch references
-		// either way so absorbed matrices can be collected.
-		if r := recover(); r != nil {
-			b, err = nil, recoverToError(r)
-		}
-		clear(s.batch)
-		s.batch = s.batch[:0]
-	}()
-	return s.ws.addPremapped(nil, s.batch, s.opt, premapped)
+	return s.reduce(nil)
 }

@@ -196,11 +196,18 @@ func TestPoolShardsHeuristic(t *testing.T) {
 // TestPoolClaimBatchBudgetBound is the white-box check that a shard
 // reduction's input obeys the Accumulator's bound — running sum plus
 // claimed pieces never exceeds budget + one matrix — no matter how far
-// producers ran ahead of the reducer.
+// producers ran ahead of the reducer, and that claims release exactly
+// the bytes commit charged at every element width.
 func TestPoolClaimBatchBudgetBound(t *testing.T) {
 	piece := erInputs(1, 200, 4, 6, 65)[0]
-	per := int64(piece.NNZ()) * entryBytes
-	s := &poolShard{c0: 0, c1: 4, budget: 3*per + 1}
+	testClaimBatchBudgetBound(t, piece)
+	testClaimBatchBudgetBound(t, matrix.Convert[float32](piece))
+}
+
+func testClaimBatchBudgetBound[T matrix.Number](t *testing.T, piece *matrix.CSCOf[T]) {
+	t.Helper()
+	per := int64(piece.NNZ()) * entryBytesOf[T]()
+	s := &poolShardOf[T]{c0: 0, c1: 4, streamOf: streamOf[T]{budget: 3*per + 1}}
 	s.space = sync.NewCond(&s.mu)
 	// A queue far past the budget, as if the reducer had stalled.
 	for i := 0; i < 20; i++ {
@@ -211,26 +218,104 @@ func TestPoolClaimBatchBudgetBound(t *testing.T) {
 	s.mu.Lock()
 	for len(s.pending) > 0 {
 		before := len(s.pending)
-		s.claimBatch()
+		n := s.claimBatch()
 		claimed := int64(0)
-		for _, m := range s.take {
-			claimed += int64(m.NNZ()) * entryBytes
+		for _, m := range s.batch[len(s.batch)-n:] {
+			claimed += int64(m.NNZ()) * entryBytesOf[T]()
 		}
-		if len(s.take) == 0 {
+		if n == 0 {
 			t.Fatal("claimBatch claimed nothing from a non-empty queue")
 		}
-		if in := s.sumNNZBytes() + claimed; in > s.budget+per {
+		if in := s.sumBytes() + claimed; in > s.budget+per {
 			t.Fatalf("reduction input %d bytes exceeds budget+one matrix = %d", in, s.budget+per)
 		}
-		if len(s.take)+len(s.pending) != before {
+		if n+len(s.pending) != before {
 			t.Fatal("claimBatch lost or duplicated pieces")
 		}
-		s.take = s.take[:0]
 	}
 	if s.pendingBytes != 0 {
-		t.Fatalf("pendingBytes=%d after draining", s.pendingBytes)
+		t.Fatalf("%T: pendingBytes=%d after draining", *new(T), s.pendingBytes)
 	}
 	s.mu.Unlock()
+}
+
+// TestPoolPendingBytesDrainToZero: a drained float32 shard reports
+// zero pending bytes. Claims must release exactly the bytes pushes
+// charged, or the gauge drifts and the high-water backpressure that
+// reads it drifts with it.
+func TestPoolPendingBytesDrainToZero(t *testing.T) {
+	leakcheck.Begin(t)
+	p := NewPoolOf[float32](512, 64, PoolOptionsOf[float32]{
+		Shards: 2, BudgetBytes: 4 << 10, Add: OptionsOf[float32]{Algorithm: Hash},
+	})
+	defer p.Close()
+	for _, a := range erInputs(40, 512, 64, 8, 66) {
+		if err := p.Push(matrix.Convert[float32](a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.Sum(); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range p.Health() {
+		if h.Pending != 0 || h.PendingBytes != 0 {
+			t.Errorf("shard %d after Sum: Pending=%d PendingBytes=%d, want 0 and 0", h.Shard, h.Pending, h.PendingBytes)
+		}
+	}
+}
+
+// TestAccumulatorMatchesSingleShardPool pins the single budget rule: a
+// one-shard Pool is an asynchronous Accumulator, so the same pushes
+// must batch into the same reductions and the same sum, whatever the
+// budget and element width.
+func TestAccumulatorMatchesSingleShardPool(t *testing.T) {
+	leakcheck.Begin(t)
+	as := erInputs(60, 512, 32, 6, 67)
+	per := int64(as[0].NNZ()) * entryBytes
+	for _, matrices := range []int64{3, 7, 20} {
+		budget := matrices * per
+		t.Run(fmt.Sprintf("float64/budget=%d", matrices), func(t *testing.T) { testAccumulatorMatchesPool(t, as, budget) })
+		t.Run(fmt.Sprintf("float32/budget=%d", matrices), func(t *testing.T) { testAccumulatorMatchesPool(t, convertAll[float32](as), budget) })
+		t.Run(fmt.Sprintf("int32/budget=%d", matrices), func(t *testing.T) { testAccumulatorMatchesPool(t, convertAll[int32](as), budget) })
+	}
+}
+
+func convertAll[T matrix.Number](as []*matrix.CSC) []*matrix.CSCOf[T] {
+	out := make([]*matrix.CSCOf[T], len(as))
+	for i, a := range as {
+		out[i] = matrix.Convert[T](a)
+	}
+	return out
+}
+
+func testAccumulatorMatchesPool[T matrix.Number](t *testing.T, as []*matrix.CSCOf[T], budget int64) {
+	opt := OptionsOf[T]{Algorithm: Hash, Threads: 1}
+	rows, cols := as[0].Rows, as[0].Cols
+	ac := NewAccumulatorOf[T](rows, cols, budget, opt)
+	p := NewPoolOf[T](rows, cols, PoolOptionsOf[T]{Shards: 1, BudgetBytes: budget, Add: opt})
+	defer p.Close()
+	for _, a := range as {
+		if err := ac.Push(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Push(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := ac.Sum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Sum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ac.Reductions() != p.Reductions() {
+		t.Errorf("Accumulator ran %d reductions, single-shard Pool %d", ac.Reductions(), p.Reductions())
+	}
+	if !got.Equal(want) {
+		t.Error("single-shard Pool sum differs from the Accumulator's")
+	}
 }
 
 // TestPoolSumAtomicPerPush checks Push/Sum linearization: every

@@ -17,6 +17,143 @@ import (
 // producers.
 var ErrAccumulatorInUse = errors.New("spkadd: Accumulator used from multiple goroutines concurrently")
 
+// streamOf is the batched reduction the Accumulator and every Pool
+// shard share: one budget rule, one claim and one reduce path over a
+// running sum and a pending queue. The owners differ only in when they
+// reduce and in what a failed batch costs (AccumulatorOf.flush,
+// poolShardOf.run).
+type streamOf[T matrix.Number] struct {
+	budget int64
+	opt    OptionsOf[T]
+
+	sum          *matrix.CSCOf[T]
+	pending      []*matrix.CSCOf[T]
+	pendingBytes int64
+	reductions   int
+
+	// ws is the resident workspace: every reduction reuses its scratch,
+	// including its resident executor's parked workers, and the running
+	// sum lives in its recycled (ping-pong) output buffers — the
+	// previous sum is an input to the next reduction, which writes the
+	// other buffer, so no reduction reads storage it is overwriting.
+	ws *WorkspaceOf[T]
+	// batch is the reusable [sum, claimed pieces...] input slice.
+	batch []*matrix.CSCOf[T]
+}
+
+// maxPendingMatrices caps how many matrices an Accumulator (or a Pool
+// shard) buffers before reducing regardless of their byte size, and
+// how many one reduction claims. The byte budget alone cannot bound
+// the buffer: a flood of zero-nnz deltas — a plausible stream during
+// quiet periods — contributes zero bytes and would never trigger one.
+const maxPendingMatrices = 1024
+
+// bytesOf is a matrix's in-memory footprint at T's width.
+func (st *streamOf[T]) bytesOf(m *matrix.CSCOf[T]) int64 {
+	return int64(m.NNZ()) * entryBytesOf[T]()
+}
+
+// sumBytes is the running sum's footprint. A k-way reduction reads
+// sum + pending, so the sum's bytes count toward the budget exactly
+// like the buffered matrices'.
+func (st *streamOf[T]) sumBytes() int64 {
+	if st.sum == nil {
+		return 0
+	}
+	return st.bytesOf(st.sum)
+}
+
+// due reports whether the pending queue should be reduced before extra
+// more bytes join it: the next reduction's total input (running sum +
+// pending + extra) would pass the budget, or the pending count hit
+// maxPendingMatrices, so zero-byte pieces still get reduced.
+func (st *streamOf[T]) due(extra int64) bool {
+	return len(st.pending) > 0 &&
+		(st.sumBytes()+st.pendingBytes+extra > st.budget || len(st.pending) >= maxPendingMatrices)
+}
+
+// claim fills batch with the next reduction's input: the running sum,
+// then a budget-bounded prefix of pending — pieces until sum + claimed
+// would pass the budget, always at least one, at most
+// maxPendingMatrices — so a reduction's input never exceeds budget +
+// one matrix however far the queue ran ahead. It returns the prefix's
+// length and bytes for drop; pending itself is untouched.
+func (st *streamOf[T]) claim() (n int, bytes int64) {
+	st.batch = st.batch[:0]
+	if st.sum != nil {
+		st.batch = append(st.batch, st.sum)
+	}
+	base := st.sumBytes()
+	for n < len(st.pending) && n < maxPendingMatrices {
+		b := st.bytesOf(st.pending[n])
+		if n > 0 && base+bytes+b > st.budget {
+			break
+		}
+		bytes += b
+		n++
+	}
+	st.batch = append(st.batch, st.pending[:n]...)
+	return n, bytes
+}
+
+// drop removes the first n pending pieces, worth bytes, clearing their
+// slots so absorbed matrices can be collected (truncating alone would
+// pin them in the backing array).
+func (st *streamOf[T]) drop(n int, bytes int64) {
+	m := copy(st.pending, st.pending[n:])
+	clear(st.pending[m:])
+	st.pending = st.pending[:m]
+	st.pendingBytes -= bytes
+}
+
+// reduce folds the claimed batch into a new running sum with one k-way
+// addition. The running sum is already in the monoid's result domain,
+// so it re-enters premapped (for Count, mapping it again would
+// collapse every accumulated count back to 1). A failed attempt does
+// not consume the workspace's ping-pong flip, so a retry never writes
+// the buffer holding the sum it reads. A panic anywhere in the
+// reduction comes back as a *PanicError, as a worker's panic does from
+// the executor. The batch stays set for a retry; the owner releases it
+// with clearBatch.
+func (st *streamOf[T]) reduce(ctx context.Context) (b *matrix.CSCOf[T], err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			b, err = nil, recoverToError(r)
+		}
+	}()
+	if st.ws == nil {
+		st.ws = NewWorkspaceOf[T](true)
+	}
+	premapped := 0
+	if st.sum != nil {
+		premapped = 1
+	}
+	return st.ws.addPremapped(ctx, st.batch, st.opt, premapped)
+}
+
+// clearBatch drops the batch's references so absorbed matrices can be
+// collected.
+func (st *streamOf[T]) clearBatch() {
+	clear(st.batch)
+	st.batch = st.batch[:0]
+}
+
+// quarantine retires the workspace a panicking reduction interrupted:
+// its scratch is mid-kernel garbage, so it is never reused, and its
+// executor's parked workers are released now rather than at GC time.
+// The running sum stays valid — a failed reduction never writes the
+// buffer holding it — and is never handed to a new workspace as a
+// write target.
+func (st *streamOf[T]) quarantine() {
+	if st.ws != nil {
+		st.ws.closeExecutor()
+		st.ws = nil
+	}
+	if st.opt.Stats != nil {
+		st.opt.Stats.PanicsRecovered.Add(1)
+	}
+}
+
 // Accumulator implements the batched SpKAdd the paper proposes for
 // inputs that do not fit in memory simultaneously or that arrive over
 // time (§V: "we can still arrange input matrices in multiple batches
@@ -24,7 +161,9 @@ var ErrAccumulatorInUse = errors.New("spkadd: Accumulator used from multiple gor
 // stated future work). Matrices are buffered until the configured
 // memory budget fills, then reduced into the running sum with one
 // k-way addition, so the reduction work stays k-way rather than
-// degenerating to the pairwise O(k²nd) regime.
+// degenerating to the pairwise O(k²nd) regime. It is the synchronous
+// owner of the batched reduction a Pool shard runs asynchronously:
+// both reduce through streamOf.
 //
 // Reductions run under the configured Options, including the combine
 // monoid: a Count accumulator streams occurrence frequencies because
@@ -41,15 +180,8 @@ var ErrAccumulatorInUse = errors.New("spkadd: Accumulator used from multiple gor
 // exactly once.
 type AccumulatorOf[T matrix.Number] struct {
 	rows, cols int
-	opt        OptionsOf[T]
-	budget     int64
 	busy       atomic.Bool
-
-	sum          *matrix.CSCOf[T]
-	pending      []*matrix.CSCOf[T]
-	pendingBytes int64
-	absorbed     int
-	reductions   int
+	absorbed   int
 
 	// err is the accumulator's sticky failure: set when a reduction
 	// panics (the workspace is quarantined alongside — its scratch is
@@ -58,35 +190,11 @@ type AccumulatorOf[T matrix.Number] struct {
 	// sum untouched and the next call retries the reduction.
 	err error
 
-	// ws is the accumulator's resident workspace: every reduction
-	// reuses its scratch structures — including the workspace's
-	// resident executor, so multi-threaded reductions reuse parked
-	// workers instead of spawning goroutines per flush (set
-	// Options.Executor to share a worker budget with other callers) —
-	// and the running sum lives in the workspace's recycled
-	// (ping-pong) output buffers: the previous sum is always an input
-	// to the next reduction, which writes the other buffer, so no
-	// reduction reads storage it is overwriting.
-	ws *WorkspaceOf[T]
-	// batch is the reusable [sum, pending...] input slice.
-	batch []*matrix.CSCOf[T]
+	streamOf[T]
 }
 
 // Accumulator is the float64 accumulator, the paper's element type.
 type Accumulator = AccumulatorOf[matrix.Value]
-
-// entryBytes is the in-memory footprint of one stored float64 entry
-// (4-byte index + 8-byte value); entryBytesOf generalizes it per
-// element type.
-const entryBytes = 12
-
-// maxPendingMatrices caps how many matrices an Accumulator (or a Pool
-// shard) buffers before reducing regardless of their byte size. The
-// byte budget alone cannot bound the buffer: zero-nnz matrices
-// contribute zero bytes, so a flood of empty deltas — a perfectly
-// plausible streaming workload during quiet periods — would grow the
-// pending slice without ever triggering a flush.
-const maxPendingMatrices = 1024
 
 // NewAccumulator returns an accumulator for rows x cols matrices that
 // reduces its buffer whenever the next reduction's total input — the
@@ -103,7 +211,7 @@ func NewAccumulatorOf[T matrix.Number](rows, cols int, budgetBytes int64, opt Op
 	if budgetBytes <= 0 {
 		budgetBytes = 256 << 20
 	}
-	return &AccumulatorOf[T]{rows: rows, cols: cols, opt: opt, budget: budgetBytes}
+	return &AccumulatorOf[T]{rows: rows, cols: cols, streamOf: streamOf[T]{budget: budgetBytes, opt: opt}}
 }
 
 // acquire takes the accumulator's busy flag, detecting overlapping
@@ -116,16 +224,6 @@ func (ac *AccumulatorOf[T]) acquire() error {
 }
 
 func (ac *AccumulatorOf[T]) release() { ac.busy.Store(false) }
-
-// sumBytes is the in-memory footprint of the running sum. A k-way
-// reduction reads sum + pending, so the sum's bytes count toward the
-// reduction budget exactly like the buffered matrices'.
-func (ac *AccumulatorOf[T]) sumBytes() int64 {
-	if ac.sum == nil {
-		return 0
-	}
-	return int64(ac.sum.NNZ()) * entryBytesOf[T]()
-}
 
 // Push buffers one matrix, reducing the buffer first if adding it
 // would push the next reduction's total input — the running sum plus
@@ -159,9 +257,8 @@ func (ac *AccumulatorOf[T]) PushContext(ctx context.Context, a *matrix.CSCOf[T])
 		return fmt.Errorf("%w: pushed %dx%d, accumulator is %dx%d",
 			ErrDimMismatch, a.Rows, a.Cols, ac.rows, ac.cols)
 	}
-	bytes := int64(a.NNZ()) * entryBytesOf[T]()
-	if len(ac.pending) > 0 &&
-		(ac.sumBytes()+ac.pendingBytes+bytes > ac.budget || len(ac.pending) >= maxPendingMatrices) {
+	bytes := ac.bytesOf(a)
+	if ac.due(bytes) {
 		if err := ac.flush(ctx); err != nil {
 			return err
 		}
@@ -188,71 +285,28 @@ func (ac *AccumulatorOf[T]) FlushContext(ctx context.Context) error {
 }
 
 // flush is Flush without the busy-flag acquisition, for internal use
-// while the flag is already held.
+// while the flag is already held. It reduces through the shared claim
+// until nothing is pending — one batch in practice, since Push reduces
+// before buffering the matrix that would overflow the budget. A failed
+// batch stays pending, so the next call retries it; only a panic is
+// sticky.
 func (ac *AccumulatorOf[T]) flush(ctx context.Context) error {
-	if ac.err != nil {
-		return ac.err
-	}
-	if len(ac.pending) == 0 {
-		return nil
-	}
-	if ac.ws == nil {
-		ac.ws = NewWorkspaceOf[T](true)
-	}
-	ac.batch = ac.batch[:0]
-	premapped := 0
-	if ac.sum != nil {
-		// The running sum is already in the monoid's result domain:
-		// it re-enters the reduction unmapped (for Count, re-mapping
-		// would collapse every accumulated count back to 1).
-		ac.batch = append(ac.batch, ac.sum)
-		premapped = 1
-	}
-	ac.batch = append(ac.batch, ac.pending...)
-	sum, err := ac.reduce(ctx, premapped)
-	if err != nil {
-		// Drop the batch references either way; pending still holds
-		// everything unreduced.
-		clear(ac.batch)
-		ac.batch = ac.batch[:0]
-		if isPanicErr(err) {
-			// A panic mid-kernel leaves the workspace's scratch (and the
-			// in-progress output buffer — never the buffer holding the
-			// running sum, which a failed call does not consume) in an
-			// indeterminate state: quarantine the workspace and go
-			// sticky. The running sum's storage stays valid; it is
-			// never handed to a new workspace as a write target.
-			ac.err = err
-			ac.ws = nil
-			if ac.opt.Stats != nil {
-				ac.opt.Stats.PanicsRecovered.Add(1)
+	for ac.err == nil && len(ac.pending) > 0 {
+		n, bytes := ac.claim()
+		sum, err := ac.reduce(ctx)
+		ac.clearBatch()
+		if err != nil {
+			if isPanicErr(err) {
+				ac.err = err
+				ac.quarantine()
 			}
+			return err
 		}
-		return err
+		ac.sum = sum
+		ac.drop(n, bytes)
+		ac.reductions++
 	}
-	ac.sum = sum
-	// Drop the buffered references so absorbed matrices can be
-	// collected (truncating alone would pin them in the backing
-	// arrays).
-	clear(ac.batch)
-	ac.batch = ac.batch[:0]
-	clear(ac.pending)
-	ac.pending = ac.pending[:0]
-	ac.pendingBytes = 0
-	ac.reductions++
-	return nil
-}
-
-// reduce runs one batched reduction, converting a panic on the inline
-// (single-threaded) kernel path into the same *PanicError the executor
-// reports for multi-threaded regions.
-func (ac *AccumulatorOf[T]) reduce(ctx context.Context, premapped int) (b *matrix.CSCOf[T], err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = recoverToError(r)
-		}
-	}()
-	return ac.ws.addPremapped(ctx, ac.batch, ac.opt, premapped)
+	return ac.err
 }
 
 // Sum flushes and returns the current total. The returned matrix is

@@ -12,6 +12,10 @@ import (
 	"spkadd/internal/matrix"
 )
 
+// entryBytes is the footprint of one stored float64 entry (4-byte
+// index + 8-byte value), the unit the float64 tests size budgets in.
+const entryBytes = 12
+
 func TestAccumulatorMatchesOneShot(t *testing.T) {
 	leakcheck.Begin(t)
 	as := erInputs(20, 800, 16, 12, 51)

@@ -10,19 +10,21 @@ import (
 
 // This file implements the resident executor: a pool of persistent
 // worker goroutines, created once and parked on per-worker channels
-// between parallel regions, with reusable partitioning scratch. The
-// free functions in sched.go spawn fresh goroutines and allocate
-// prefix/boundary arrays on every call — fine for one-shot figure
-// reproduction, hostile to the steady state of repeated small and
-// medium additions, where goroutine creation and partitioning
-// allocations dominate the actual merge work.
+// between parallel regions, with reusable partitioning scratch. Every
+// parallel phase in the module runs as one of its regions: spawning
+// goroutines and allocating prefix/boundary arrays per phase is
+// hostile to the steady state of repeated small and medium additions,
+// where goroutine creation and partitioning allocations dominate the
+// actual merge work. A one-shot caller creates an executor for the
+// call and closes it on return.
 //
-// The executor offers the same three strategies plus WeightedStealing:
-// contiguous weighted ranges exactly as in the paper's load balancing,
-// but an idle worker steals the suffix half of the most-loaded peer's
-// remaining range. Weighted partitioning balances *predicted* work; on
-// RMAT-skewed columns the prediction error concentrates in a few
-// workers and the region waits for the slowest of them. Dynamic
+// The executor offers Static, Dynamic and Weighted plus
+// WeightedStealing: contiguous weighted ranges exactly as in the
+// paper's load balancing, but an idle worker steals the suffix half of
+// the most-loaded peer's remaining range. Weighted partitioning
+// balances *predicted* work; on RMAT-skewed columns the prediction
+// error concentrates in a few workers and the region waits for the
+// slowest of them. Dynamic
 // closes that gap with fixed chunks but gives up locality and pays a
 // shared-counter CAS per chunk from the start; WeightedStealing starts
 // from the paper's contiguous partitions (no coordination at all while
@@ -191,11 +193,11 @@ func (s *execState) shutdown() {
 	s.wake = nil
 }
 
-// Static divides [0, n) into near-equal contiguous ranges, like the
-// free Static, on resident workers. A panic in the body — on any
-// worker, or on the caller's inline share — is recovered and returned
-// as a *PanicError; the region's remaining work on the panicking
-// worker is abandoned, but the executor and its workers stay usable.
+// Static divides [0, n) into near-equal contiguous ranges on resident
+// workers. A panic in the body — on any worker, or on the caller's
+// inline share — is recovered and returned as a *PanicError; the
+// region's remaining work on the panicking worker is abandoned, but
+// the executor and its workers stay usable.
 // The same contract holds for Dynamic, Weighted and WeightedStealing.
 func (ex *Executor) Static(n, t int, body func(worker, lo, hi int)) (LoadStats, error) {
 	t = Threads(t)
@@ -237,8 +239,9 @@ func RunInline(n int, body func(worker, lo, hi int)) (err error) {
 }
 
 // Dynamic runs body over [0, n) with workers claiming fixed-size
-// chunks from a shared atomic counter, like the free Dynamic, on
-// resident workers.
+// chunks from a shared atomic counter — the load-balancing mode for
+// skewed (RMAT-like) column distributions. chunk <= 0 selects n/(8t),
+// at least 1.
 func (ex *Executor) Dynamic(n, t, chunk int, body func(worker, lo, hi int)) (LoadStats, error) {
 	t = Threads(t)
 	if t > n {
@@ -272,8 +275,8 @@ func (ex *Executor) Dynamic(n, t, chunk int, body func(worker, lo, hi int)) (Loa
 }
 
 // Weighted divides [0, len(weights)) into contiguous ranges of
-// near-equal total weight, like the free Weighted, on resident
-// workers and with the partition scratch reused across regions.
+// near-equal total weight, with the partition scratch reused across
+// regions. Zero and negative weights count as zero.
 func (ex *Executor) Weighted(weights []int64, t int, body func(worker, lo, hi int)) (LoadStats, error) {
 	return ex.s.weightedRun(weights, t, body, false)
 }

@@ -1,20 +1,18 @@
 // Package sched provides the column-scheduling strategies of the
-// paper's parallel SpKAdd (§III-A): static contiguous blocks, dynamic
-// chunk claiming (OpenMP dynamic-style, used for skewed matrices), and
-// weighted partitioning by per-column nonzero counts (the paper
-// balances the symbolic phase by input nnz per column and the addition
-// phase by output nnz per column).
+// paper's parallel SpKAdd (§III-A) as regions of a resident Executor:
+// static contiguous blocks, dynamic chunk claiming (OpenMP
+// dynamic-style, used for skewed matrices), weighted partitioning by
+// per-column nonzero counts (the paper balances the symbolic phase by
+// input nnz per column and the addition phase by output nnz per
+// column), and weighted ranges with work stealing. This file holds the
+// partitioning arithmetic the strategies share.
 //
-// All strategies invoke the body with a worker id so callers can keep
-// per-worker (thread-private) data structures, and never run the body
+// Every strategy invokes the body with a worker id so callers can keep
+// per-worker (thread-private) data structures, and never runs the body
 // for the same index twice.
 package sched
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "runtime"
 
 // Threads normalizes a requested thread count: values < 1 mean
 // GOMAXPROCS.
@@ -25,121 +23,11 @@ func Threads(t int) int {
 	return t
 }
 
-// Static divides [0, n) into t near-equal contiguous ranges and runs
-// body(worker, lo, hi) on each concurrently.
-//
-//spkadd:allow(ctxblock) fork-join barrier: the wait is bounded by body completion; cancellation belongs in the body
-func Static(n, t int, body func(worker, lo, hi int)) {
-	t = Threads(t)
-	if t > n {
-		t = n
-	}
-	if n == 0 {
-		return
-	}
-	if t <= 1 {
-		body(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < t; w++ {
-		lo, hi := Span(n, t, w)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			body(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}
-
 // Span returns the w-th of t near-equal subranges of [0, n), the
 // same arithmetic as the paper's sliding-hash row partitioning
 // (r1 = i*m/parts, r2 = (i+1)*m/parts).
 func Span(n, t, w int) (lo, hi int) {
 	return w * n / t, (w + 1) * n / t
-}
-
-// Dynamic runs body over [0, n) with t workers claiming fixed-size
-// chunks from an atomic counter. chunk <= 0 selects a heuristic
-// (n/(8t), at least 1). This is the load-balancing mode for skewed
-// (RMAT-like) column distributions.
-//
-//spkadd:allow(ctxblock) fork-join barrier: the wait is bounded by body completion; cancellation belongs in the body
-func Dynamic(n, t, chunk int, body func(worker, lo, hi int)) {
-	t = Threads(t)
-	if t > n {
-		// Like Static: more workers than indices would spawn goroutines
-		// that claim nothing (t of them for n=1), so clamp.
-		t = n
-	}
-	if n == 0 {
-		return
-	}
-	if chunk <= 0 {
-		chunk = n / (8 * t)
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
-	if t <= 1 {
-		body(0, 0, n)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < t; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				body(w, lo, hi)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// Weighted divides [0, n) into t contiguous ranges of near-equal total
-// weight and runs them concurrently. weights must have length n; zero
-// and negative weights are treated as zero.
-//
-//spkadd:allow(ctxblock) fork-join barrier: the wait is bounded by body completion; cancellation belongs in the body
-func Weighted(weights []int64, t int, body func(worker, lo, hi int)) {
-	n := len(weights)
-	t = Threads(t)
-	if n == 0 {
-		return
-	}
-	if t <= 1 {
-		body(0, 0, n)
-		return
-	}
-	bounds := PartitionByWeight(weights, t)
-	var wg sync.WaitGroup
-	for w := 0; w < t; w++ {
-		lo, hi := bounds[w], bounds[w+1]
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			body(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
 }
 
 // PartitionByWeight returns t+1 boundaries over [0, len(weights)) such

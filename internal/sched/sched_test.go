@@ -6,56 +6,6 @@ import (
 	"testing/quick"
 )
 
-// cover runs a strategy and asserts every index in [0, n) is visited
-// exactly once.
-func cover(t *testing.T, n int, run func(body func(worker, lo, hi int))) {
-	t.Helper()
-	var mu sync.Mutex
-	seen := make([]int, n)
-	run(func(_, lo, hi int) {
-		mu.Lock()
-		defer mu.Unlock()
-		for i := lo; i < hi; i++ {
-			seen[i]++
-		}
-	})
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("index %d visited %d times", i, c)
-		}
-	}
-}
-
-func TestStaticCovers(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100} {
-		for _, th := range []int{1, 2, 3, 8, 200} {
-			cover(t, n, func(b func(int, int, int)) { Static(n, th, b) })
-		}
-	}
-}
-
-func TestDynamicCovers(t *testing.T) {
-	for _, n := range []int{0, 1, 13, 257} {
-		for _, th := range []int{1, 2, 5, 16} {
-			for _, chunk := range []int{0, 1, 7, 1000} {
-				cover(t, n, func(b func(int, int, int)) { Dynamic(n, th, chunk, b) })
-			}
-		}
-	}
-}
-
-func TestWeightedCovers(t *testing.T) {
-	for _, n := range []int{0, 1, 9, 64} {
-		weights := make([]int64, n)
-		for i := range weights {
-			weights[i] = int64(i * i)
-		}
-		for _, th := range []int{1, 2, 4, 9} {
-			cover(t, n, func(b func(int, int, int)) { Weighted(weights, th, b) })
-		}
-	}
-}
-
 func TestSpanCoversExactly(t *testing.T) {
 	f := func(nRaw, tRaw uint8) bool {
 		n, tt := int(nRaw), int(tRaw)%16+1
@@ -120,10 +70,12 @@ func TestDynamicClampsWorkersToN(t *testing.T) {
 	// More workers than indices: only worker ids below n may run (the
 	// old code spawned all t goroutines and let any of them win the
 	// single chunk).
+	ex := NewElasticExecutor()
+	defer ex.Close()
 	for _, n := range []int{1, 2, 3} {
 		var mu sync.Mutex
 		maxW := -1
-		Dynamic(n, 8, 0, func(w, lo, hi int) {
+		ex.Dynamic(n, 8, 0, func(w, lo, hi int) {
 			mu.Lock()
 			if w > maxW {
 				maxW = w
@@ -140,10 +92,12 @@ func TestWeightedZeroWeightsFallsBackToSpan(t *testing.T) {
 	// All-zero weights used to degenerate to one worker owning [0, n);
 	// they must fall back to Span partitioning instead.
 	const n, th = 12, 4
+	ex := NewElasticExecutor()
+	defer ex.Close()
 	weights := make([]int64, n)
 	var mu sync.Mutex
 	got := map[int][2]int{}
-	Weighted(weights, th, func(w, lo, hi int) {
+	ex.Weighted(weights, th, func(w, lo, hi int) {
 		mu.Lock()
 		got[w] = [2]int{lo, hi}
 		mu.Unlock()
@@ -179,10 +133,12 @@ func TestPartitionByWeightIntoReusesScratch(t *testing.T) {
 func TestWorkerIDsDistinct(t *testing.T) {
 	// Each concurrent worker must receive a distinct id so callers can
 	// index per-worker state safely.
+	ex := NewElasticExecutor()
+	defer ex.Close()
 	var mu sync.Mutex
 	inUse := map[int]bool{}
 	ok := true
-	Static(64, 8, func(w, lo, hi int) {
+	ex.Static(64, 8, func(w, lo, hi int) {
 		mu.Lock()
 		if inUse[w] {
 			ok = false

@@ -29,10 +29,10 @@ type Options struct {
 	// <=0 means 0.5, values above 1 clamp to 1.0.
 	LoadFactor float64
 	// Executor, when non-nil, runs both parallel phases on the given
-	// resident worker pool instead of spawning goroutines per phase —
-	// the same sharing contract as the SpKAdd Options.Executor, used
-	// by the SUMMA simulation to keep one worker set across every
-	// process's multiply and reduction.
+	// resident worker pool instead of one created for the call — the
+	// same sharing contract as the SpKAdd Options.Executor, used by the
+	// SUMMA simulation to keep one worker set across every process's
+	// multiply and reduction.
 	Executor *sched.Executor
 }
 
@@ -77,20 +77,16 @@ func Mul(a, b *matrix.CSC, opt Options) (*matrix.CSC, error) {
 		return workers[w]
 	}
 	// Both phases run weighted — flops bound the symbolic work, exact
-	// counts the numeric work — on the caller's resident executor when
-	// one is provided.
-	// A panic in a body on a shared executor comes back as an error
-	// (the executor's workers recover and survive); propagate it
-	// instead of publishing a half-filled product.
-	runWeighted := func(weights []int64, body func(w, lo, hi int)) error {
-		if opt.Executor != nil {
-			_, err := opt.Executor.Weighted(weights, t, body)
-			return err
-		}
-		sched.Weighted(weights, t, body)
-		return nil
+	// counts the numeric work — as regions of the caller's executor, or
+	// of one scoped to this call. A panic in a body comes back as a
+	// *sched.PanicError (the executor's workers recover and survive);
+	// propagate it instead of publishing a half-filled product.
+	ex := opt.Executor
+	if ex == nil {
+		ex = sched.NewExecutor(t)
+		defer ex.Close()
 	}
-	err := runWeighted(flops, func(w, lo, hi int) {
+	_, err := ex.Weighted(flops, t, func(w, lo, hi int) {
 		ws := getWorker(w)
 		for j := lo; j < hi; j++ {
 			if flops[j] == 0 {
@@ -123,7 +119,7 @@ func Mul(a, b *matrix.CSC, opt Options) (*matrix.CSC, error) {
 	c.Val = make([]matrix.Value, nnz)
 
 	// Numeric phase: accumulate a(:,k)*b(k,j) into hash tables.
-	err = runWeighted(counts, func(w, lo, hi int) {
+	_, err = ex.Weighted(counts, t, func(w, lo, hi int) {
 		ws := getWorker(w)
 		for j := lo; j < hi; j++ {
 			need := int(counts[j])

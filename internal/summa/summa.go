@@ -152,8 +152,9 @@ func Run(a, b *matrix.CSC, cfg Config) (*matrix.CSC, Report, error) {
 	// recycling stays off: each reduced block is retained for
 	// assembly. In concurrent mode the processes draw pooled
 	// workspaces (each with its own resident executor) through
-	// core.Add instead; sharing one executor there would serialize the
-	// concurrent processes' phases.
+	// core.Add instead, and each multiply runs on an executor of its
+	// own; sharing one executor there would serialize the concurrent
+	// processes' phases.
 	var addWS *core.Workspace
 	if cfg.Sequential {
 		addWS = core.NewWorkspace(false)
