@@ -179,36 +179,49 @@ func TestAdderZeroSteadyStateAllocsMonoid(t *testing.T) {
 }
 
 // TestAdderZeroSteadyStateAllocsSchedules extends the zero-allocation
-// contract to scheduling: a warmed Adder allocates nothing for EVERY
-// Options.Schedule — including the racy Dynamic and WeightedStealing
-// modes, whose column→worker assignment varies run to run — and at
-// Threads > 1, where the resident executor parks its workers between
-// calls. (The older alloc tests predate the executor and pin Threads
-// to 1 because the spawn-per-phase scheduler allocated goroutines;
-// that restriction is exactly what this PR removed.)
+// contract to scheduling: a warmed Adder allocates nothing for every
+// algorithm × engine at Threads > 1, although stealing hands columns to
+// workers differently from run to run and the resident executor parks
+// its workers between calls. The cells are uniform (ER) or skewed
+// (RMAT) column weights at 2 or 4 workers; each keeps, as its subtest
+// name, one of the four column schedules the one weighted,
+// work-stealing schedule replaced, so the cases keep their IDs.
 func TestAdderZeroSteadyStateAllocsSchedules(t *testing.T) {
-	as := adderTestInputs(8, 2048, 48, 8, 9)
-	schedules := []spkadd.Schedule{
-		spkadd.ScheduleWeighted, spkadd.ScheduleStatic,
-		spkadd.ScheduleDynamic, spkadd.ScheduleWeightedStealing,
+	o := generate.Opts{Rows: 2048, Cols: 48, NNZPerCol: 8, Seed: 9}
+	inputs := map[string][]*spkadd.Matrix{
+		"ER":   generate.ERCollection(8, o),
+		"RMAT": generate.RMATCollection(8, o, generate.Graph500),
 	}
-	for _, s := range schedules {
+	regimes := []struct {
+		name    string
+		pattern string
+		threads int
+	}{
+		{"Static", "ER", 2},
+		{"Weighted", "RMAT", 2},
+		{"Dynamic", "ER", 4},
+		{"WeightedStealing", "RMAT", 4},
+	}
+	for _, rg := range regimes {
 		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
-			t.Run(fmt.Sprintf("%v/%v", s, p), func(t *testing.T) {
-				ad := spkadd.NewAdder()
-				opt := spkadd.Options{Algorithm: spkadd.Hash, Phases: p, Schedule: s, SortedOutput: true, Threads: 2}
-				for warm := 0; warm < 3; warm++ {
-					if _, err := ad.Add(as, opt); err != nil {
-						t.Fatal(err)
+			t.Run(fmt.Sprintf("%s/%v", rg.name, p), func(t *testing.T) {
+				as := inputs[rg.pattern]
+				for _, alg := range []spkadd.Algorithm{spkadd.Hash, spkadd.SPA, spkadd.Heap} {
+					ad := spkadd.NewAdder()
+					opt := spkadd.Options{Algorithm: alg, Phases: p, SortedOutput: true, Threads: rg.threads}
+					for warm := 0; warm < 3; warm++ {
+						if _, err := ad.Add(as, opt); err != nil {
+							t.Fatal(err)
+						}
 					}
-				}
-				allocs := testing.AllocsPerRun(10, func() {
-					if _, err := ad.Add(as, opt); err != nil {
-						t.Fatal(err)
+					allocs := testing.AllocsPerRun(10, func() {
+						if _, err := ad.Add(as, opt); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if allocs != 0 {
+						t.Errorf("%v at Threads %d: steady state allocates %.1f times per op, want 0", alg, rg.threads, allocs)
 					}
-				})
-				if allocs != 0 {
-					t.Errorf("steady state allocates %.1f times per op, want 0", allocs)
 				}
 			})
 		}

@@ -189,60 +189,6 @@ func BenchmarkAblationLoadFactor(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSchedule quantifies the scheduling strategies of
-// §III-A (plus the executor's stealing mode) on a skewed workload.
-func BenchmarkAblationSchedule(b *testing.B) {
-	as := generate.RMATCollection(32, generate.Opts{Rows: benchRows, Cols: 64, NNZPerCol: 128, Seed: 12}, generate.Graph500)
-	for name, s := range map[string]spkadd.Schedule{
-		"weighted":          spkadd.ScheduleWeighted,
-		"static":            spkadd.ScheduleStatic,
-		"dynamic":           spkadd.ScheduleDynamic,
-		"weighted-stealing": spkadd.ScheduleWeightedStealing,
-	} {
-		b.Run(name, func(b *testing.B) {
-			addLoop(b, as, spkadd.Options{Algorithm: spkadd.Hash, Schedule: s, Threads: 4})
-		})
-	}
-}
-
-// BenchmarkSchedModes compares the four schedules on a RMAT-skewed
-// workload through a reused Adder, so every iteration runs on the
-// resident executor (parked workers, recycled partition scratch). Run
-// with -cpu 1,4 — the CI bench smoke does — to see the single-proc
-// inline path and the multi-worker paths both exercised; steals and
-// imbalance are reported as benchmark metrics.
-func BenchmarkSchedModes(b *testing.B) {
-	as := generate.RMATCollection(8, generate.Opts{Rows: 1 << 15, Cols: 64, NNZPerCol: 64, Seed: 23}, generate.Graph500)
-	for _, s := range []spkadd.Schedule{
-		spkadd.ScheduleWeighted, spkadd.ScheduleStatic,
-		spkadd.ScheduleDynamic, spkadd.ScheduleWeightedStealing,
-	} {
-		b.Run(s.String(), func(b *testing.B) {
-			ad := spkadd.NewAdder()
-			opt := spkadd.Options{Algorithm: spkadd.Hash, Schedule: s}
-			for warm := 0; warm < 3; warm++ {
-				if _, err := ad.Add(as, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// Stats attach after warmup so steals/op and imbalance
-			// describe exactly the b.N timed iterations.
-			var stats spkadd.OpStats
-			opt.Stats = &stats
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ad.Add(as, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(stats.Steals.Load())/float64(b.N), "steals/op")
-			b.ReportMetric(stats.LoadImbalance(), "imbalance")
-		})
-	}
-}
-
 // BenchmarkAblationSortedOutput quantifies the cost of sorted output
 // for the hash algorithm (the sorted-vs-unsorted hash gap of Fig 6).
 func BenchmarkAblationSortedOutput(b *testing.B) {
@@ -390,33 +336,32 @@ func BenchmarkAdderReuseMonoid(b *testing.B) {
 	}
 }
 
-// BenchmarkAdderReuseSched is BenchmarkAdderReuse under the
-// non-default schedules at default (GOMAXPROCS) threads: the CI
-// allocation gate greps it with the other reuse benchmarks, so a
-// warmed Adder must report 0 allocs/op for the racy Dynamic and
-// WeightedStealing modes too — scheduling included, which is what the
-// resident executor exists to guarantee.
+// BenchmarkAdderReuseSched is BenchmarkAdderReuse at default
+// (GOMAXPROCS) threads, for both engines: the CI allocation gate greps
+// it with the other reuse benchmarks, so a warmed Adder must report 0
+// allocs/op with its phases running as multi-worker regions too —
+// stealing and the scheduling machinery included, which is what the
+// resident executor exists to guarantee. The CI sched smoke runs it at
+// -cpu 1,4, so the steal loop executes on every change.
 func BenchmarkAdderReuseSched(b *testing.B) {
 	as := adderReuseInputs()
-	for _, s := range []spkadd.Schedule{spkadd.ScheduleDynamic, spkadd.ScheduleWeightedStealing} {
-		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
-			opt := spkadd.Options{Algorithm: spkadd.Hash, Phases: p, Schedule: s, SortedOutput: true}
-			b.Run(fmt.Sprintf("%v/%v", s, p), func(b *testing.B) {
-				ad := spkadd.NewAdder()
-				for warm := 0; warm < 3; warm++ {
-					if _, err := ad.Add(as, opt); err != nil {
-						b.Fatal(err)
-					}
+	for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
+		opt := spkadd.Options{Algorithm: spkadd.Hash, Phases: p, SortedOutput: true}
+		b.Run(p.String(), func(b *testing.B) {
+			ad := spkadd.NewAdder()
+			for warm := 0; warm < 3; warm++ {
+				if _, err := ad.Add(as, opt); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := ad.Add(as, opt); err != nil {
-						b.Fatal(err)
-					}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ad.Add(as, opt); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

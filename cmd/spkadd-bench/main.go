@@ -9,13 +9,11 @@
 // execution-engine comparison), reuse (one-shot Add vs a reused
 // Adder workspace across k and d), pool (sharded-pool throughput over
 // a producer-count × shard-count grid), monoid (generic combine
-// overhead: every built-in monoid vs the Plus fast path), sched (the
-// schedule × skew × threads grid on the resident executor, including
-// WeightedStealing), tune, ablation, and dtype (the value-type A/B:
-// identical additions over float64 and float32 values, interleaved,
-// on cells sized so the accumulator straddles a per-core cache at
-// 8-byte values but fits at 4). See EXPERIMENTS.md for the
-// workload mapping and expected shapes.
+// overhead: every built-in monoid vs the Plus fast path), tune,
+// ablation, and dtype (the value-type A/B: identical additions over
+// float64 and float32 values, interleaved, on cells sized so the
+// accumulator straddles a per-core cache at 8-byte values but fits at
+// 4). See EXPERIMENTS.md for the workload mapping and expected shapes.
 //
 // With -baseline, the harness instead measures a small fixed grid of
 // shapes across every algorithm and engine — runtime plus allocs/op
@@ -39,7 +37,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("spkadd-bench: ")
-	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(bench.Experiments, ", ")+", phases, reuse, pool, monoid, sched, tune, ablation, dtype, or all")
+	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(bench.Experiments, ", ")+", phases, reuse, pool, monoid, tune, ablation, dtype, or all")
 	reps := flag.Int("reps", 1, "timed repetitions per cell (minimum reported)")
 	threads := flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 	scale := flag.Int("scale", 1, "divide workload sizes by this factor")

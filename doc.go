@@ -144,16 +144,15 @@
 // # Threads, scheduling and executor sharing
 //
 // Options.Threads sets the worker count of one call (<1 means
-// GOMAXPROCS); Options.Schedule sets how output columns spread over
-// those workers — weighted by per-column nonzeros (the default),
-// static blocks, dynamic chunk claiming, or weighted with work
-// stealing (ScheduleWeightedStealing), which fixes skewed inputs'
-// tail latency without dynamic's coordination cost on uniform ones.
-// Workers are not spawned per call: every Adder, Accumulator and Pool
-// keeps a resident Executor — persistent goroutines parked between
-// parallel phases plus reusable partitioning scratch — so a warmed
-// Adder allocates nothing even for its scheduling, whatever the
-// schedule. Threads: 1 calls bypass the executor entirely.
+// GOMAXPROCS). Every parallel phase spreads output columns over those
+// workers the way the paper does — contiguous ranges weighted by
+// per-column nonzeros — and a worker that runs dry steals the back
+// half of the most-loaded peer's remaining range, which fixes skewed
+// inputs' tail latency. Workers are not spawned per call: every
+// Adder, Accumulator and Pool keeps a resident Executor — persistent
+// goroutines parked between parallel phases plus reusable
+// partitioning scratch — so a warmed Adder allocates nothing even for
+// its scheduling. Threads: 1 calls bypass the executor entirely.
 //
 // To put several of them under one global concurrency budget, create
 // an Executor explicitly and share it:
@@ -164,9 +163,9 @@
 //	// take turns on the same 8 workers instead of parking 8 each
 //
 // Parallel phases from concurrent callers serialize on the shared
-// pool; results never depend on the executor, schedule or thread
-// count. OpStats reports per-phase load balance (LoadImbalance,
-// Steals). See DESIGN.md §9.
+// pool; results never depend on the executor or the thread count.
+// OpStats reports per-phase load balance (LoadImbalance, Steals). See
+// DESIGN.md §9.
 //
 // # Errors, cancellation and failure containment
 //

@@ -37,20 +37,15 @@ func TestSharedExecutorAddersAndPool(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 
-	// Concurrent Adders, one per goroutine, all on the shared pool,
-	// alternating schedules so the steal path runs concurrently with
-	// weighted regions from other callers.
+	// Concurrent Adders, one per goroutine, all on the shared pool, so
+	// stealing regions from different callers interleave.
 	for g := range streams {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			ad := spkadd.NewAdder()
-			schedules := []spkadd.Schedule{spkadd.ScheduleWeighted, spkadd.ScheduleWeightedStealing, spkadd.ScheduleDynamic}
 			for iter := 0; iter < 15; iter++ {
-				opt := spkadd.Options{
-					Algorithm: spkadd.Hash, SortedOutput: true,
-					Threads: 4, Schedule: schedules[iter%len(schedules)], Executor: ex,
-				}
+				opt := spkadd.Options{Algorithm: spkadd.Hash, SortedOutput: true, Threads: 4, Executor: ex}
 				got, err := ad.Add(streams[g], opt)
 				if err != nil {
 					errs <- err
@@ -69,7 +64,7 @@ func TestSharedExecutorAddersAndPool(t *testing.T) {
 	pool := spkadd.NewPool(rows, cols, spkadd.PoolOptions{
 		Shards:      2,
 		BudgetBytes: 1 << 16,
-		Add:         spkadd.Options{Algorithm: spkadd.Hash, Threads: 2, Executor: ex, Schedule: spkadd.ScheduleWeightedStealing},
+		Add:         spkadd.Options{Algorithm: spkadd.Hash, Threads: 2, Executor: ex},
 	})
 	all := make([]*spkadd.Matrix, 0, 9)
 	for _, stream := range streams {

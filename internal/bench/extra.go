@@ -43,12 +43,11 @@ func Tune(cfg Config) error {
 }
 
 // Ablation prints the design-choice comparisons DESIGN.md calls out:
-// hash-table load factor, scheduling strategy on skewed inputs, and
-// the cost of sorted output for the hash algorithm.
+// hash-table load factor and the cost of sorted output for the hash
+// algorithm.
 func Ablation(cfg Config) error {
 	m := 1 << 17 / cfg.scale()
 	er := generate.ERCollection(32, generate.Opts{Rows: m, Cols: 32, NNZPerCol: 256, Seed: 52})
-	rmat := generate.RMATCollection(32, generate.Opts{Rows: m, Cols: 64, NNZPerCol: 128, Seed: 53}, generate.Graph500)
 
 	fmt.Fprintln(cfg.Out, "Ablation 1: hash-table load factor (ER d=256 k=32)")
 	for _, lf := range []float64{0.25, 0.5, 0.75, 0.95} {
@@ -61,16 +60,7 @@ func Ablation(cfg Config) error {
 		fmt.Fprintf(cfg.Out, "  lf=%.2f  %s s\n", lf, fmtDur(dur))
 	}
 
-	fmt.Fprintln(cfg.Out, "Ablation 2: column scheduling on skewed RMAT (d=128 k=32)")
-	for _, s := range core.Schedules {
-		dur, _, err := timeAdd(rmat, core.Options{Algorithm: core.Hash, Threads: cfg.Threads, Schedule: s, Phases: core.PhasesTwoPass}, cfg.reps()+2)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(cfg.Out, "  %-17v %s s\n", s, fmtDur(dur))
-	}
-
-	fmt.Fprintln(cfg.Out, "Ablation 3: sorted vs unsorted hash output (ER d=256 k=32)")
+	fmt.Fprintln(cfg.Out, "Ablation 2: sorted vs unsorted hash output (ER d=256 k=32)")
 	for _, sorted := range []bool{false, true} {
 		dur, _, err := timeAdd(er, core.Options{Algorithm: core.Hash, Threads: cfg.Threads, SortedOutput: sorted, Phases: core.PhasesTwoPass}, cfg.reps()+2)
 		if err != nil {

@@ -2,7 +2,7 @@ package bench
 
 // AllocGateBench selects the steady-state Adder-reuse benchmarks whose
 // allocs/op must be exactly zero: the Plus fast path, the generic
-// combine path, the non-default schedules, the faults-off injection
+// combine path, multi-worker regions, the faults-off injection
 // sites, and the non-float64 value-type instantiations
 // (float32/int32/int64/bool).
 // It is the single source of truth for the CI

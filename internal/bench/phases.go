@@ -92,7 +92,6 @@ type BaselineCell struct {
 	Algorithm string `json:"algorithm"`
 	Engine    string `json:"engine"`
 	Monoid    string `json:"monoid"`
-	Schedule  string `json:"schedule"`
 	// Dtype is the element type of the value axis (schema 7):
 	// "float64" on the classic grid, "float32" on the narrow-value
 	// sweep. Cells from pre-7 baselines have no dtype and are all
@@ -154,11 +153,10 @@ func Baseline(cfg Config, out io.Writer) error {
 	const rows, cols = 1 << 15, 32
 	rep := BaselineReport{
 		// 2 added allocs/bytes per op; 3 added monoid cells; 4 added
-		// the schedule field (Weighted on pre-4 cells) and a schedule
-		// sweep on the first workload; 5 added the host topology
-		// (num_cpu, cpu_model); 6 added a planner sweep, since removed;
-		// 7 added the dtype field and a float32 sweep on the second
-		// workload.
+		// a schedule field and sweep, since removed; 5 added the host
+		// topology (num_cpu, cpu_model); 6 added a planner sweep, since
+		// removed; 7 added the dtype field and a float32 sweep on the
+		// second workload.
 		Schema:     7,
 		CreatedAt:  time.Now().UTC().Format(time.RFC3339),
 		GoVersion:  runtime.Version(),
@@ -222,20 +220,6 @@ func Baseline(cfg Config, out io.Writer) error {
 				}
 			}
 		}
-		if ci == 0 {
-			// Schedule sweep (schema 4): the non-default schedules on
-			// the first workload, Hash two-pass, so the resident
-			// executor's scheduling paths have a perf trajectory too
-			// (the Weighted default is the grid above).
-			for _, s := range []core.Schedule{core.ScheduleStatic, core.ScheduleDynamic, core.ScheduleWeightedStealing} {
-				opt := core.Options{Algorithm: core.Hash, Phases: core.PhasesTwoPass, Schedule: s, Threads: cfg.Threads, CacheBytes: cfg.cacheBytes()}
-				cell, err := measureBaselineCell(c, as, in, opt, cfg)
-				if err != nil {
-					return fmt.Errorf("baseline %s schedule %v: %w", c.pattern, s, err)
-				}
-				rep.Cells = append(rep.Cells, cell)
-			}
-		}
 	}
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
@@ -295,7 +279,6 @@ func measureBaselineCell[T matrix.Number](c phasesCase, as []*matrix.CSCOf[T], i
 		Algorithm:   opt.Algorithm.String(),
 		Engine:      opt.Phases.String(),
 		Monoid:      monName,
-		Schedule:    opt.Schedule.String(),
 		Dtype:       dtypeName[T](),
 		Seconds:     dur.Seconds(),
 		NNZIn:       in,

@@ -38,8 +38,6 @@ func Run(name string, cfg Config) error {
 		return Pool(cfg)
 	case "monoid":
 		return Monoid(cfg)
-	case "sched":
-		return Sched(cfg)
 	case "tune":
 		return Tune(cfg)
 	case "ablation":
@@ -54,6 +52,6 @@ func Run(name string, cfg Config) error {
 		}
 		return nil
 	default:
-		return fmt.Errorf("%w: %q (want one of %v, \"phases\", \"reuse\", \"pool\", \"monoid\", \"sched\", \"tune\", \"ablation\", \"dtype\", or \"all\")", ErrUnknownExperiment, name, Experiments)
+		return fmt.Errorf("%w: %q (want one of %v, \"phases\", \"reuse\", \"pool\", \"monoid\", \"tune\", \"ablation\", \"dtype\", or \"all\")", ErrUnknownExperiment, name, Experiments)
 	}
 }

@@ -159,15 +159,15 @@ func (ws *WorkspaceOf[T]) addKWay() (*matrix.CSCOf[T], PhaseTimings, error) {
 	// The weights double as the per-column input nnz the symbolic
 	// kernels need, so it is computed exactly once — outside the
 	// timer, where the seed computed it, to keep the Fig 4 phase
-	// split comparable. Reservation (a no-op except under the racy
-	// schedules) stays outside the timers too: it is scratch sizing,
-	// like the workspace growth the timers never saw.
+	// split comparable. Reservation (a no-op at one thread) stays
+	// outside the timers too: it is scratch sizing, like the workspace
+	// growth the timers never saw.
 	if err := ws.fillInputWeights(); err != nil {
 		return nil, pt, err
 	}
 	ws.reserveWorkers(ws.weights, true)
 	symStart := time.Now()
-	err := ws.runCols(n, ws.weights, ws.symFn)
+	err := ws.runCols(ws.weights, ws.symFn)
 	pt.Symbolic = time.Since(symStart)
 	if err != nil {
 		return nil, pt, err
@@ -193,7 +193,7 @@ func (ws *WorkspaceOf[T]) addKWay() (*matrix.CSCOf[T], PhaseTimings, error) {
 	}
 	ws.reserveWorkers(numBound, false)
 	numStart := time.Now()
-	err = ws.runCols(n, ws.counts, ws.numFn)
+	err = ws.runCols(ws.counts, ws.numFn)
 	pt.Numeric = time.Since(numStart)
 	if err != nil {
 		return nil, pt, err

@@ -159,7 +159,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a2, err := Add(as, Options{Algorithm: alg, SortedOutput: true, Threads: 2, Schedule: ScheduleDynamic})
+		a2, err := Add(as, Options{Algorithm: alg, SortedOutput: true, Threads: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,50 +83,6 @@ var Algorithms = []Algorithm{
 	Heap, SPA, Hash, SlidingHash,
 }
 
-// Schedule selects how output columns are distributed over workers.
-type Schedule int
-
-const (
-	// ScheduleWeighted partitions columns by per-column nonzero
-	// weight (the paper's load-balancing: input nnz in the symbolic
-	// phase, output nnz in the addition phase). The default.
-	ScheduleWeighted Schedule = iota
-	// ScheduleStatic uses equal-width contiguous column blocks.
-	ScheduleStatic
-	// ScheduleDynamic uses atomic chunk claiming.
-	ScheduleDynamic
-	// ScheduleWeightedStealing starts from the same contiguous
-	// weighted ranges as ScheduleWeighted, but workers claim their
-	// range in geometrically shrinking chunks and idle workers steal
-	// the suffix half of the most-loaded peer's remaining range. The
-	// weighted partition balances predicted work; on RMAT-skewed
-	// columns the prediction error concentrates in a few workers and
-	// the phase waits for the slowest of them — stealing closes that
-	// tail without ScheduleDynamic's per-chunk shared-counter traffic
-	// on well-predicted (uniform) inputs.
-	ScheduleWeightedStealing
-)
-
-var scheduleNames = map[Schedule]string{
-	ScheduleWeighted:         "Weighted",
-	ScheduleStatic:           "Static",
-	ScheduleDynamic:          "Dynamic",
-	ScheduleWeightedStealing: "WeightedStealing",
-}
-
-// String returns the schedule's display name.
-func (s Schedule) String() string {
-	if n, ok := scheduleNames[s]; ok {
-		return n
-	}
-	return "Unknown"
-}
-
-// Schedules lists every scheduling strategy.
-var Schedules = []Schedule{
-	ScheduleWeighted, ScheduleStatic, ScheduleDynamic, ScheduleWeightedStealing,
-}
-
 // Phases selects the execution engine that drives the k-way
 // algorithms (Heap, SPA, Hash): how many passes the driver takes over
 // the input matrices. The paper's lower bound is O(knd) memory
@@ -187,9 +143,9 @@ const (
 
 // OptionsOf configure an SpKAdd call over element type T. The zero
 // value is valid for the arithmetic types: Auto algorithm, GOMAXPROCS
-// threads, weighted scheduling, sorted output off, Skylake-like cache
-// budget. Boolean matrices have no "+" and must select a monoid
-// explicitly (ops.AnyFor[bool]() is the usual choice).
+// threads, sorted output off, Skylake-like cache budget. Boolean
+// matrices have no "+" and must select a monoid explicitly
+// (ops.AnyFor[bool]() is the usual choice).
 type OptionsOf[T matrix.Number] struct {
 	Algorithm Algorithm
 	// Threads is the worker count T; <1 means GOMAXPROCS.
@@ -211,8 +167,6 @@ type OptionsOf[T matrix.Number] struct {
 	// O(1) expected probing at the cost of memory; see the load-factor
 	// ablation.
 	LoadFactor float64
-	// Schedule selects the column scheduling strategy.
-	Schedule Schedule
 	// Executor, when non-nil, runs every parallel phase of the call on
 	// the given resident worker pool instead of the workspace-owned
 	// default. Sharing one budgeted Executor across many Adders,
@@ -313,16 +267,17 @@ type OpStats struct {
 	// is where that resolution — and the fast-path/generic-path split
 	// it implies — becomes observable.
 	monoidUsed atomic.Pointer[ops.Monoid] //spkadd:atomic
-	// Steals counts range suffixes the WeightedStealing schedule moved
-	// from a busy worker to an idle one, across all recorded regions.
+	// Steals counts range suffixes a weighted region moved from a busy
+	// worker to an idle one, across all recorded regions.
 	Steals atomic.Int64 //spkadd:atomic
 	// SchedRegions counts the multi-worker parallel regions (one per
 	// phase per addition: symbolic, numeric, single pass, compact, ...)
 	// the executor dispatched; single-worker phases run inline and are
 	// not regions. SchedMaxWeight and SchedMeanWeight accumulate each
 	// region's maximum and mean per-worker executed weight — the
-	// caller's column weights under the weighted schedules, column
-	// counts otherwise — so LoadImbalance reports the observed balance.
+	// column weights of a weighted region, column counts of the static
+	// input-weights precompute — so LoadImbalance reports the observed
+	// balance.
 	SchedRegions    atomic.Int64 //spkadd:atomic
 	SchedMaxWeight  atomic.Int64 //spkadd:atomic
 	SchedMeanWeight atomic.Int64 //spkadd:atomic

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"spkadd/internal/matrix"
+	"spkadd/internal/ops"
 	"spkadd/internal/sched"
 )
 
@@ -39,6 +41,43 @@ func TestLoadFactorFullTables(t *testing.T) {
 		}
 		if !got.Equal(want) {
 			t.Errorf("%v: LoadFactor 9 (clamped to 1.0) gave a wrong sum", p)
+		}
+	}
+}
+
+// TestValidateRejectsUnknownEnums: an Algorithm or Phases value
+// outside its constants has no driver behind it and must fail
+// validation — one-shot, through a reused workspace at two threads,
+// and on the single-input shortcut — rather than return an empty sum
+// or run a two-pass engine that skips the DropIdentity check.
+func TestValidateRejectsUnknownEnums(t *testing.T) {
+	as := erInputs(4, 300, 16, 8, 75)
+	plusDrop := &ops.Monoid{
+		Name:         "PlusDrop",
+		Combine:      func(a, b matrix.Value) matrix.Value { return a + b },
+		DropIdentity: true,
+	}
+	for _, opt := range []Options{
+		{Algorithm: Algorithm(99)},
+		{Algorithm: Algorithm(-1)},
+		{Phases: Phases(7)},
+		{Phases: Phases(-1)},
+		{Phases: Phases(7), Monoid: plusDrop},
+	} {
+		name := fmt.Sprintf("Algorithm(%d)/Phases(%d)", int(opt.Algorithm), int(opt.Phases))
+		if opt.Monoid != nil {
+			name += "/" + opt.Monoid.Name
+		}
+		if got, err := Add(as, opt); err == nil {
+			t.Errorf("%s: Add returned %d entries and no error", name, got.NNZ())
+		}
+		if got, err := Add(as[:1], opt); err == nil {
+			t.Errorf("%s: single-input Add returned %d entries and no error", name, got.NNZ())
+		}
+		opt.Threads = 2
+		ws := NewWorkspace(true)
+		if got, err := ws.Add(as, opt); err == nil {
+			t.Errorf("%s: workspace Add at Threads 2 returned %d entries and no error", name, got.NNZ())
 		}
 	}
 }

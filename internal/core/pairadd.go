@@ -19,7 +19,7 @@ func pairAddMerge[T matrix.Arith](a, b *matrix.CSCOf[T], opt OptionsOf[T], ex *s
 
 	// Symbolic pass: count merged entries per column.
 	counts := make([]int64, n)
-	err := runColsOn(ex, n, t, opt.Schedule, pairWeights(a, b), opt.Stats, func(_ int, lo, hi int) {
+	err := runColsOn(ex, t, pairWeights(a, b), opt.Stats, func(_ int, lo, hi int) {
 		for j := lo; j < hi; j++ {
 			counts[j] = int64(mergeCount(a.ColRows(j), b.ColRows(j)))
 		}
@@ -35,7 +35,7 @@ func pairAddMerge[T matrix.Arith](a, b *matrix.CSCOf[T], opt OptionsOf[T], ex *s
 	out.Val = make([]T, nnz)
 
 	// Numeric pass: merge into the preallocated slices.
-	err = runColsOn(ex, n, t, opt.Schedule, counts, opt.Stats, func(_ int, lo, hi int) {
+	err = runColsOn(ex, t, counts, opt.Stats, func(_ int, lo, hi int) {
 		for j := lo; j < hi; j++ {
 			olo, ohi := out.ColPtr[j], out.ColPtr[j+1]
 			mergeInto(
@@ -68,7 +68,7 @@ func pairAddMap[T matrix.Arith](a, b *matrix.CSCOf[T], opt OptionsOf[T], ex *sch
 		vals []T
 	}
 	cols := make([]col, n)
-	err := runColsOn(ex, n, t, opt.Schedule, pairWeights(a, b), opt.Stats, func(_ int, lo, hi int) {
+	err := runColsOn(ex, t, pairWeights(a, b), opt.Stats, func(_ int, lo, hi int) {
 		for j := lo; j < hi; j++ {
 			acc := make(map[matrix.Index]T)
 			for _, src := range []*matrix.CSCOf[T]{a, b} {
@@ -121,11 +121,9 @@ func pairWeights[T matrix.Number](a, b *matrix.CSCOf[T]) []int64 {
 	return w
 }
 
-// runColsOn dispatches columns [0, n) to workers of the given
-// resident executor under the configured schedule, recording the
-// region's load statistics into stats (when non-nil). weights may be
-// nil for the Static and Dynamic schedules; weighted schedules
-// without weights fall back to Static. Single-worker regions (t <= 1,
+// runColsOn runs columns [0, len(weights)) as a region of the given
+// resident executor, weighted by weights, recording the region's load
+// statistics into stats (when non-nil). Single-worker regions (t <= 1,
 // one column, or a nil executor) run inline on the caller, unrecorded
 // — they carry no balance information and must stay free of locking
 // so a Threads==1 reduction (every multi-shard Pool) pays nothing.
@@ -133,7 +131,8 @@ func pairWeights[T matrix.Number](a, b *matrix.CSCOf[T]) []int64 {
 // A panic in the body — on a resident worker or on the inline path —
 // comes back as a *sched.PanicError; the region always completes its
 // barrier first, so no worker still runs when the error surfaces.
-func runColsOn(ex *sched.Executor, n, t int, s Schedule, weights []int64, stats *OpStats, body func(worker, lo, hi int)) error {
+func runColsOn(ex *sched.Executor, t int, weights []int64, stats *OpStats, body func(worker, lo, hi int)) error {
+	n := len(weights)
 	if n == 0 {
 		return nil
 	}
@@ -141,26 +140,7 @@ func runColsOn(ex *sched.Executor, n, t int, s Schedule, weights []int64, stats 
 	if t <= 1 || n == 1 || ex == nil {
 		return sched.RunInline(n, body)
 	}
-	var ls sched.LoadStats
-	var err error
-	switch s {
-	case ScheduleStatic:
-		ls, err = ex.Static(n, t, body)
-	case ScheduleDynamic:
-		ls, err = ex.Dynamic(n, t, 0, body)
-	case ScheduleWeightedStealing:
-		if weights == nil {
-			ls, err = ex.Static(n, t, body)
-		} else {
-			ls, err = ex.WeightedStealing(weights, t, body)
-		}
-	default:
-		if weights == nil {
-			ls, err = ex.Static(n, t, body)
-		} else {
-			ls, err = ex.Weighted(weights, t, body)
-		}
-	}
+	ls, err := ex.Weighted(weights, t, body)
 	if stats != nil {
 		stats.RecordRegion(ls)
 	}

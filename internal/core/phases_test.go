@@ -31,24 +31,19 @@ func TestPhasesParityAllCombos(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%v two-pass: %v", pattern, alg, err)
 				}
-				for _, s := range []Schedule{ScheduleWeighted, ScheduleStatic, ScheduleDynamic} {
-					name := fmt.Sprintf("%s/%v/sorted=%v/sched=%d", pattern, alg, sorted, s)
-					got, err := Add(as, Options{
-						Algorithm: alg, Phases: PhasesUpperBound, SortedOutput: sorted,
-						Schedule: s, Threads: 3,
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if err := got.Validate(); err != nil {
-						t.Fatalf("%s: invalid output: %v", name, err)
-					}
-					if !got.Equal(want) {
-						t.Errorf("%s: differs from two-pass engine", name)
-					}
-					if sorted && !got.IsColumnSorted() {
-						t.Errorf("%s: SortedOutput violated", name)
-					}
+				name := fmt.Sprintf("%s/%v/sorted=%v", pattern, alg, sorted)
+				got, err := Add(as, Options{Algorithm: alg, Phases: PhasesUpperBound, SortedOutput: sorted, Threads: 3})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := got.Validate(); err != nil {
+					t.Fatalf("%s: invalid output: %v", name, err)
+				}
+				if !got.Equal(want) {
+					t.Errorf("%s: differs from two-pass engine", name)
+				}
+				if sorted && !got.IsColumnSorted() {
+					t.Errorf("%s: SortedOutput violated", name)
 				}
 			}
 		}

@@ -17,12 +17,12 @@ func schedTestInputs(pattern string, k, rows, cols, d int, seed uint64) []*matri
 	return generate.ERCollection(k, o)
 }
 
-// TestScheduleParity proves every schedule — on the resident executor,
-// multi-threaded — produces output bit-identical to the default
-// weighted schedule, for every algorithm and engine, on uniform and
-// skewed inputs. Scheduling decides only which worker computes which
-// column; any difference in the result is a stolen or double-run
-// range.
+// TestScheduleParity proves multi-threaded additions on the resident
+// executor produce output bit-identical to one thread, for every
+// algorithm and engine, on uniform and skewed inputs. Scheduling
+// decides only which worker computes which column — with stealing,
+// differently from run to run; any difference in the result is a
+// stolen or double-run range.
 func TestScheduleParity(t *testing.T) {
 	for _, pattern := range []string{"ER", "RMAT"} {
 		as := schedTestInputs(pattern, 8, 4096, 48, 12, 7)
@@ -32,19 +32,19 @@ func TestScheduleParity(t *testing.T) {
 				engines = []Phases{PhasesTwoPass}
 			}
 			for _, p := range engines {
-				var want *matrix.CSC
-				for _, s := range Schedules {
-					opt := Options{Algorithm: alg, Phases: p, Schedule: s, SortedOutput: true, Threads: 4}
+				opt := Options{Algorithm: alg, Phases: p, SortedOutput: true, Threads: 1}
+				want, err := Add(as, opt)
+				if err != nil {
+					t.Fatalf("%s/%v/%v: %v", pattern, alg, p, err)
+				}
+				for _, th := range []int{2, 4} {
+					opt.Threads = th
 					got, err := Add(as, opt)
 					if err != nil {
-						t.Fatalf("%s/%v/%v/%v: %v", pattern, alg, p, s, err)
-					}
-					if s == ScheduleWeighted {
-						want = got
-						continue
+						t.Fatalf("%s/%v/%v/T%d: %v", pattern, alg, p, th, err)
 					}
 					if !got.Equal(want) {
-						t.Fatalf("%s/%v/%v: schedule %v result differs from Weighted", pattern, alg, p, s)
+						t.Fatalf("%s/%v/%v: Threads %d result differs from Threads 1", pattern, alg, p, th)
 					}
 				}
 			}
@@ -52,20 +52,45 @@ func TestScheduleParity(t *testing.T) {
 	}
 }
 
+// scheduleRegimes is the grid the schedule tests run the one weighted,
+// work-stealing schedule over: uniform (ER) or skewed (RMAT) column
+// weights at 2 or 4 workers. Each cell keeps, as its subtest name, one
+// of the four column schedules that schedule replaced, so the cases
+// keep their IDs.
+var scheduleRegimes = []struct {
+	name    string
+	pattern string
+	threads int
+}{
+	{"Static", "ER", 2},
+	{"Weighted", "RMAT", 2},
+	{"Dynamic", "ER", 4},
+	{"WeightedStealing", "RMAT", 4},
+}
+
 // TestScheduleStatsObservability verifies OpStats' scheduling
 // counters: multi-worker regions are recorded with max >= mean
-// per-worker weight, and LoadImbalance reflects them.
+// per-worker weight, and LoadImbalance reflects them; a one-thread
+// call runs every phase inline and records nothing.
 func TestScheduleStatsObservability(t *testing.T) {
+	var inline OpStats
 	as := schedTestInputs("RMAT", 8, 1<<14, 64, 32, 9)
-	for _, s := range Schedules {
-		t.Run(s.String(), func(t *testing.T) {
+	if _, err := Add(as, Options{Algorithm: Hash, Phases: PhasesTwoPass, Threads: 1, Stats: &inline}); err != nil {
+		t.Fatal(err)
+	}
+	if r, st := inline.SchedRegions.Load(), inline.Steals.Load(); r != 0 || st != 0 {
+		t.Errorf("Threads 1 recorded %d regions and %d steals, want 0 and 0", r, st)
+	}
+	for _, rg := range scheduleRegimes {
+		t.Run(rg.name, func(t *testing.T) {
 			var stats OpStats
-			opt := Options{Algorithm: Hash, Phases: PhasesTwoPass, Schedule: s, Threads: 4, Stats: &stats}
+			as := schedTestInputs(rg.pattern, 8, 1<<14, 64, 32, 9)
+			opt := Options{Algorithm: Hash, Phases: PhasesTwoPass, Threads: rg.threads, Stats: &stats}
 			if _, err := Add(as, opt); err != nil {
 				t.Fatal(err)
 			}
 			if stats.SchedRegions.Load() == 0 {
-				t.Fatal("no scheduling regions recorded for a 4-thread two-pass addition")
+				t.Fatalf("no scheduling regions recorded for a %d-thread two-pass addition", rg.threads)
 			}
 			if stats.SchedMaxWeight.Load() < stats.SchedMeanWeight.Load() {
 				t.Errorf("SchedMaxWeight %d < SchedMeanWeight %d",
@@ -74,28 +99,7 @@ func TestScheduleStatsObservability(t *testing.T) {
 			if im := stats.LoadImbalance(); im < 1 {
 				t.Errorf("LoadImbalance() = %v, want >= 1", im)
 			}
-			if s != ScheduleWeightedStealing && stats.Steals.Load() != 0 {
-				t.Errorf("schedule %v recorded %d steals, want 0", s, stats.Steals.Load())
-			}
 		})
-	}
-}
-
-// TestScheduleOutOfRangeNormalizes verifies an out-of-range
-// Options.Schedule behaves as the weighted default instead of
-// something accidental.
-func TestScheduleOutOfRangeNormalizes(t *testing.T) {
-	as := schedTestInputs("ER", 4, 512, 16, 8, 3)
-	want, err := Add(as, Options{Algorithm: Hash, SortedOutput: true, Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Add(as, Options{Algorithm: Hash, SortedOutput: true, Threads: 2, Schedule: Schedule(99)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Error("Schedule(99) result differs from the weighted default")
 	}
 }
 
@@ -107,61 +111,59 @@ func TestSharedExecutorOptionParity(t *testing.T) {
 	ex := sched.NewExecutor(2)
 	defer ex.Close()
 	as := schedTestInputs("RMAT", 6, 2048, 32, 16, 5)
-	for _, s := range Schedules {
-		for _, alg := range []Algorithm{Hash, Heap, TwoWayTree} {
-			opt := Options{Algorithm: alg, SortedOutput: true, Threads: 4, Schedule: s}
-			want, err := Add(as, opt)
+	for _, alg := range []Algorithm{Hash, Heap, TwoWayTree} {
+		opt := Options{Algorithm: alg, SortedOutput: true, Threads: 4}
+		want, err := Add(as, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Executor = ex
+		ws := NewWorkspace(false)
+		for iter := 0; iter < 3; iter++ {
+			got, err := ws.Add(as, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt.Executor = ex
-			ws := NewWorkspace(false)
-			for iter := 0; iter < 3; iter++ {
-				got, err := ws.Add(as, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("%v/%v: shared-executor result differs (iter %d)", alg, s, iter)
-				}
+			if !got.Equal(want) {
+				t.Fatalf("%v: shared-executor result differs (iter %d)", alg, iter)
 			}
 		}
 	}
 }
 
 // TestWorkspaceZeroAllocAllSchedules is the core-level form of the
-// tentpole acceptance: a warmed recycling workspace at Threads=2 runs
-// every schedule × engine combination without allocating — including
-// the racy schedules, whose column→worker assignment varies run to
-// run (the reservation path), and including the executor's own
-// scheduling machinery. Both engines stage in workspace-owned
-// buffers, so the zero is strict at any size: the second input holds
-// ~48K entries, 28% of them duplicates.
+// Adder's zero-allocation contract: a warmed recycling workspace runs
+// every algorithm × engine combination without allocating, on every
+// cell of scheduleRegimes — on the reservation path, since stealing
+// makes the column→worker assignment vary run to run, and including
+// the executor's own scheduling machinery. Both engines stage in
+// workspace-owned buffers, so the zero is strict at any size: the ER
+// input holds ~48K entries, 28% of them duplicates.
 func TestWorkspaceZeroAllocAllSchedules(t *testing.T) {
-	inputs := [][]*matrix.CSC{
-		schedTestInputs("RMAT", 8, 2048, 48, 8, 13),
-		schedTestInputs("ER", 16, 1024, 64, 48, 14),
+	inputs := map[string][]*matrix.CSC{
+		"RMAT": schedTestInputs("RMAT", 8, 2048, 48, 8, 13),
+		"ER":   schedTestInputs("ER", 16, 1024, 64, 48, 14),
 	}
 	for _, alg := range []Algorithm{Hash, SPA, Heap} {
-		for _, s := range Schedules {
+		for _, rg := range scheduleRegimes {
 			for _, p := range PhasesPolicies {
-				t.Run(fmt.Sprintf("%v/%v/%v", alg, s, p), func(t *testing.T) {
-					for _, as := range inputs {
-						ws := NewWorkspace(true)
-						opt := Options{Algorithm: alg, Phases: p, Schedule: s, SortedOutput: true, Threads: 2}
-						for warm := 0; warm < 3; warm++ {
-							if _, err := ws.Add(as, opt); err != nil {
-								t.Fatal(err)
-							}
+				t.Run(fmt.Sprintf("%v/%s/%v", alg, rg.name, p), func(t *testing.T) {
+					as := inputs[rg.pattern]
+					ws := NewWorkspace(true)
+					opt := Options{Algorithm: alg, Phases: p, SortedOutput: true, Threads: rg.threads}
+					for warm := 0; warm < 3; warm++ {
+						if _, err := ws.Add(as, opt); err != nil {
+							t.Fatal(err)
 						}
-						allocs := testing.AllocsPerRun(10, func() {
-							if _, err := ws.Add(as, opt); err != nil {
-								t.Fatal(err)
-							}
-						})
-						if allocs != 0 {
-							t.Errorf("%d input entries: steady state allocates %.1f times per op, want 0", totalNNZ(as), allocs)
+					}
+					allocs := testing.AllocsPerRun(10, func() {
+						if _, err := ws.Add(as, opt); err != nil {
+							t.Fatal(err)
 						}
+					})
+					if allocs != 0 {
+						t.Errorf("%d input entries at Threads %d: steady state allocates %.1f times per op, want 0",
+							totalNNZ(as), rg.threads, allocs)
 					}
 				})
 			}

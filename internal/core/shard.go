@@ -23,7 +23,7 @@ import (
 //
 // The pool shards the COLUMN space instead: the n output columns are
 // split into S contiguous ranges (the same near-equal Span arithmetic
-// as ColSplit and the schedulers), and each shard owns a resident
+// as ColSplit and the static region), and each shard owns a resident
 // Workspace, a running sum over its columns, and a pending queue.
 // Push slices the incoming matrix into per-shard column views —
 // zero-copy, via matrix.ColView — and enqueues each piece under that

@@ -17,7 +17,7 @@ import (
 // extra memory ≈ total input size.
 //
 // It supports the Hash, SPA and Heap kernels, sorted and unsorted
-// output, coefficients, and all schedules, with output entry-for-entry
+// output, coefficients, and any thread count, with output entry-for-entry
 // identical (after canonical sort) to the two-phase engine. It runs on
 // a Workspace: staging buffers and column extents survive the call, so
 // repeated additions allocate nothing in steady state.
@@ -177,7 +177,7 @@ func (ws *WorkspaceOf[T]) addUpperBound() (*matrix.CSCOf[T], PhaseTimings, error
 	total := int(ws.ubPtr[n])
 	ws.stRows = grow(ws.stRows, total)
 	ws.stVals = grow(ws.stVals, total)
-	if err := ws.runCols(n, ws.weights, ws.ubFn); err != nil {
+	if err := ws.runCols(ws.weights, ws.ubFn); err != nil {
 		pt.Numeric = time.Since(start)
 		return nil, pt, err
 	}
@@ -191,7 +191,7 @@ func (ws *WorkspaceOf[T]) addUpperBound() (*matrix.CSCOf[T], PhaseTimings, error
 	// columns, so in-place parallel moves would race.
 	b := ws.allocOutput(ws.as[0].Rows, n, ws.counts)
 	ws.b = b
-	err := ws.runCols(n, ws.counts, ws.compactFn)
+	err := ws.runCols(ws.counts, ws.compactFn)
 	pt.Numeric = time.Since(start)
 	if err != nil {
 		return nil, pt, err

@@ -73,11 +73,6 @@ type planOf[T matrix.Number] struct {
 	// computed only for the algorithms that read it (see validate) and
 	// stays false for the rest, whatever their inputs.
 	sortedIn bool
-	// schedule is the resolved column-scheduling strategy:
-	// Options.Schedule, with out-of-range values normalized to the
-	// ScheduleWeighted default here so every entry point (and the
-	// runCols dispatch) agrees on what an unknown value means.
-	schedule Schedule
 	// copyOne marks the single-input shortcut: the sum of one matrix
 	// under Plus is a plain copy, taken before algorithm-specific
 	// checks exactly as the pre-plan code did. Non-Plus monoids skip
@@ -112,9 +107,14 @@ func (o OptionsOf[T]) validate(as []*matrix.CSCOf[T], coeffs []T, premapped int)
 	if err := validateDims(as); err != nil {
 		return p, err
 	}
-	p.schedule = o.Schedule
-	if p.schedule < ScheduleWeighted || p.schedule > ScheduleWeightedStealing {
-		p.schedule = ScheduleWeighted
+	// An unknown enum value has no driver behind it: an algorithm
+	// would fall through every kernel switch and return an empty sum,
+	// an engine would skip the DropIdentity check.
+	if _, ok := algoNames[o.Algorithm]; !ok {
+		return p, fmt.Errorf("spkadd: unknown Algorithm %d", int(o.Algorithm))
+	}
+	if _, ok := phasesNames[o.Phases]; !ok {
+		return p, fmt.Errorf("spkadd: unknown Phases %d", int(o.Phases))
 	}
 
 	plus := ops.PlusFor[T]()

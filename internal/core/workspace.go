@@ -75,7 +75,6 @@ type WorkspaceOf[T matrix.Number] struct {
 	cache    int64
 	sortedIn bool
 	ctx      context.Context // nil for context-free calls
-	sch      Schedule        // resolved schedule (plan.schedule)
 	ex       *sched.Executor // Options.Executor, or ownEx
 	b        *matrix.CSCOf[T]
 	// mon is the call's resolved combine monoid, held by value so
@@ -303,7 +302,6 @@ func (ws *WorkspaceOf[T]) ctxCheck() error {
 // read, and sizes the per-worker state slice.
 func (ws *WorkspaceOf[T]) begin(as []*matrix.CSCOf[T], p planOf[T], opt OptionsOf[T], coeffs []T) {
 	ws.as, ws.coeffs, ws.alg, ws.opt, ws.sortedIn = as, coeffs, p.alg, opt, p.sortedIn
-	ws.sch = p.schedule
 	ws.mon = p.mon
 	ws.monP = nil
 	if p.generic {
@@ -359,35 +357,25 @@ func (ws *WorkspaceOf[T]) end() {
 	ws.mon, ws.monP = monoidStateOf[T]{}, nil
 }
 
-// runCols dispatches columns [0, n) to the call's executor under the
-// resolved schedule, recording the region's load statistics into
-// Options.Stats. weights may be nil for the Static and Dynamic
-// schedules; a weighted schedule without weights falls back to Static.
-func (ws *WorkspaceOf[T]) runCols(n int, weights []int64, body func(worker, lo, hi int)) error {
-	return runColsOn(ws.ex, n, ws.t, ws.sch, weights, ws.opt.Stats, body)
-}
-
-// racySched reports whether the call's schedule assigns columns to
-// workers nondeterministically (chunk claiming, stealing): the same
-// call may hand any column to any worker on different runs.
-func (ws *WorkspaceOf[T]) racySched() bool {
-	return ws.t > 1 && (ws.sch == ScheduleDynamic || ws.sch == ScheduleWeightedStealing)
+// runCols runs columns [0, len(weights)) on the call's executor as a
+// region weighted by weights, recording its load statistics into
+// Options.Stats.
+func (ws *WorkspaceOf[T]) runCols(weights []int64, body func(worker, lo, hi int)) error {
+	return runColsOn(ws.ex, ws.t, weights, ws.opt.Stats, body)
 }
 
 // reserveWorkers pre-creates every worker's thread-private scratch
 // and reserves its hash-table or SPA index storage for the phase's
-// largest per-column bound, under the racy schedules only. The
-// deterministic schedules map columns to workers reproducibly, so a
-// reused workspace's warmup calls have already sized every structure
-// each worker needs; Dynamic and WeightedStealing can hand any column
-// to any worker, and without the reservation a steady-state call
-// could still allocate when the largest column lands on a worker that
-// had not seen it — breaking the Adder's zero-allocation contract for
-// exactly the schedules that exist to fix skew. Reservation only
+// largest per-column bound, whenever the call runs more than one
+// worker. A weighted region steals, so the same call may hand any
+// column to any worker on different runs; without the reservation a
+// reused workspace's steady-state call could still allocate when the
+// largest column lands on a worker that had not seen it before,
+// breaking the Adder's zero-allocation contract. Reservation only
 // grows backing storage; the per-column probe-window sizing (the
 // cache behaviour the hash algorithms are built around) is untouched.
 func (ws *WorkspaceOf[T]) reserveWorkers(bound []int64, sym bool) {
-	if !ws.racySched() {
+	if ws.t <= 1 {
 		return
 	}
 	maxW := maxWeight(bound)
@@ -412,8 +400,8 @@ func (ws *WorkspaceOf[T]) reserveWorkers(bound []int64, sym bool) {
 	}
 }
 
-// reserveCount is how many distinct worker ids a racy phase over n
-// columns can actually run: the call's thread count, capped by the
+// reserveCount is how many distinct worker ids a phase over n columns
+// can actually run: the call's thread count, capped by the
 // executor's worker budget and the column count — reserving scratch
 // for workers the executor will never wake (a budget-capped shared
 // pool under a larger Threads request) would multiply memory for

@@ -18,25 +18,21 @@ import (
 // actual merge work. A one-shot caller creates an executor for the
 // call and closes it on return.
 //
-// The executor offers Static, Dynamic and Weighted plus
-// WeightedStealing: contiguous weighted ranges exactly as in the
-// paper's load balancing, but an idle worker steals the suffix half of
-// the most-loaded peer's remaining range. Weighted partitioning
-// balances *predicted* work; on RMAT-skewed columns the prediction
-// error concentrates in a few workers and the region waits for the
-// slowest of them. Dynamic
-// closes that gap with fixed chunks but gives up locality and pays a
-// shared-counter CAS per chunk from the start; WeightedStealing starts
-// from the paper's contiguous partitions (no coordination at all while
-// the prediction holds) and pays for coordination only when a worker
-// actually runs dry.
+// Column regions run Weighted: contiguous weighted ranges exactly as
+// in the paper's load balancing, claimed in shrinking chunks, with an
+// idle worker stealing the suffix half of the most-loaded peer's
+// remaining range. The weighted partition balances *predicted* work;
+// on RMAT-skewed columns the prediction error concentrates in a few
+// workers, and stealing moves it to whoever runs dry first, paying
+// for coordination only then. Static, plain equal blocks, serves
+// uniform per-index work that has no weights yet.
 
 // LoadStats describes how one parallel region's work spread over its
 // workers: Max and Mean are the largest and average per-worker
 // executed weight (the region's makespan is governed by Max/Mean), and
-// Steals counts range suffixes WeightedStealing moved from a busy
-// worker to an idle one. Weight is the caller's weights for the
-// weighted strategies and plain index counts otherwise.
+// Steals counts range suffixes Weighted moved from a busy worker to an
+// idle one. Weight is the caller's weights under Weighted and plain
+// index counts under Static.
 type LoadStats struct {
 	Workers int
 	Max     int64
@@ -49,28 +45,17 @@ func solo(weight int64) LoadStats {
 	return LoadStats{Workers: 1, Max: weight, Mean: weight}
 }
 
-const (
-	// modeRange runs each worker on its precomputed bounds range
-	// (Static and Weighted).
-	modeRange = iota
-	// modeDynamic claims fixed chunks from a shared atomic counter.
-	modeDynamic
-	// modeSteal chunk-claims from per-worker ranges with suffix
-	// stealing (WeightedStealing).
-	modeSteal
-)
-
-// ownerChunkDenom sets how much of its remaining range a steal-mode
+// ownerChunkDenom sets how much of its remaining range a Weighted
 // worker claims per chunk (remaining/8, at least 1): geometric decay
 // keeps the claim overhead at O(log) CAS operations per worker while
 // leaving most of the range visible to thieves until late.
 const ownerChunkDenom = 8
 
-// stealMaxIndex bounds the index space of the stealing mode: a
-// worker's remaining range is packed as two halves of one atomic
-// int64, so indices must fit in 32 bits. Larger ranges (never seen in
-// practice — matrix row indices are themselves 32-bit) fall back to
-// plain Weighted.
+// stealMaxIndex bounds the index space of stealing: a worker's
+// remaining range is packed as two halves of one atomic int64, so
+// indices must fit in 32 bits. Larger ranges (never seen in practice —
+// matrix row indices are themselves 32-bit) run each weighted range
+// whole, without stealing.
 const stealMaxIndex = 1<<31 - 1
 
 // cacheLinePad separates per-worker hot words so a worker claiming
@@ -126,13 +111,10 @@ type execState struct {
 	closed bool
 
 	// Region descriptor, written under mu before workers wake.
-	mode     int
+	steal    bool // claim chunks and steal (Weighted) vs run bounds whole
 	parts    int
-	n        int
-	chunk    int64
 	body     func(worker, lo, hi int)
 	weighted bool // prefix holds real weights (vs unit index counts)
-	next     atomic.Int64
 	steals   atomic.Int64
 	prefix   []int64
 	bounds   []int
@@ -198,7 +180,7 @@ func (s *execState) shutdown() {
 // inline share — is recovered and returned as a *PanicError; the
 // region's remaining work on the panicking worker is abandoned, but
 // the executor and its workers stay usable.
-// The same contract holds for Dynamic, Weighted and WeightedStealing.
+// The same contract holds for Weighted.
 func (ex *Executor) Static(n, t int, body func(worker, lo, hi int)) (LoadStats, error) {
 	t = Threads(t)
 	if t > n {
@@ -216,7 +198,7 @@ func (ex *Executor) Static(n, t int, body func(worker, lo, hi int)) (LoadStats, 
 	if t = s.clampLocked(t); t <= 1 {
 		return solo(int64(n)), RunInline(n, body)
 	}
-	s.mode, s.n, s.body, s.weighted = modeRange, n, body, false
+	s.steal, s.body, s.weighted = false, body, false
 	s.bounds = grow(s.bounds, t+1)
 	for w := 0; w <= t; w++ {
 		s.bounds[w] = w * n / t
@@ -238,61 +220,14 @@ func RunInline(n int, body func(worker, lo, hi int)) (err error) {
 	return nil
 }
 
-// Dynamic runs body over [0, n) with workers claiming fixed-size
-// chunks from a shared atomic counter — the load-balancing mode for
-// skewed (RMAT-like) column distributions. chunk <= 0 selects n/(8t),
-// at least 1.
-func (ex *Executor) Dynamic(n, t, chunk int, body func(worker, lo, hi int)) (LoadStats, error) {
-	t = Threads(t)
-	if t > n {
-		t = n
-	}
-	if n == 0 {
-		return LoadStats{}, nil
-	}
-	if t <= 1 {
-		return solo(int64(n)), RunInline(n, body)
-	}
-	s := ex.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t = s.clampLocked(t); t <= 1 {
-		return solo(int64(n)), RunInline(n, body)
-	}
-	if chunk <= 0 {
-		// Heuristic from the worker count actually running (after the
-		// budget clamp): a budget-capped region should not pay the CAS
-		// traffic of chunks sized for the caller's larger request.
-		chunk = n / (8 * t)
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
-	s.mode, s.n, s.body, s.weighted = modeDynamic, n, body, false
-	s.chunk = int64(chunk)
-	s.next.Store(0)
-	return s.runLocked(t)
-}
-
 // Weighted divides [0, len(weights)) into contiguous ranges of
-// near-equal total weight, with the partition scratch reused across
-// regions. Zero and negative weights count as zero.
+// near-equal total weight, the partition scratch reused across
+// regions; zero and negative weights count as zero. Each worker claims
+// its own range in geometrically shrinking chunks and, once idle,
+// steals the suffix half of the remaining range of the most-loaded (by
+// remaining weight) peer. Which worker runs an index thus varies from
+// run to run; that each index runs exactly once does not.
 func (ex *Executor) Weighted(weights []int64, t int, body func(worker, lo, hi int)) (LoadStats, error) {
-	return ex.s.weightedRun(weights, t, body, false)
-}
-
-// WeightedStealing starts from the same contiguous weighted ranges as
-// Weighted, but workers claim their range in geometrically shrinking
-// chunks and, once idle, steal the suffix half of the remaining range
-// of the most-loaded (by remaining weight) peer. On skewed inputs this
-// closes the tail-latency gap a mispredicted weighted partition
-// leaves, without Dynamic's per-chunk shared-counter traffic on the
-// balanced majority of regions.
-func (ex *Executor) WeightedStealing(weights []int64, t int, body func(worker, lo, hi int)) (LoadStats, error) {
-	return ex.s.weightedRun(weights, t, body, true)
-}
-
-func (s *execState) weightedRun(weights []int64, t int, body func(worker, lo, hi int), steal bool) (LoadStats, error) {
 	n := len(weights)
 	t = Threads(t)
 	if t > n {
@@ -304,21 +239,20 @@ func (s *execState) weightedRun(weights []int64, t int, body func(worker, lo, hi
 	if t <= 1 {
 		return solo(sumWeights(weights)), RunInline(n, body)
 	}
+	s := ex.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t = s.clampLocked(t); t <= 1 {
 		return solo(sumWeights(weights)), RunInline(n, body)
 	}
-	s.n, s.body, s.weighted = n, body, true
+	s.body, s.weighted = body, true
 	s.prefix, s.bounds = PartitionByWeightInto(weights, t, s.prefix, s.bounds)
-	if steal && n <= stealMaxIndex {
-		s.mode = modeSteal
+	s.steal = n <= stealMaxIndex
+	if s.steal {
 		s.ranges = grow(s.ranges, t)
 		for w := 0; w < t; w++ {
 			s.ranges[w].v.Store(packRange(s.bounds[w], s.bounds[w+1]))
 		}
-	} else {
-		s.mode = modeRange
 	}
 	return s.runLocked(t)
 }
@@ -425,35 +359,19 @@ func (s *execState) runWorkerRecover(w int) {
 // runWorker executes worker w's share of the current region.
 func (s *execState) runWorker(w int) {
 	faults.SleepOn(faults.WorkerStall, int64(w))
-	switch s.mode {
-	case modeRange:
-		lo, hi := s.bounds[w], s.bounds[w+1]
-		if lo < hi {
-			s.body(w, lo, hi)
-			s.loads[w].v += s.rangeWeight(lo, hi)
-		}
-	case modeDynamic:
-		chunk := s.chunk
-		n := int64(s.n)
-		for {
-			lo := s.next.Add(chunk) - chunk
-			if lo >= n {
-				return
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			s.body(w, int(lo), int(hi))
-			s.loads[w].v += hi - lo
-		}
-	case modeSteal:
+	if s.steal {
 		s.stealLoop(w)
+		return
+	}
+	lo, hi := s.bounds[w], s.bounds[w+1]
+	if lo < hi {
+		s.body(w, lo, hi)
+		s.loads[w].v += s.rangeWeight(lo, hi)
 	}
 }
 
-// rangeWeight is the executed weight of [lo, hi): real weight under a
-// weighted strategy, index count otherwise.
+// rangeWeight is the executed weight of [lo, hi): real weight under
+// Weighted, index count under Static.
 func (s *execState) rangeWeight(lo, hi int) int64 {
 	if !s.weighted {
 		return int64(hi - lo)
@@ -461,7 +379,7 @@ func (s *execState) rangeWeight(lo, hi int) int64 {
 	return s.prefix[hi] - s.prefix[lo]
 }
 
-// stealLoop is one worker of the WeightedStealing mode: drain the own
+// stealLoop is one worker of a Weighted region: drain the own
 // range in geometrically shrinking chunks, then steal the suffix half
 // of the most-loaded peer's remainder, installing it as the own range
 // (so it can in turn be stolen from), until every range is empty.

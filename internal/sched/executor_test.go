@@ -80,8 +80,8 @@ func skewedWeights(n int, seed uint64) []int64 {
 	return w
 }
 
-// TestExecutorModesCover runs every executor mode over a grid of
-// shapes and asserts exactly-once coverage with disjoint ranges.
+// TestExecutorModesCover runs both region forms over a grid of shapes
+// and asserts exactly-once coverage with disjoint ranges.
 func TestExecutorModesCover(t *testing.T) {
 	ex := NewElasticExecutor()
 	defer ex.Close()
@@ -90,18 +90,10 @@ func TestExecutorModesCover(t *testing.T) {
 		zero := make([]int64, n)
 		for _, th := range []int{1, 2, 3, 8} {
 			modes := map[string]func(*chunkRecorder) (LoadStats, error){
-				"static":  func(r *chunkRecorder) (LoadStats, error) { return ex.Static(n, th, r.body) },
-				"dynamic": func(r *chunkRecorder) (LoadStats, error) { return ex.Dynamic(n, th, 0, r.body) },
-				"dynamic-chunk3": func(r *chunkRecorder) (LoadStats, error) {
-					return ex.Dynamic(n, th, 3, r.body)
-				},
+				"static":   func(r *chunkRecorder) (LoadStats, error) { return ex.Static(n, th, r.body) },
 				"weighted": func(r *chunkRecorder) (LoadStats, error) { return ex.Weighted(weights, th, r.body) },
-				"stealing": func(r *chunkRecorder) (LoadStats, error) { return ex.WeightedStealing(weights, th, r.body) },
 				"weighted-zero": func(r *chunkRecorder) (LoadStats, error) {
 					return ex.Weighted(zero, th, r.body)
-				},
-				"stealing-zero": func(r *chunkRecorder) (LoadStats, error) {
-					return ex.WeightedStealing(zero, th, r.body)
 				},
 			}
 			for name, run := range modes {
@@ -123,8 +115,8 @@ func TestExecutorModesCover(t *testing.T) {
 }
 
 // TestExecutorReuseNoAlloc proves a warmed executor runs its regions
-// without allocating, for every mode — the point of keeping workers
-// and partition scratch resident.
+// without allocating, in both region forms — the point of keeping
+// workers and partition scratch resident.
 func TestExecutorReuseNoAlloc(t *testing.T) {
 	ex := NewElasticExecutor()
 	defer ex.Close()
@@ -137,9 +129,7 @@ func TestExecutorReuseNoAlloc(t *testing.T) {
 	}
 	runs := map[string]func(){
 		"static":   func() { ex.Static(n, th, body) },
-		"dynamic":  func() { ex.Dynamic(n, th, 0, body) },
 		"weighted": func() { ex.Weighted(weights, th, body) },
-		"stealing": func() { ex.WeightedStealing(weights, th, body) },
 	}
 	for name, run := range runs {
 		for warm := 0; warm < 3; warm++ {
@@ -180,7 +170,7 @@ func TestExecutorCloseRunsInline(t *testing.T) {
 	ex.Close()
 	ex.Close() // idempotent
 	rec.chunks = rec.chunks[:0]
-	ls, err := ex.WeightedStealing(skewedWeights(32, 5), 4, rec.body)
+	ls, err := ex.Weighted(skewedWeights(32, 5), 4, rec.body)
 	if err != nil {
 		t.Fatalf("region error: %v", err)
 	}
@@ -227,7 +217,7 @@ func TestExecutorStealOccurs(t *testing.T) {
 	}
 	var rec chunkRecorder
 	stalled := false
-	ls, err := ex.WeightedStealing(weights, 2, func(w, lo, hi int) {
+	ls, err := ex.Weighted(weights, 2, func(w, lo, hi int) {
 		if w == 0 && !stalled {
 			stalled = true
 			time.Sleep(20 * time.Millisecond)
@@ -247,9 +237,9 @@ func TestExecutorStealOccurs(t *testing.T) {
 }
 
 // TestExecutorSharedConcurrent hammers one executor from many
-// goroutines mixing every mode; regions must serialize internally and
-// each must still cover its range exactly once. Run under -race by
-// the CI race job.
+// goroutines mixing both region forms; regions must serialize
+// internally and each must still cover its range exactly once. Run
+// under -race by the CI race job.
 func TestExecutorSharedConcurrent(t *testing.T) {
 	ex := NewExecutor(3)
 	defer ex.Close()
@@ -262,15 +252,10 @@ func TestExecutorSharedConcurrent(t *testing.T) {
 			weights := skewedWeights(n, uint64(g))
 			for iter := 0; iter < 20; iter++ {
 				var rec chunkRecorder
-				switch (g + iter) % 4 {
-				case 0:
+				if (g+iter)%2 == 0 {
 					ex.Static(n, 3, rec.body)
-				case 1:
-					ex.Dynamic(n, 3, 0, rec.body)
-				case 2:
+				} else {
 					ex.Weighted(weights, 3, rec.body)
-				default:
-					ex.WeightedStealing(weights, 3, rec.body)
 				}
 				verifyChunks(t, rec.chunks, n, 3)
 			}
@@ -280,7 +265,8 @@ func TestExecutorSharedConcurrent(t *testing.T) {
 }
 
 // FuzzExecutorCover fuzzes shape, thread count and weight seed across
-// all modes, asserting the exactly-once/disjointness invariant.
+// both region forms, asserting the exactly-once/disjointness
+// invariant.
 func FuzzExecutorCover(f *testing.F) {
 	f.Add(uint16(64), uint8(4), uint64(1), uint8(0))
 	f.Add(uint16(257), uint8(7), uint64(9), uint8(1))
@@ -293,15 +279,10 @@ func FuzzExecutorCover(f *testing.F) {
 		th := int(thRaw)%16 + 1
 		weights := skewedWeights(n, seed)
 		var rec chunkRecorder
-		switch mode % 4 {
-		case 0:
+		if mode%2 == 0 {
 			ex.Static(n, th, rec.body)
-		case 1:
-			ex.Dynamic(n, th, int(seed%5), rec.body)
-		case 2:
+		} else {
 			ex.Weighted(weights, th, rec.body)
-		default:
-			ex.WeightedStealing(weights, th, rec.body)
 		}
 		verifyChunks(t, rec.chunks, n, max(th, 1))
 	})

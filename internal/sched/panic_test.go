@@ -47,10 +47,8 @@ func TestExecutorPanicRecovered(t *testing.T) {
 		weights[i] = 1
 	}
 	for name, run := range map[string]func() (LoadStats, error){
-		"Static":           func() (LoadStats, error) { return ex.Static(64, 4, count) },
-		"Dynamic":          func() (LoadStats, error) { return ex.Dynamic(64, 4, 8, count) },
-		"Weighted":         func() (LoadStats, error) { return ex.Weighted(weights, 4, count) },
-		"WeightedStealing": func() (LoadStats, error) { return ex.WeightedStealing(weights, 4, count) },
+		"Static":   func() (LoadStats, error) { return ex.Static(64, 4, count) },
+		"Weighted": func() (LoadStats, error) { return ex.Weighted(weights, 4, count) },
 	} {
 		n.Store(0)
 		if _, err := run(); err != nil {

@@ -1,13 +1,13 @@
-// Package sched provides the column-scheduling strategies of the
-// paper's parallel SpKAdd (§III-A) as regions of a resident Executor:
-// static contiguous blocks, dynamic chunk claiming (OpenMP
-// dynamic-style, used for skewed matrices), weighted partitioning by
-// per-column nonzero counts (the paper balances the symbolic phase by
-// input nnz per column and the addition phase by output nnz per
-// column), and weighted ranges with work stealing. This file holds the
-// partitioning arithmetic the strategies share.
+// Package sched provides the column scheduling of the paper's
+// parallel SpKAdd (§III-A) as regions of a resident Executor. Column
+// regions run Weighted: contiguous ranges partitioned by per-column
+// nonzero counts (the paper balances the symbolic phase by input nnz
+// per column and the addition phase by output nnz per column), with
+// idle workers stealing from the most-loaded peer. Static equal blocks
+// serve uniform work that has no weights. This file holds the
+// partitioning arithmetic.
 //
-// Every strategy invokes the body with a worker id so callers can keep
+// Every region invokes the body with a worker id so callers can keep
 // per-worker (thread-private) data structures, and never runs the body
 // for the same index twice.
 package sched

@@ -66,16 +66,19 @@ func TestPartitionByWeightMonotone(t *testing.T) {
 	}
 }
 
-func TestDynamicClampsWorkersToN(t *testing.T) {
-	// More workers than indices: only worker ids below n may run (the
-	// old code spawned all t goroutines and let any of them win the
-	// single chunk).
+func TestWeightedClampsWorkersToN(t *testing.T) {
+	// More workers than indices: only worker ids below n may run, and
+	// stealing must not hand an index to a worker the clamp left out.
 	ex := NewElasticExecutor()
 	defer ex.Close()
 	for _, n := range []int{1, 2, 3} {
 		var mu sync.Mutex
 		maxW := -1
-		ex.Dynamic(n, 8, 0, func(w, lo, hi int) {
+		weights := make([]int64, n)
+		for i := range weights {
+			weights[i] = 1
+		}
+		ex.Weighted(weights, 8, func(w, lo, hi int) {
 			mu.Lock()
 			if w > maxW {
 				maxW = w
@@ -90,27 +93,24 @@ func TestDynamicClampsWorkersToN(t *testing.T) {
 
 func TestWeightedZeroWeightsFallsBackToSpan(t *testing.T) {
 	// All-zero weights used to degenerate to one worker owning [0, n);
-	// they must fall back to Span partitioning instead.
+	// the partition must fall back to Span instead. Weighted claims
+	// each range in several chunks, so the bounds are checked at the
+	// partitioner, and the region for exactly-once coverage.
 	const n, th = 12, 4
-	ex := NewElasticExecutor()
-	defer ex.Close()
 	weights := make([]int64, n)
-	var mu sync.Mutex
-	got := map[int][2]int{}
-	ex.Weighted(weights, th, func(w, lo, hi int) {
-		mu.Lock()
-		got[w] = [2]int{lo, hi}
-		mu.Unlock()
-	})
-	if len(got) != th {
-		t.Fatalf("%d workers ran, want %d (Span partitioning)", len(got), th)
-	}
-	for w, r := range got {
-		lo, hi := Span(n, th, w)
-		if r != [2]int{lo, hi} {
-			t.Errorf("worker %d got [%d, %d), want Span [%d, %d)", w, r[0], r[1], lo, hi)
+	bounds := PartitionByWeight(weights, th)
+	for w := 0; w < th; w++ {
+		if lo, hi := Span(n, th, w); bounds[w] != lo || bounds[w+1] != hi {
+			t.Errorf("part %d is [%d, %d), want Span [%d, %d)", w, bounds[w], bounds[w+1], lo, hi)
 		}
 	}
+	ex := NewElasticExecutor()
+	defer ex.Close()
+	var rec chunkRecorder
+	if _, err := ex.Weighted(weights, th, rec.body); err != nil {
+		t.Fatalf("region error: %v", err)
+	}
+	verifyChunks(t, rec.chunks, n, th)
 }
 
 func TestPartitionByWeightIntoReusesScratch(t *testing.T) {

@@ -69,8 +69,6 @@ type (
 	Algorithm = core.Algorithm
 	// Options configure Add; the zero value is ready to use.
 	Options = core.Options
-	// Schedule selects the column-scheduling strategy.
-	Schedule = core.Schedule
 	// Phases selects the execution engine for the k-way algorithms:
 	// the classic two-pass symbolic+numeric driver or the single-pass
 	// upper-bound engine that reads each input exactly once.
@@ -168,25 +166,10 @@ func AnyFor[T Number]() *MonoidOf[T] { return ops.AnyFor[T]() }
 // CountFor returns T's occurrence-frequency monoid, nil for bool.
 func CountFor[T Number]() *MonoidOf[T] { return ops.CountFor[T]() }
 
-// Scheduling constants.
-const (
-	// ScheduleWeighted balances columns by nonzero weight (default).
-	ScheduleWeighted = core.ScheduleWeighted
-	// ScheduleStatic uses equal-width column blocks.
-	ScheduleStatic = core.ScheduleStatic
-	// ScheduleDynamic uses atomic chunk claiming.
-	ScheduleDynamic = core.ScheduleDynamic
-	// ScheduleWeightedStealing is weighted partitioning with work
-	// stealing: idle workers take the suffix half of the most-loaded
-	// peer's remaining range, closing the tail-latency gap a
-	// mispredicted weighted partition leaves on skewed (RMAT-like)
-	// inputs without ScheduleDynamic's per-chunk coordination cost on
-	// uniform ones.
-	ScheduleWeightedStealing = core.ScheduleWeightedStealing
-)
-
 // Executor is a resident worker pool: persistent goroutines parked
-// between parallel phases, plus reusable scheduling scratch. Every
+// between parallel phases, plus reusable partitioning scratch. A
+// multi-worker phase runs on it as contiguous column ranges weighted
+// by nonzeros, idle workers stealing from the most-loaded peer. Every
 // Adder, Accumulator and Pool already keeps one resident in its
 // workspace; create one explicitly (and set Options.Executor) to
 // share a single worker budget across many of them — concurrent
