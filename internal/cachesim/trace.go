@@ -105,7 +105,7 @@ func TraceSpKAdd(as []*matrix.CSC, cfg TraceConfig) Result {
 		}
 		parts := 1
 		if cfg.Sliding {
-			parts = slidingParts(inz, symbolicSlot, cfg.threads(), cfg.CacheBytes, cfg.MaxTableEntries)
+			parts = hashtab.SlidingParts(inz, symbolicSlot, cfg.threads(), cfg.CacheBytes, cfg.MaxTableEntries)
 		}
 		for part := 0; part < parts; part++ {
 			r1 := matrix.Index(part * m / parts)
@@ -117,7 +117,7 @@ func TraceSpKAdd(as []*matrix.CSC, cfg TraceConfig) Result {
 			if partInz == 0 {
 				continue
 			}
-			tab.grow(sizeFor(partInz, cfg.loadFactor()))
+			tab.grow(hashtab.SizeFor(partInz, cfg.loadFactor()))
 			for i, a := range as {
 				rows, _ := a.ColRange(j, r1, r2)
 				base := inputAddr(i, a, j)
@@ -141,7 +141,7 @@ func TraceSpKAdd(as []*matrix.CSC, cfg TraceConfig) Result {
 		}
 		parts := 1
 		if cfg.Sliding {
-			parts = slidingParts(onz, addSlot, cfg.threads(), cfg.CacheBytes, cfg.MaxTableEntries)
+			parts = hashtab.SlidingParts(onz, addSlot, cfg.threads(), cfg.CacheBytes, cfg.MaxTableEntries)
 		}
 		for part := 0; part < parts; part++ {
 			r1 := matrix.Index(part * m / parts)
@@ -160,7 +160,7 @@ func TraceSpKAdd(as []*matrix.CSC, cfg TraceConfig) Result {
 			if parts == 1 {
 				growN = onz
 			}
-			tab.grow(sizeFor(growN, cfg.loadFactor()))
+			tab.grow(hashtab.SizeFor(growN, cfg.loadFactor()))
 			written := 0
 			for i, a := range as {
 				rows, _ := a.ColRange(j, r1, r2)
@@ -195,7 +195,7 @@ func distinctRows(as []*matrix.CSC, j int, tab *traceTable) int {
 	if inz == 0 {
 		return 0
 	}
-	tab.grow(sizeFor(inz, 0.5))
+	tab.grow(hashtab.SizeFor(inz, 0.5))
 	n := 0
 	for _, a := range as {
 		for _, r := range a.ColRows(j) {
@@ -209,34 +209,6 @@ func distinctRows(as []*matrix.CSC, j int, tab *traceTable) int {
 
 func inputAddr(i int, a *matrix.CSC, j int) uint64 {
 	return inputBase + uint64(i)*inputStep + uint64(a.ColPtr[j])*entryBytes
-}
-
-// sizeFor mirrors hashtab.SizeFor.
-func sizeFor(n int, lf float64) int {
-	need := int(float64(n)/lf) + 1
-	p := 1
-	for p < need {
-		p <<= 1
-	}
-	return p
-}
-
-// slidingParts mirrors the partition arithmetic of Algorithms 7-8.
-func slidingParts(nnz, bytesPerEntry, threads int, cacheBytes int64, maxEntries int) int {
-	if nnz <= 0 {
-		return 1
-	}
-	var parts int
-	if maxEntries > 0 {
-		parts = (nnz + maxEntries - 1) / maxEntries
-	} else {
-		need := int64(nnz) * int64(bytesPerEntry) * int64(threads)
-		parts = int((need + cacheBytes - 1) / cacheBytes)
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	return parts
 }
 
 // traceTable replicates the linear-probing insert of internal/hashtab

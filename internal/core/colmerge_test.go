@@ -125,3 +125,49 @@ func TestSortPairsPermutation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSortPairsLongColumns sorts 3000-entry columns of distinct keys and
+// checks that every value stays with its row: one shuffled, one made of
+// concatenated sorted runs, the shape the hash emits of Add and Mul
+// produce (one ascending run per input column merged in).
+func TestSortPairsLongColumns(t *testing.T) {
+	sorts := func(rows []matrix.Index) bool {
+		vals := make([]matrix.Value, len(rows))
+		for i, r := range rows {
+			vals[i] = float64(r) * 2
+		}
+		sortPairs(rows, vals)
+		for i := range rows {
+			if i > 0 && rows[i] <= rows[i-1] {
+				return false
+			}
+			if vals[i] != float64(rows[i])*2 {
+				return false // value detached from its row
+			}
+		}
+		return true
+	}
+	rng := rand.New(rand.NewSource(5))
+	keys := rng.Perm(1 << 16)[:3000]
+	shuffled := make([]matrix.Index, len(keys))
+	for i, k := range keys {
+		shuffled[i] = matrix.Index(k)
+	}
+	if !sorts(shuffled) {
+		t.Error("a shuffled 3000-entry column did not sort")
+	}
+
+	sort.Ints(keys)
+	runs := make([][]matrix.Index, 12)
+	for _, k := range keys { // dealt in ascending order, so each run ascends
+		r := rng.Intn(len(runs))
+		runs[r] = append(runs[r], matrix.Index(k))
+	}
+	var col []matrix.Index
+	for _, run := range runs {
+		col = append(col, run...)
+	}
+	if !sorts(col) {
+		t.Error("a 3000-entry column of concatenated sorted runs did not sort")
+	}
+}

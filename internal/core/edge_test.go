@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"spkadd/internal/generate"
+	"spkadd/internal/hashtab"
 	"spkadd/internal/matrix"
 )
 
@@ -47,9 +48,9 @@ func TestSlidingPartsArithmetic(t *testing.T) {
 		{1, 4, 1, 1, 0, 4},              // degenerate tiny cache
 	}
 	for _, c := range cases {
-		got := slidingParts(c.nnz, c.b, c.t, c.cache, c.maxEntries)
+		got := hashtab.SlidingParts(c.nnz, c.b, c.t, c.cache, c.maxEntries)
 		if got != c.wantParts {
-			t.Errorf("slidingParts(%d,%d,%d,%d,%d) = %d, want %d",
+			t.Errorf("SlidingParts(%d,%d,%d,%d,%d) = %d, want %d",
 				c.nnz, c.b, c.t, c.cache, c.maxEntries, got, c.wantParts)
 		}
 	}

@@ -184,6 +184,7 @@ type numKit[T matrix.Number] struct {
 	spaAccum     func(acc *spa.SPAOf[T], as []*matrix.CSCOf[T], j int, coeffs []T)
 	slidingAccum func(tab *hashtab.TableOf[T], as []*matrix.CSCOf[T], j int, r1, r2 matrix.Index, sortedIn bool, coeffs []T)
 	heapMerge    func(w *workerStateOf[T], as []*matrix.CSCOf[T], j int, outRows []matrix.Index, outVals, coeffs []T) int
+	mulAccum     func(tab *hashtab.TableOf[T], a, b *matrix.CSCOf[T], j int)
 	pairMerge    pairAdder[T]
 	pairMap      pairAdder[T]
 }
@@ -194,6 +195,7 @@ func makeKit[T matrix.Arith]() numKit[T] {
 		spaAccum:     spaAccumPlus[T],
 		slidingAccum: slidingAccumPlus[T],
 		heapMerge:    heapMergePlus[T],
+		mulAccum:     mulAccumPlus[T],
 		pairMerge:    pairAddMerge[T],
 		pairMap:      pairAddMap[T],
 	}
@@ -310,26 +312,6 @@ func hashSymbolicCol[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf[T]
 	return tab.Len()
 }
 
-// slidingParts computes the partition count of Algorithms 7-8:
-// ceil(nnz*b*T/M), or ceil(nnz/maxEntries) when an explicit table cap
-// is set (the Fig 4 sweep knob).
-func slidingParts(nnz int, bytesPerEntry int64, threads int, cacheBytes int64, maxEntries int) int {
-	if nnz <= 0 {
-		return 1
-	}
-	var parts int
-	if maxEntries > 0 {
-		parts = (nnz + maxEntries - 1) / maxEntries
-	} else {
-		need := int64(nnz) * bytesPerEntry * int64(threads)
-		parts = int((need + cacheBytes - 1) / cacheBytes)
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	return parts
-}
-
 // slidingSymbolicCol is Algorithm 7: when the symbolic table would
 // spill out of cache, count over row ranges [r1, r2), one in-cache
 // table at a time. Row ranges are located by binary search when
@@ -344,7 +326,7 @@ func slidingSymbolicCol[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf
 	// of the partitioning is that each table fits the cache share (or
 	// the explicit entry cap), and a band-reused oversized window
 	// would silently void that.
-	parts := slidingParts(inz, BytesPerSymbolicEntry, threads, cacheBytes, maxEntries)
+	parts := hashtab.SlidingParts(inz, BytesPerSymbolicEntry, threads, cacheBytes, maxEntries)
 	if parts == 1 {
 		tab := w.symTableSized(inz)
 		for _, a := range as {
@@ -589,7 +571,7 @@ func slidingHashAddCol[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf[
 	// guarantee is the algorithm, so the high-water band is bypassed.
 	// The per-entry byte cost is T's, so a float32 column needs half
 	// the parts a float64 one does for the same cache share.
-	parts := slidingParts(onz, entryBytesOf[T](), threads, cacheBytes, maxEntries)
+	parts := hashtab.SlidingParts(onz, entryBytesOf[T](), threads, cacheBytes, maxEntries)
 	if parts == 1 {
 		emitHashTab(accumInputsInto(w.kit, w.hashTableSized(onz), as, j, coeffs, mon), outRows, outVals, sorted)
 		return

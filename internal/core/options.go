@@ -7,6 +7,9 @@
 //
 // All algorithms are parallel over output columns with thread-private
 // data structures and no synchronization inside a column (§III-A).
+// Mul, the local multiply of the SUMMA simulation (§IV-E), runs on the
+// same single-pass engine: each product column is a scaled k-way
+// addition of columns of A.
 package core
 
 import (

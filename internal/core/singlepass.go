@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"spkadd/internal/hashtab"
 	"spkadd/internal/matrix"
 	"spkadd/internal/sched"
 )
@@ -20,7 +21,9 @@ import (
 // output, coefficients, and any thread count, with output entry-for-entry
 // identical (after canonical sort) to the two-phase engine. It runs on
 // a Workspace: staging buffers and column extents survive the call, so
-// repeated additions allocate nothing in steady state.
+// repeated additions allocate nothing in steady state. Mul (mul.go) is
+// its second caller: the same tail, stageAndCompact, runs a product
+// with each column's flops as its staging bound.
 
 const (
 	// upperBoundStagingCap bounds the staging buffer PhasesAuto lets
@@ -103,15 +106,7 @@ func emitColInto[T matrix.Number](ws *workerStateOf[T], as []*matrix.CSCOf[T], j
 	nz := 0
 	switch alg {
 	case Hash:
-		tab := hashAccumCol(ws, as, j, inz, coeffs, mon)
-		nz = tab.Len()
-		r, v := tab.AppendEntries(outRows[:0:inz], outVals[:0:inz])
-		if len(r) != nz {
-			panic("core: single-pass hash emitted a different count than it accumulated")
-		}
-		if sorted {
-			sortPairs(r, v)
-		}
+		nz = emitStaged(hashAccumCol(ws, as, j, inz, coeffs, mon), outRows, outVals, sorted)
 	case SPA:
 		acc := spaAccumCol(ws, as, j, coeffs, mon)
 		nz = acc.Len()
@@ -136,6 +131,20 @@ func emitColInto[T matrix.Number](ws *workerStateOf[T], as []*matrix.CSCOf[T], j
 	return nz
 }
 
+// emitStaged gathers the table's entries, in first-insertion order,
+// into a staging extent whose length bounds the column, sorts them
+// when asked, and returns their count.
+func emitStaged[T matrix.Number](tab *hashtab.TableOf[T], outRows []matrix.Index, outVals []T, sorted bool) int {
+	r, v := tab.AppendEntries(outRows[:0:len(outRows)], outVals[:0:len(outVals)])
+	if len(r) > len(outRows) {
+		panic("core: single-pass hash column outgrew its staging bound")
+	}
+	if sorted {
+		sortPairs(r, v)
+	}
+	return len(r)
+}
+
 // dropIdentityEntries compacts the first nz entries in place, removing
 // those whose value equals the monoid identity, and returns the new
 // count. Compaction is order-preserving, so a sorted column stays
@@ -158,15 +167,28 @@ func dropIdentityEntries[T matrix.Number](rows []matrix.Index, vals []T, nz int,
 // inputs, and compacted in parallel into the exact-size output.
 func (ws *WorkspaceOf[T]) addUpperBound() (*matrix.CSCOf[T], PhaseTimings, error) {
 	var pt PhaseTimings
-	n := ws.as[0].Cols
-	ws.colScratch(n)
+	ws.colScratch(ws.as[0].Cols)
 	if err := ws.ctxCheck(); err != nil {
 		return nil, pt, err
 	}
-
 	if err := ws.fillInputWeights(); err != nil {
 		return nil, pt, err
 	}
+	b, numeric, err := ws.stageAndCompact(ws.as[0].Rows, ws.ubFn)
+	pt.Numeric = numeric
+	return b, pt, err
+}
+
+// stageAndCompact is the single-pass tail both callers share, addition
+// and Mul, once ws.weights holds every column's staging bound: it
+// reserves worker scratch for the largest bound, lays out one staging
+// extent per column, runs body over the columns as a region weighted
+// by the bounds (body records each column's exact count in ws.counts),
+// and compacts the filled prefixes into the exact-size rows x n
+// output. The returned duration excludes the reservation, which is
+// scratch sizing like the workspace growth no timer ever saw.
+func (ws *WorkspaceOf[T]) stageAndCompact(rows int, body func(w, lo, hi int)) (*matrix.CSCOf[T], time.Duration, error) {
+	n := len(ws.weights)
 	ws.reserveWorkers(ws.weights, false)
 	start := time.Now()
 	ws.ubPtr = grow(ws.ubPtr, n+1)
@@ -177,29 +199,25 @@ func (ws *WorkspaceOf[T]) addUpperBound() (*matrix.CSCOf[T], PhaseTimings, error
 	total := int(ws.ubPtr[n])
 	ws.stRows = grow(ws.stRows, total)
 	ws.stVals = grow(ws.stVals, total)
-	if err := ws.runCols(ws.weights, ws.ubFn); err != nil {
-		pt.Numeric = time.Since(start)
-		return nil, pt, err
+	if err := ws.runCols(ws.weights, body); err != nil {
+		return nil, time.Since(start), err
 	}
 	if err := ws.ctxCheck(); err != nil {
-		pt.Numeric = time.Since(start)
-		return nil, pt, err
+		return nil, time.Since(start), err
 	}
 
 	// Compact: copy each column's filled prefix to its final position.
 	// Out of place — final extents can overlap staged extents of other
 	// columns, so in-place parallel moves would race.
-	b := ws.allocOutput(ws.as[0].Rows, n, ws.counts)
+	b := ws.allocOutput(rows, n, ws.counts)
 	ws.b = b
-	err := ws.runCols(ws.counts, ws.compactFn)
-	pt.Numeric = time.Since(start)
-	if err != nil {
-		return nil, pt, err
+	if err := ws.runCols(ws.counts, ws.compactFn); err != nil {
+		return nil, time.Since(start), err
 	}
 	if ws.opt.Stats != nil {
 		ws.opt.Stats.EntriesMoved.Add(b.ColPtr[n])
 	}
-	return b, pt, nil
+	return b, time.Since(start), nil
 }
 
 // ubBody fills the staging extents of columns [lo, hi) in one input

@@ -11,7 +11,8 @@ import (
 	"spkadd/internal/sched"
 )
 
-// Workspace owns every scratch structure a k-way SpKAdd call needs —
+// Workspace owns every scratch structure a k-way SpKAdd call (or a
+// Mul, which runs on the same single-pass engine) needs —
 // per-worker hash tables, SPAs and heaps, the single-pass engine's
 // staging buffer, the per-column nnz and weight arrays, and
 // (optionally) a recyclable output CSC — so that repeated calls
@@ -44,7 +45,7 @@ type WorkspaceOf[T matrix.Number] struct {
 
 	// Scratch reused across calls.
 	workers []*workerStateOf[T]
-	weights []int64 // per-column Σ_i nnz(A_i(:,j))
+	weights []int64 // per-column Σ_i nnz(A_i(:,j)), or Mul's flops
 	counts  []int64 // per-column output nnz
 	ubPtr   []int64 // single-pass engine's staging column pointers
 	stRows  []matrix.Index
@@ -77,13 +78,15 @@ type WorkspaceOf[T matrix.Number] struct {
 	ctx      context.Context // nil for context-free calls
 	ex       *sched.Executor // Options.Executor, or ownEx
 	b        *matrix.CSCOf[T]
+	// mulA, mulB are Mul's operands; a product has no input list.
+	mulA, mulB *matrix.CSCOf[T]
 	// mon is the call's resolved combine monoid, held by value so
 	// non-Plus calls allocate nothing; monP is the kernel-facing
 	// handle — nil on the Plus fast path, &mon on the generic path.
 	mon  monoidStateOf[T]
 	monP *monoidStateOf[T]
 
-	symFn, numFn, ubFn, compactFn, weightsFn func(w, lo, hi int)
+	symFn, numFn, ubFn, compactFn, weightsFn, mulFn func(w, lo, hi int)
 }
 
 // Workspace is the float64 workspace, the paper's element type.
@@ -115,6 +118,7 @@ func NewWorkspaceOf[T matrix.Number](recycleOutput bool) *WorkspaceOf[T] {
 	ws.ubFn = ws.ubBody
 	ws.compactFn = ws.compactBody
 	ws.weightsFn = ws.weightsBody
+	ws.mulFn = ws.mulBody
 	return ws
 }
 
@@ -353,6 +357,7 @@ func (ws *WorkspaceOf[T]) closeExecutor() {
 // ownEx stays resident, workers parked, for the next call.
 func (ws *WorkspaceOf[T]) end() {
 	ws.as, ws.coeffs, ws.b, ws.ex, ws.ctx = nil, nil, nil, nil, nil
+	ws.mulA, ws.mulB = nil, nil
 	ws.opt = OptionsOf[T]{}
 	ws.mon, ws.monP = monoidStateOf[T]{}, nil
 }

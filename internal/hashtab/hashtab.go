@@ -13,7 +13,7 @@
 // a single machine instruction per instantiation (a method cannot
 // carry a tighter constraint than its receiver type); the monoid-
 // generic path is the AddWith method, available for every T including
-// bool. Table aliases the float64 instantiation.
+// bool.
 //
 // A worker reuses one table across every column it processes, so Reset
 // must not cost O(capacity): slots carry an epoch stamp and Reset just
@@ -50,9 +50,9 @@ const DefaultLoadFactor = 0.5
 // range (0, 1]: non-positive values (unset) become DefaultLoadFactor,
 // values above 1 clamp to 1.0 — a caller asking for 0.9 and one
 // typo'ing 9.0 should get adjacent tables, not wildly different ones.
-// Every load-factor knob in the library (core, spgemm, cachesim)
-// normalizes through this one function so table sizing never diverges
-// between the real kernels and the simulator.
+// Every load-factor knob in the library (core, cachesim) normalizes
+// through this one function so table sizing never diverges between
+// the real kernels and the simulator.
 func ClampLoadFactor(lf float64) float64 {
 	switch {
 	case lf <= 0:
@@ -78,6 +78,25 @@ func SizeFor(n int, loadFactor float64) int {
 	return p
 }
 
+// SlidingParts is the partition count of the sliding hash algorithm
+// (Algorithms 7-8): ceil(nnz*b*T/M) row ranges, so that each of T
+// threads' tables of b-byte entries fits its share of an M-byte cache,
+// or ceil(nnz/maxEntries) when an explicit table cap is set (the Fig 4
+// sweep knob). The kernels and the cache simulator share it.
+func SlidingParts(nnz int, bytesPerEntry int64, threads int, cacheBytes int64, maxEntries int) int {
+	if nnz <= 0 {
+		return 1
+	}
+	var parts int
+	if maxEntries > 0 {
+		parts = (nnz + maxEntries - 1) / maxEntries
+	} else {
+		need := int64(nnz) * bytesPerEntry * int64(threads)
+		parts = int((need + cacheBytes - 1) / cacheBytes)
+	}
+	return max(parts, 1)
+}
+
 // TableOf is the numeric-phase hash table holding (row, value) entries
 // of element type T.
 type TableOf[T matrix.Number] struct {
@@ -94,14 +113,6 @@ type TableOf[T matrix.Number] struct {
 	// accumulate across the many columns it processes; callers zero it
 	// explicitly when flushing.
 	Probes int64
-}
-
-// Table is the float64 numeric-phase table.
-type Table = TableOf[matrix.Value]
-
-// NewTable returns a float64 table with capacity for at least n keys.
-func NewTable(n int, loadFactor float64) *Table {
-	return NewTableOf[matrix.Value](n, loadFactor)
 }
 
 // NewTableOf returns a table over T with capacity for at least n keys.

@@ -36,7 +36,7 @@ func TestSizeFor(t *testing.T) {
 }
 
 func TestTableAccumulates(t *testing.T) {
-	tab := NewTable(10, 0.5)
+	tab := NewTableOf[matrix.Value](10, 0.5)
 	Accum(tab, 5, 1.5)
 	Accum(tab, 7, 2)
 	Accum(tab, 5, 3)
@@ -56,7 +56,7 @@ func TestTableAccumulates(t *testing.T) {
 
 func TestTableCollisionsResolve(t *testing.T) {
 	// Force collisions with a tiny table at load factor 1.
-	tab := NewTable(4, 1.0)
+	tab := NewTableOf[matrix.Value](4, 1.0)
 	keys := []matrix.Index{0, 4, 8, 12} // likely collide under mask
 	for i, k := range keys {
 		Accum(tab, k, float64(i+1))
@@ -69,7 +69,7 @@ func TestTableCollisionsResolve(t *testing.T) {
 }
 
 func TestAppendEntriesRoundTrip(t *testing.T) {
-	tab := NewTable(64, 0.5)
+	tab := NewTableOf[matrix.Value](64, 0.5)
 	want := map[matrix.Index]matrix.Value{}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
@@ -106,24 +106,24 @@ func TestAppendEntriesInsertionOrder(t *testing.T) {
 	plus := func(a, b matrix.Value) matrix.Value { return a + b }
 	inserts := []struct {
 		name   string
-		insert func(*Table, matrix.Index, matrix.Value)
+		insert func(*TableOf[matrix.Value], matrix.Index, matrix.Value)
 	}{
-		{"Accum", func(tab *Table, r matrix.Index, v matrix.Value) { Accum(tab, r, v) }},
-		{"AddWith", func(tab *Table, r matrix.Index, v matrix.Value) { tab.AddWith(r, v, plus) }},
+		{"Accum", func(tab *TableOf[matrix.Value], r matrix.Index, v matrix.Value) { Accum(tab, r, v) }},
+		{"AddWith", func(tab *TableOf[matrix.Value], r matrix.Index, v matrix.Value) { tab.AddWith(r, v, plus) }},
 	}
 	const stale = 1024
 	cases := []struct {
 		name    string
-		prepare func(*Table)
+		prepare func(*TableOf[matrix.Value])
 		storage int // len(keys) the case must leave behind
 	}{
-		{"narrowed", func(tab *Table) { tab.Grow(64, 0.5) }, SizeFor(stale, 0.5)},
-		{"reallocated", func(tab *Table) { tab.Grow(4*stale, 0.5) }, SizeFor(4*stale, 0.5)},
-		{"wraparound", func(tab *Table) { tab.epoch = math.MaxUint32; tab.Reset() }, SizeFor(stale, 0.5)},
+		{"narrowed", func(tab *TableOf[matrix.Value]) { tab.Grow(64, 0.5) }, SizeFor(stale, 0.5)},
+		{"reallocated", func(tab *TableOf[matrix.Value]) { tab.Grow(4*stale, 0.5) }, SizeFor(4*stale, 0.5)},
+		{"wraparound", func(tab *TableOf[matrix.Value]) { tab.epoch = math.MaxUint32; tab.Reset() }, SizeFor(stale, 0.5)},
 	}
 	for _, in := range inserts {
 		for _, c := range cases {
-			tab := NewTable(stale, 0.5)
+			tab := NewTableOf[matrix.Value](stale, 0.5)
 			for r := 0; r < stale; r++ {
 				Accum(tab, matrix.Index(3*r), 1)
 			}
@@ -157,7 +157,7 @@ func TestAppendEntriesInsertionOrder(t *testing.T) {
 }
 
 func TestTableResetAndGrow(t *testing.T) {
-	tab := NewTable(8, 0.5)
+	tab := NewTableOf[matrix.Value](8, 0.5)
 	Accum(tab, 1, 1)
 	tab.Reset()
 	if tab.Len() != 0 {
@@ -201,7 +201,7 @@ func TestQuickTableMatchesMap(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(300) + 1
-		tab := NewTable(n/4+1, 0.5) // deliberately small: exercise Grow? no, collision paths
+		tab := NewTableOf[matrix.Value](n/4+1, 0.5) // deliberately small: exercise Grow? no, collision paths
 		want := map[matrix.Index]matrix.Value{}
 		for i := 0; i < n; i++ {
 			r := matrix.Index(rng.Intn(64))
@@ -231,7 +231,7 @@ func TestQuickTableMatchesMap(t *testing.T) {
 }
 
 func TestProbeCounterMonotone(t *testing.T) {
-	tab := NewTable(16, 0.5)
+	tab := NewTableOf[matrix.Value](16, 0.5)
 	Accum(tab, 1, 1)
 	if tab.Probes < 1 {
 		t.Error("probe counter not advancing")
@@ -248,7 +248,7 @@ func TestProbeCounterMonotone(t *testing.T) {
 func TestAddWithMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	plus := func(a, b matrix.Value) matrix.Value { return a + b }
-	tab, ref := NewTable(64, 0.5), NewTable(64, 0.5)
+	tab, ref := NewTableOf[matrix.Value](64, 0.5), NewTableOf[matrix.Value](64, 0.5)
 	for i := 0; i < 500; i++ {
 		r := matrix.Index(rng.Intn(100))
 		v := matrix.Value(rng.NormFloat64())
@@ -266,7 +266,7 @@ func TestAddWithMatchesAdd(t *testing.T) {
 		}
 	}
 
-	mn := NewTable(8, 0.5)
+	mn := NewTableOf[matrix.Value](8, 0.5)
 	mn.AddWith(3, 5, func(a, b matrix.Value) matrix.Value { return min(a, b) })
 	mn.AddWith(3, 2, func(a, b matrix.Value) matrix.Value { return min(a, b) })
 	mn.AddWith(3, 9, func(a, b matrix.Value) matrix.Value { return min(a, b) })

@@ -278,8 +278,8 @@ func (a *CSCOf[T]) Triples() []TripleOf[T] {
 // ColSplit splits a into k column blocks of near-equal width (the
 // paper's construction of k SpKAdd inputs from one m x n matrix: each
 // piece keeps the full row dimension and n/k of the columns, re-indexed
-// from 0). When widen is true each piece is returned as an m x ceil(n/k)
-// matrix; the last piece may have fewer populated columns.
+// from 0). Every piece is m x ceil(n/k): the last pieces may have
+// fewer populated columns, or none when k exceeds n.
 func (a *CSCOf[T]) ColSplit(k int) []*CSCOf[T] {
 	if k <= 0 {
 		return nil

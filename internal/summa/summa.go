@@ -22,7 +22,6 @@ import (
 	"spkadd/internal/core"
 	"spkadd/internal/matrix"
 	"spkadd/internal/sched"
-	"spkadd/internal/spgemm"
 )
 
 // Config describes one simulated SUMMA run.
@@ -72,13 +71,10 @@ type Report struct {
 	CommVolumeBytes int64
 }
 
-// Sentinels for the argument checks; callers select on these with
-// errors.Is.
-var (
-	ErrDimMismatch = errors.New("summa: dimension mismatch")
-	ErrBadGrid     = errors.New("summa: grid must be >= 1")
-	ErrUnsorted    = errors.New("summa: operands must have sorted columns for block distribution")
-)
+// ErrBadGrid reports a grid of fewer than one process. Mismatched
+// operands wrap core.ErrDimMismatch and unsorted ones
+// core.ErrUnsortedInput, the sentinels the public API exports.
+var ErrBadGrid = errors.New("summa: grid must be >= 1")
 
 // Run multiplies a (m x l) by b (l x n) on a Grid x Grid simulated
 // process grid and returns the assembled product with the phase
@@ -86,14 +82,14 @@ var (
 func Run(a, b *matrix.CSC, cfg Config) (*matrix.CSC, Report, error) {
 	var rep Report
 	if a.Cols != b.Rows {
-		return nil, rep, fmt.Errorf("%w: %dx%d * %dx%d", ErrDimMismatch, a.Rows, a.Cols, b.Rows, b.Cols)
+		return nil, rep, fmt.Errorf("%w: %dx%d * %dx%d", core.ErrDimMismatch, a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	g := cfg.Grid
 	if g < 1 {
 		return nil, rep, fmt.Errorf("%w: got %d", ErrBadGrid, g)
 	}
 	if !a.IsColumnSorted() || !b.IsColumnSorted() {
-		return nil, rep, ErrUnsorted
+		return nil, rep, fmt.Errorf("%w: block distribution needs sorted operands", core.ErrUnsortedInput)
 	}
 
 	// Distribute: A on the grid as g x g row/column blocks (the
@@ -140,28 +136,28 @@ func Run(a, b *matrix.CSC, cfg Config) (*matrix.CSC, Report, error) {
 	}
 	rep.CommVolumeBytes = commVolume
 
-	mulOpt := spgemm.Options{Threads: cfg.Threads, SortOutput: cfg.SortIntermediates}
+	mulOpt := core.MulOptions{Threads: cfg.Threads, SortOutput: cfg.SortIntermediates}
 	addOpt := core.Options{Algorithm: cfg.SpKAdd, Threads: cfg.Threads, SortedOutput: true, Phases: cfg.Phases}
 
 	// In sequential mode one workspace serves every process's
-	// reduction in turn, so the g*g SpKAdds share their scratch
-	// structures across stages (a real rank would likewise keep its
-	// scratch resident across SUMMA iterations), and one resident
-	// executor serves every process's multiply and reduction phases —
-	// the whole process loop spawns no per-phase goroutines. Output
-	// recycling stays off: each reduced block is retained for
-	// assembly. In concurrent mode the processes draw pooled
+	// multiplies and reduction in turn, so the g*g*g products and g*g
+	// SpKAdds share their scratch structures across stages (a real
+	// rank would likewise keep its scratch resident across SUMMA
+	// iterations), and one resident executor runs all of their regions
+	// — the whole process loop spawns no per-phase goroutines. Output
+	// recycling stays off: each product and each reduced block is
+	// retained. In concurrent mode the processes draw pooled
 	// workspaces (each with its own resident executor) through
-	// core.Add instead, and each multiply runs on an executor of its
-	// own; sharing one executor there would serialize the concurrent
-	// processes' phases.
-	var addWS *core.Workspace
+	// core.Mul and core.Add instead; sharing one executor there would
+	// serialize the concurrent processes' phases.
+	mul, add := core.Mul[matrix.Value], core.Add[matrix.Value]
 	if cfg.Sequential {
-		addWS = core.NewWorkspace(false)
+		ws := core.NewWorkspace(false)
 		ex := sched.NewExecutor(cfg.Threads)
 		defer ex.Close()
 		mulOpt.Executor = ex
 		addOpt.Executor = ex
+		mul, add = ws.Mul, ws.Add
 	}
 
 	process := func(i, j int, recvA <-chan *matrix.CSC, recvB <-chan *matrix.CSC) result {
@@ -174,7 +170,7 @@ func Run(a, b *matrix.CSC, cfg Config) (*matrix.CSC, Report, error) {
 			blkA := <-recvA
 			blkB := <-recvB
 			start := time.Now()
-			p, err := spgemm.Mul(blkA, blkB, mulOpt)
+			p, err := mul(blkA, blkB, mulOpt)
 			res.mulTime += time.Since(start)
 			if err != nil {
 				res.err = err
@@ -184,13 +180,7 @@ func Run(a, b *matrix.CSC, cfg Config) (*matrix.CSC, Report, error) {
 			res.interNZ += int64(p.NNZ())
 		}
 		start := time.Now()
-		var sum *matrix.CSC
-		var err error
-		if addWS != nil {
-			sum, err = addWS.Add(partials, addOpt)
-		} else {
-			sum, err = core.Add(partials, addOpt)
-		}
+		sum, err := add(partials, addOpt)
 		res.addTime = time.Since(start)
 		if err != nil {
 			res.err = err

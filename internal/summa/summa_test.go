@@ -1,6 +1,9 @@
 package summa
 
 import (
+	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"spkadd/internal/core"
@@ -29,6 +32,42 @@ func TestSummaMatchesSerial(t *testing.T) {
 			if g > 1 && rep.IntermediateNNZ < int64(got.NNZ()) {
 				t.Errorf("g=%d: intermediate nnz %d below output nnz %d", g, rep.IntermediateNNZ, got.NNZ())
 			}
+		}
+	}
+}
+
+// TestSummaSequentialMatchesConcurrent: one shared workspace and
+// executor (sequential) and pooled workspaces (concurrent) must give
+// the same product, array for array.
+func TestSummaSequentialMatchesConcurrent(t *testing.T) {
+	// Uniform operands with random values: most product entries sum
+	// partials of several stages, so a change of summation order shows
+	// in their bits.
+	a := generate.ER(generate.Opts{Rows: 150, Cols: 150, NNZPerCol: 8, Seed: 11})
+	b := generate.ER(generate.Opts{Rows: 150, Cols: 150, NNZPerCol: 8, Seed: 12})
+	rng := rand.New(rand.NewSource(13))
+	for _, m := range []*matrix.CSC{a, b} {
+		for i := range m.Val {
+			m.Val[i] = rng.Float64()
+		}
+	}
+	for _, cfg := range []Config{
+		{Grid: 3, SpKAdd: core.Hash},
+		{Grid: 3, SpKAdd: core.Hash, SortIntermediates: true, Threads: 2},
+		{Grid: 4, SpKAdd: core.Heap, SortIntermediates: true, Threads: 3},
+	} {
+		cfg.Sequential = true
+		seq, _, err := Run(a, b, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Sequential = false
+		conc, _, err := Run(a, b, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(seq.ColPtr, conc.ColPtr) || !slices.Equal(seq.RowIdx, conc.RowIdx) || !slices.Equal(seq.Val, conc.Val) {
+			t.Errorf("%+v: sequential and concurrent products differ", cfg)
 		}
 	}
 }
@@ -83,12 +122,17 @@ func TestSummaAllVariants(t *testing.T) {
 func TestSummaErrors(t *testing.T) {
 	a := matrix.NewCSC(4, 5, 0)
 	b := matrix.NewCSC(6, 3, 0)
-	if _, _, err := Run(a, b, Config{Grid: 2}); err == nil {
-		t.Error("dimension mismatch accepted")
+	if _, _, err := Run(a, b, Config{Grid: 2}); !errors.Is(err, core.ErrDimMismatch) {
+		t.Errorf("dimension mismatch: got %v, want core.ErrDimMismatch", err)
 	}
 	sq := matrix.NewCSC(4, 4, 0)
-	if _, _, err := Run(sq, sq, Config{Grid: 0}); err == nil {
-		t.Error("zero grid accepted")
+	if _, _, err := Run(sq, sq, Config{Grid: 0}); !errors.Is(err, ErrBadGrid) {
+		t.Errorf("zero grid: got %v, want ErrBadGrid", err)
+	}
+	unsorted := matrix.FromTriples(4, 4, []matrix.Triple{{Row: 1, Col: 0, Val: 1}, {Row: 3, Col: 0, Val: 2}})
+	unsorted.RowIdx[0], unsorted.RowIdx[1] = unsorted.RowIdx[1], unsorted.RowIdx[0]
+	if _, _, err := Run(unsorted, sq, Config{Grid: 2}); !errors.Is(err, core.ErrUnsortedInput) {
+		t.Errorf("unsorted operand: got %v, want core.ErrUnsortedInput", err)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"spkadd/internal/matrix"
 	"spkadd/internal/ops"
 	"spkadd/internal/sched"
-	"spkadd/internal/spgemm"
 	"spkadd/internal/summa"
 )
 
@@ -306,13 +305,19 @@ func ReadMatrixMarket(r io.Reader) (*Matrix, error) { return matrix.ReadMatrixMa
 // WriteMatrixMarket writes m in MatrixMarket coordinate format.
 func WriteMatrixMarket(w io.Writer, m *Matrix) error { return matrix.WriteMatrixMarket(w, m) }
 
-// MulOptions configure Multiply.
-type MulOptions = spgemm.Options
+// MulOptions configure Multiply: Threads, SortOutput (ascending rows
+// within each product column) and Executor (a shared worker pool, as
+// in Options).
+type MulOptions = core.MulOptions
 
-// Multiply computes the sparse product A*B with the hash-accumulator
-// SpGEMM kernel used inside the SUMMA simulation.
+// Multiply computes the sparse product A*B, the local multiply of the
+// SUMMA simulation. It runs on the addition's single-pass hash engine:
+// by Gustavson's formulation each product column
+// C(:,j) = Σ_k B(k,j)·A(:,k) is a scaled k-way addition of columns of
+// A. Scratch comes from a pool, as for Add; only the returned product
+// is allocated. Mismatched inner dimensions wrap ErrDimMismatch.
 func Multiply(a, b *Matrix, opt MulOptions) (*Matrix, error) {
-	return spgemm.Mul(a, b, opt)
+	return core.Mul(a, b, opt)
 }
 
 // SummaConfig configures a simulated distributed sparse SUMMA run.
@@ -324,7 +329,9 @@ type SummaReport = summa.Report
 // RunSumma multiplies a by b on a simulated process grid, reducing
 // each process's intermediate products with the configured SpKAdd
 // algorithm. It reports the local-multiply / SpKAdd time split that
-// the paper's Fig 6 compares across reduction algorithms.
+// the paper's Fig 6 compares across reduction algorithms. Mismatched
+// operands wrap ErrDimMismatch, and operands with unsorted columns
+// ErrUnsortedInput.
 func RunSumma(a, b *Matrix, cfg SummaConfig) (*Matrix, SummaReport, error) {
 	return summa.Run(a, b, cfg)
 }

@@ -86,6 +86,25 @@ func TestPublicMultiplyAndSumma(t *testing.T) {
 	}
 }
 
+// TestPublicMultiplyErrorsClassify: Multiply and RunSumma failures
+// match the sentinels spkadd exports.
+func TestPublicMultiplyErrorsClassify(t *testing.T) {
+	a := spkadd.FromTriples(3, 4, nil)
+	b := spkadd.FromTriples(5, 2, nil)
+	if _, err := spkadd.Multiply(a, b, spkadd.MulOptions{}); !errors.Is(err, spkadd.ErrDimMismatch) {
+		t.Errorf("Multiply 3x4 * 5x2: got %v, want ErrDimMismatch", err)
+	}
+	if _, _, err := spkadd.RunSumma(a, b, spkadd.SummaConfig{Grid: 2}); !errors.Is(err, spkadd.ErrDimMismatch) {
+		t.Errorf("RunSumma 3x4 * 5x2: got %v, want ErrDimMismatch", err)
+	}
+	unsorted := spkadd.FromTriples(4, 4, []spkadd.Triple{{Row: 1, Col: 0, Val: 1}, {Row: 3, Col: 0, Val: 2}})
+	unsorted.RowIdx[0], unsorted.RowIdx[1] = unsorted.RowIdx[1], unsorted.RowIdx[0]
+	sq := spkadd.FromTriples(4, 4, nil)
+	if _, _, err := spkadd.RunSumma(unsorted, sq, spkadd.SummaConfig{Grid: 2}); !errors.Is(err, spkadd.ErrUnsortedInput) {
+		t.Errorf("RunSumma on an unsorted operand: got %v, want ErrUnsortedInput", err)
+	}
+}
+
 func TestPublicMatrixMarketRoundTrip(t *testing.T) {
 	a := spkadd.RandomER(40, 10, 5, 5)
 	var buf bytes.Buffer
