@@ -31,37 +31,63 @@ func identical(a, b *spkadd.Matrix) bool {
 	return true
 }
 
+// engineCells are the engine labels of the allocation and parity
+// grids, whose subtest IDs name an algorithm and an engine. Hash, SPA
+// and Heap have only the single pass, so a TwoPass cell runs
+// SlidingHash, the one k-way algorithm on the two-pass driver
+// (engineCell), and the case IDs stay stable.
+var engineCells = []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound}
+
+// engineCell is the configuration grid cell alg/engine runs over T:
+// alg on its single pass, or for TwoPass the algorithm left on the
+// two-pass driver — SlidingHash, unpartitioned under the Hash label
+// (the paper's two-phase hash) and partitioned by an entry cap under
+// SPA (16 entries) and Heap (4).
+func engineCell[T spkadd.Number](alg spkadd.Algorithm, engine spkadd.Phases) spkadd.OptionsOf[T] {
+	if engine != spkadd.PhasesTwoPass {
+		return spkadd.OptionsOf[T]{Algorithm: alg}
+	}
+	switch alg {
+	case spkadd.SPA:
+		return spkadd.OptionsOf[T]{Algorithm: spkadd.SlidingHash, MaxTableEntries: 16}
+	case spkadd.Heap:
+		return spkadd.OptionsOf[T]{Algorithm: spkadd.SlidingHash, MaxTableEntries: 4}
+	}
+	return spkadd.OptionsOf[T]{Algorithm: spkadd.SlidingHash}
+}
+
 // TestAdderParity proves Adder.Add is bit-identical to the one-shot
-// spkadd.Add across algorithms, engines and sortedness — on one Adder
-// reused through the whole grid, so every configuration also runs on
-// scratch left behind by the previous one.
+// spkadd.Add across algorithms (so both engines), SlidingHash's
+// partitioning and sortedness — on one Adder reused through the whole
+// grid, so every configuration also runs on scratch left behind by
+// the previous one.
 func TestAdderParity(t *testing.T) {
 	ad := spkadd.NewAdder()
 	as := adderTestInputs(8, 4096, 48, 12, 3)
 	small := adderTestInputs(3, 256, 8, 4, 4)
-	algs := []spkadd.Algorithm{
-		spkadd.Hash, spkadd.SPA, spkadd.Heap, spkadd.SlidingHash,
-		spkadd.TwoWayIncremental, spkadd.TwoWayTree,
-	}
-	for _, alg := range algs {
-		for _, p := range []spkadd.Phases{spkadd.PhasesAuto, spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
-			for _, sorted := range []bool{true, false} {
-				for _, in := range [][]*spkadd.Matrix{as, small} {
-					opt := spkadd.Options{Algorithm: alg, Phases: p, SortedOutput: sorted}
-					got, err := ad.Add(in, opt)
-					if err != nil {
-						t.Fatalf("%v/%v/sorted=%v: %v", alg, p, sorted, err)
-					}
-					want, err := spkadd.Add(in, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sorted {
-						got, want = got.Clone().SortColumns(), want.Clone().SortColumns()
-					}
-					if !identical(got, want) {
-						t.Fatalf("%v/%v/sorted=%v: Adder result differs from Add", alg, p, sorted)
-					}
+	for _, base := range []spkadd.Options{
+		{Algorithm: spkadd.Auto}, {Algorithm: spkadd.Hash}, {Algorithm: spkadd.SPA}, {Algorithm: spkadd.Heap},
+		{Algorithm: spkadd.SlidingHash}, {Algorithm: spkadd.SlidingHash, MaxTableEntries: 8},
+		{Algorithm: spkadd.TwoWayIncremental}, {Algorithm: spkadd.TwoWayTree},
+	} {
+		for _, sorted := range []bool{true, false} {
+			for _, in := range [][]*spkadd.Matrix{as, small} {
+				opt := base
+				opt.SortedOutput = sorted
+				name := fmt.Sprintf("%v/max=%d/sorted=%v", opt.Algorithm, opt.MaxTableEntries, sorted)
+				got, err := ad.Add(in, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				want, err := spkadd.Add(in, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sorted {
+					got, want = got.Clone().SortColumns(), want.Clone().SortColumns()
+				}
+				if !identical(got, want) {
+					t.Fatalf("%s: Adder result differs from Add", name)
 				}
 			}
 		}
@@ -117,19 +143,22 @@ func TestAdderStreaming(t *testing.T) {
 	}
 }
 
-// TestAdderZeroSteadyStateAllocs is the tentpole's acceptance
-// criterion: once warmed, an Adder allocates nothing — for Hash, SPA
-// and Heap under both Phases engines, sorted and unsorted.
-// Threads is pinned to 1 because spawning worker goroutines allocates
-// their closures; the multi-threaded path reuses all the same scratch.
+// TestAdderZeroSteadyStateAllocs is the reuse layer's acceptance
+// criterion: once warmed, an Adder allocates nothing — for every
+// engine cell (Hash, SPA and Heap single-pass, SlidingHash
+// unpartitioned and partitioned), sorted and unsorted.
+// Threads is pinned to 1 so the steady state runs every region
+// inline; TestAdderZeroSteadyStateAllocsSchedules covers the
+// resident executor.
 func TestAdderZeroSteadyStateAllocs(t *testing.T) {
 	as := adderTestInputs(8, 2048, 48, 8, 9)
 	for _, alg := range []spkadd.Algorithm{spkadd.Hash, spkadd.SPA, spkadd.Heap} {
-		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
+		for _, p := range engineCells {
 			for _, sorted := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%v/%v/sorted=%v", alg, p, sorted), func(t *testing.T) {
 					ad := spkadd.NewAdder()
-					opt := spkadd.Options{Algorithm: alg, Phases: p, SortedOutput: sorted, Threads: 1}
+					opt := engineCell[spkadd.Value](alg, p)
+					opt.SortedOutput, opt.Threads = sorted, 1
 					for warm := 0; warm < 3; warm++ {
 						if _, err := ad.Add(as, opt); err != nil {
 							t.Fatal(err)
@@ -152,14 +181,16 @@ func TestAdderZeroSteadyStateAllocs(t *testing.T) {
 // TestAdderZeroSteadyStateAllocsMonoid extends the zero-allocation
 // contract to the generic combine path: a warmed non-Plus Adder — the
 // monoid resolution, the AddWith kernels, the input maps — must also
-// allocate nothing in steady state, for every engine.
+// allocate nothing in steady state, on both engines (Hash single-pass,
+// SlidingHash two-pass).
 func TestAdderZeroSteadyStateAllocsMonoid(t *testing.T) {
 	as := adderTestInputs(8, 2048, 48, 8, 9)
 	for _, m := range []*spkadd.Monoid{spkadd.Min, spkadd.Any, spkadd.Count} {
-		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
+		for _, p := range engineCells {
 			t.Run(fmt.Sprintf("%s/%v", m.Name, p), func(t *testing.T) {
 				ad := spkadd.NewAdder()
-				opt := spkadd.Options{Algorithm: spkadd.Hash, Phases: p, Monoid: m, SortedOutput: true, Threads: 1}
+				opt := engineCell[spkadd.Value](spkadd.Hash, p)
+				opt.Monoid, opt.SortedOutput, opt.Threads = m, true, 1
 				for warm := 0; warm < 3; warm++ {
 					if _, err := ad.Add(as, opt); err != nil {
 						t.Fatal(err)
@@ -180,7 +211,7 @@ func TestAdderZeroSteadyStateAllocsMonoid(t *testing.T) {
 
 // TestAdderZeroSteadyStateAllocsSchedules extends the zero-allocation
 // contract to scheduling: a warmed Adder allocates nothing for every
-// algorithm × engine at Threads > 1, although stealing hands columns to
+// engine cell at Threads > 1, although stealing hands columns to
 // workers differently from run to run and the resident executor parks
 // its workers between calls. The cells are uniform (ER) or skewed
 // (RMAT) column weights at 2 or 4 workers; each keeps, as its subtest
@@ -203,12 +234,13 @@ func TestAdderZeroSteadyStateAllocsSchedules(t *testing.T) {
 		{"WeightedStealing", "RMAT", 4},
 	}
 	for _, rg := range regimes {
-		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
+		for _, p := range engineCells {
 			t.Run(fmt.Sprintf("%s/%v", rg.name, p), func(t *testing.T) {
 				as := inputs[rg.pattern]
 				for _, alg := range []spkadd.Algorithm{spkadd.Hash, spkadd.SPA, spkadd.Heap} {
 					ad := spkadd.NewAdder()
-					opt := spkadd.Options{Algorithm: alg, Phases: p, SortedOutput: true, Threads: rg.threads}
+					opt := engineCell[spkadd.Value](alg, p)
+					opt.SortedOutput, opt.Threads = true, rg.threads
 					for warm := 0; warm < 3; warm++ {
 						if _, err := ad.Add(as, opt); err != nil {
 							t.Fatal(err)
@@ -220,7 +252,8 @@ func TestAdderZeroSteadyStateAllocsSchedules(t *testing.T) {
 						}
 					})
 					if allocs != 0 {
-						t.Errorf("%v at Threads %d: steady state allocates %.1f times per op, want 0", alg, rg.threads, allocs)
+						t.Errorf("%v (max=%d) at Threads %d: steady state allocates %.1f times per op, want 0",
+							opt.Algorithm, opt.MaxTableEntries, rg.threads, allocs)
 					}
 				}
 			})
@@ -248,8 +281,10 @@ func TestPooledAddConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				p := []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound}[(g+i)%2]
-				got, err := spkadd.Add(as, spkadd.Options{Algorithm: spkadd.Hash, Phases: p, SortedOutput: true, Threads: 2})
+				// Alternate the engines: sorted SlidingHash is
+				// bit-identical to sorted Hash.
+				alg := []spkadd.Algorithm{spkadd.SlidingHash, spkadd.Hash}[(g+i)%2]
+				got, err := spkadd.Add(as, spkadd.Options{Algorithm: alg, SortedOutput: true, Threads: 2})
 				if err != nil {
 					errs <- err
 					return

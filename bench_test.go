@@ -232,47 +232,37 @@ func BenchmarkSpGEMM(b *testing.B) {
 	}
 }
 
-// BenchmarkPhasesEngines compares the execution engines on the Hash
-// path: the two-pass driver reads every input twice, while the
-// upper-bound engine reads each input exactly once (its symbolic
-// probe count is zero — see TestWorkComplexitySinglePass).
-// The large-d ER configurations are where the saved input pass
-// dominates.
-func BenchmarkPhasesEngines(b *testing.B) {
-	for _, c := range []struct{ k, d int }{{8, 64}, {32, 256}, {16, 1024}} {
-		as := generate.ERCollection(c.k, generate.Opts{Rows: benchRows, Cols: 32, NNZPerCol: c.d, Seed: 19})
-		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
-			b.Run(fmt.Sprintf("ER/k=%d/d=%d/%v", c.k, c.d, p), func(b *testing.B) {
-				addLoop(b, as, spkadd.Options{Algorithm: spkadd.Hash, Phases: p})
-			})
-		}
-	}
-	// One skewed workload to keep the engines honest off the ER path.
-	rmat := generate.RMATCollection(32, generate.Opts{Rows: benchRows, Cols: 32, NNZPerCol: 128, Seed: 20}, generate.Graph500)
-	for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
-		b.Run(fmt.Sprintf("RMAT/k=32/d=128/%v", p), func(b *testing.B) {
-			addLoop(b, rmat, spkadd.Options{Algorithm: spkadd.Hash, Phases: p})
-		})
-	}
-}
-
 // adderReuseConfigs is the grid shared by BenchmarkAdderReuse and
-// BenchmarkAdderOneShot: Hash/SPA/Heap under all three engines,
-// sorted and unsorted, on a small repeated-addition workload where
-// allocation amortization matters most. Threads is pinned to 1 so the
-// reused path has a goroutine-free steady state (worker spawns
-// allocate their closures) — the CI allocation gate greps these
-// results for nonzero allocs/op.
+// BenchmarkAdderOneShot: both engines — Hash, SPA and Heap on the
+// single pass, SlidingHash on the two-pass driver, unpartitioned and
+// partitioned by a table cap — sorted and unsorted, on a small
+// repeated-addition workload where allocation amortization matters
+// most. Threads is pinned to 1 so the reused path has a goroutine-free
+// steady state — the CI allocation gate greps these results for
+// nonzero allocs/op.
 func adderReuseConfigs() []spkadd.Options {
 	var opts []spkadd.Options
-	for _, alg := range []spkadd.Algorithm{spkadd.Hash, spkadd.SPA, spkadd.Heap} {
-		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
-			for _, sorted := range []bool{false, true} {
-				opts = append(opts, spkadd.Options{Algorithm: alg, Phases: p, SortedOutput: sorted, Threads: 1})
-			}
+	for _, base := range []spkadd.Options{
+		{Algorithm: spkadd.Hash}, {Algorithm: spkadd.SPA}, {Algorithm: spkadd.Heap},
+		{Algorithm: spkadd.SlidingHash}, {Algorithm: spkadd.SlidingHash, MaxTableEntries: 8},
+	} {
+		for _, sorted := range []bool{false, true} {
+			opt := base
+			opt.SortedOutput, opt.Threads = sorted, 1
+			opts = append(opts, opt)
 		}
 	}
 	return opts
+}
+
+// reuseName labels a reuse-grid cell: the algorithm, SlidingHash's
+// table cap when one is set, and sortedness.
+func reuseName(opt spkadd.Options) string {
+	name := opt.Algorithm.String()
+	if opt.MaxTableEntries > 0 {
+		name += fmt.Sprintf("/max=%d", opt.MaxTableEntries)
+	}
+	return fmt.Sprintf("%s/sorted=%v", name, opt.SortedOutput)
 }
 
 func adderReuseInputs() []*spkadd.Matrix {
@@ -287,7 +277,7 @@ func adderReuseInputs() []*spkadd.Matrix {
 func BenchmarkAdderReuse(b *testing.B) {
 	as := adderReuseInputs()
 	for _, opt := range adderReuseConfigs() {
-		b.Run(fmt.Sprintf("%v/%v/sorted=%v", opt.Algorithm, opt.Phases, opt.SortedOutput), func(b *testing.B) {
+		b.Run(reuseName(opt), func(b *testing.B) {
 			ad := spkadd.NewAdder()
 			for warm := 0; warm < 3; warm++ {
 				if _, err := ad.Add(as, opt); err != nil {
@@ -313,31 +303,30 @@ func BenchmarkAdderReuse(b *testing.B) {
 func BenchmarkAdderReuseMonoid(b *testing.B) {
 	as := adderReuseInputs()
 	for _, m := range []*spkadd.Monoid{spkadd.Min, spkadd.Count} {
-		for _, alg := range []spkadd.Algorithm{spkadd.Hash, spkadd.SPA, spkadd.Heap} {
-			for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
-				opt := spkadd.Options{Algorithm: alg, Phases: p, Monoid: m, SortedOutput: true, Threads: 1}
-				b.Run(fmt.Sprintf("%s/%v/%v", m.Name, opt.Algorithm, opt.Phases), func(b *testing.B) {
-					ad := spkadd.NewAdder()
-					for warm := 0; warm < 3; warm++ {
-						if _, err := ad.Add(as, opt); err != nil {
-							b.Fatal(err)
-						}
+		for _, alg := range []spkadd.Algorithm{spkadd.Hash, spkadd.SPA, spkadd.Heap, spkadd.SlidingHash} {
+			opt := spkadd.Options{Algorithm: alg, Monoid: m, SortedOutput: true, Threads: 1}
+			b.Run(fmt.Sprintf("%s/%v", m.Name, opt.Algorithm), func(b *testing.B) {
+				ad := spkadd.NewAdder()
+				for warm := 0; warm < 3; warm++ {
+					if _, err := ad.Add(as, opt); err != nil {
+						b.Fatal(err)
 					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := ad.Add(as, opt); err != nil {
-							b.Fatal(err)
-						}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := ad.Add(as, opt); err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
 
 // BenchmarkAdderReuseSched is BenchmarkAdderReuse at default
-// (GOMAXPROCS) threads, for both engines: the CI allocation gate greps
+// (GOMAXPROCS) threads, for both engines (Hash single-pass,
+// SlidingHash two-pass): the CI allocation gate greps
 // it with the other reuse benchmarks, so a warmed Adder must report 0
 // allocs/op with its phases running as multi-worker regions too —
 // stealing and the scheduling machinery included, which is what the
@@ -345,9 +334,9 @@ func BenchmarkAdderReuseMonoid(b *testing.B) {
 // -cpu 1,4, so the steal loop executes on every change.
 func BenchmarkAdderReuseSched(b *testing.B) {
 	as := adderReuseInputs()
-	for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
-		opt := spkadd.Options{Algorithm: spkadd.Hash, Phases: p, SortedOutput: true}
-		b.Run(p.String(), func(b *testing.B) {
+	for _, alg := range []spkadd.Algorithm{spkadd.SlidingHash, spkadd.Hash} {
+		opt := spkadd.Options{Algorithm: alg, SortedOutput: true}
+		b.Run(alg.String(), func(b *testing.B) {
 			ad := spkadd.NewAdder()
 			for warm := 0; warm < 3; warm++ {
 				if _, err := ad.Add(as, opt); err != nil {
@@ -377,10 +366,10 @@ func BenchmarkAdderReuseFaultsOff(b *testing.B) {
 		b.Fatal("an injector is active; this benchmark gates the disabled path")
 	}
 	as := adderReuseInputs()
-	for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
+	for _, alg := range []spkadd.Algorithm{spkadd.SlidingHash, spkadd.Hash} {
 		for _, threads := range []int{1, 4} {
-			opt := spkadd.Options{Algorithm: spkadd.Hash, Phases: p, SortedOutput: true, Threads: threads}
-			b.Run(fmt.Sprintf("%v/T=%d", p, threads), func(b *testing.B) {
+			opt := spkadd.Options{Algorithm: alg, SortedOutput: true, Threads: threads}
+			b.Run(fmt.Sprintf("%v/T=%d", alg, threads), func(b *testing.B) {
 				ad := spkadd.NewAdder()
 				for warm := 0; warm < 3; warm++ {
 					if _, err := ad.Add(as, opt); err != nil {
@@ -440,32 +429,33 @@ func dtypeReuseLoop[T spkadd.Number](b *testing.B, as []*spkadd.MatrixOf[T], opt
 // benchmarks — a warmed generic Adder must report exactly 0 allocs/op
 // for every element type, proving the type-parameterized kernels
 // didn't reintroduce per-call boxing or escapes anywhere on the
-// steady-state path.
+// steady-state path, on either engine (Hash single-pass, SlidingHash
+// two-pass).
 func BenchmarkAdderReuseDtype(b *testing.B) {
 	as := adderReuseInputs()
-	engines := []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound}
-	for _, p := range engines {
-		b.Run(fmt.Sprintf("float32/%v", p), func(b *testing.B) {
+	algs := []spkadd.Algorithm{spkadd.SlidingHash, spkadd.Hash}
+	for _, alg := range algs {
+		b.Run(fmt.Sprintf("float32/%v", alg), func(b *testing.B) {
 			dtypeReuseLoop(b, convertInputs(as, func(v float64) float32 { return float32(v) }),
-				spkadd.OptionsOf[float32]{Algorithm: spkadd.Hash, Phases: p, SortedOutput: true, Threads: 1})
+				spkadd.OptionsOf[float32]{Algorithm: alg, SortedOutput: true, Threads: 1})
 		})
 	}
-	for _, p := range engines {
-		b.Run(fmt.Sprintf("int32/%v", p), func(b *testing.B) {
+	for _, alg := range algs {
+		b.Run(fmt.Sprintf("int32/%v", alg), func(b *testing.B) {
 			dtypeReuseLoop(b, convertInputs(as, func(v float64) int32 { return int32(v*100) + 1 }),
-				spkadd.OptionsOf[int32]{Algorithm: spkadd.Hash, Phases: p, SortedOutput: true, Threads: 1})
+				spkadd.OptionsOf[int32]{Algorithm: alg, SortedOutput: true, Threads: 1})
 		})
 	}
-	for _, p := range engines {
-		b.Run(fmt.Sprintf("int64/%v", p), func(b *testing.B) {
+	for _, alg := range algs {
+		b.Run(fmt.Sprintf("int64/%v", alg), func(b *testing.B) {
 			dtypeReuseLoop(b, convertInputs(as, func(v float64) int64 { return int64(v*100) + 1 }),
-				spkadd.OptionsOf[int64]{Algorithm: spkadd.Hash, Phases: p, SortedOutput: true, Threads: 1})
+				spkadd.OptionsOf[int64]{Algorithm: alg, SortedOutput: true, Threads: 1})
 		})
 	}
-	for _, p := range engines {
-		b.Run(fmt.Sprintf("bool/%v", p), func(b *testing.B) {
+	for _, alg := range algs {
+		b.Run(fmt.Sprintf("bool/%v", alg), func(b *testing.B) {
 			dtypeReuseLoop(b, convertInputs(as, func(v float64) bool { return true }),
-				spkadd.OptionsOf[bool]{Algorithm: spkadd.Hash, Phases: p, Monoid: spkadd.AnyFor[bool](), SortedOutput: true, Threads: 1})
+				spkadd.OptionsOf[bool]{Algorithm: alg, Monoid: spkadd.AnyFor[bool](), SortedOutput: true, Threads: 1})
 		})
 	}
 }
@@ -476,7 +466,7 @@ func BenchmarkAdderReuseDtype(b *testing.B) {
 func BenchmarkAdderOneShot(b *testing.B) {
 	as := adderReuseInputs()
 	for _, opt := range adderReuseConfigs() {
-		b.Run(fmt.Sprintf("%v/%v/sorted=%v", opt.Algorithm, opt.Phases, opt.SortedOutput), func(b *testing.B) {
+		b.Run(reuseName(opt), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := spkadd.Add(as, opt); err != nil {
@@ -487,16 +477,17 @@ func BenchmarkAdderOneShot(b *testing.B) {
 	}
 }
 
-// BenchmarkSymbolicVsNumeric reports the phase split of the hash
-// algorithm (the two series of Fig 4) at a high compression factor,
-// where the symbolic phase dominates.
+// BenchmarkSymbolicVsNumeric reports the phase split of the paper's
+// two-phase hash (the two series of Fig 4) at a high compression
+// factor, where the symbolic phase dominates. That formulation is
+// unpartitioned SlidingHash: these tables fit the default CacheBytes.
 func BenchmarkSymbolicVsNumeric(b *testing.B) {
 	as := generate.ClusteredCollection(64, generate.Opts{Rows: benchRows, Cols: 16, NNZPerCol: 240, Seed: 18}, 22)
 	b.Run("symbolic+numeric", func(b *testing.B) {
 		var sym, num int64
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, pt, err := core.AddTimed(as, core.Options{Algorithm: core.Hash, Phases: core.PhasesTwoPass})
+			_, pt, err := core.AddTimed(as, core.Options{Algorithm: core.SlidingHash})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -5,9 +5,8 @@
 //	spkadd-bench -baseline BENCH_baseline.json  # write the perf baseline
 //
 // Experiments: fig2er, fig2rmat, table3, table4, fig3, fig4, table5,
-// fig6 (the paper artifacts, all run by "all"), plus phases (the
-// execution-engine comparison), reuse (one-shot Add vs a reused
-// Adder workspace across k and d), pool (sharded-pool throughput over
+// fig6 (the paper artifacts, all run by "all"), plus reuse (one-shot
+// Add vs a reused Adder workspace across k and d), pool (sharded-pool throughput over
 // a producer-count × shard-count grid), monoid (generic combine
 // overhead: every built-in monoid vs the Plus fast path), tune,
 // ablation, and dtype (the value-type A/B: identical additions over
@@ -16,8 +15,8 @@
 // 4). See EXPERIMENTS.md for the workload mapping and expected shapes.
 //
 // With -baseline, the harness instead measures a small fixed grid of
-// shapes across every algorithm and engine — runtime plus allocs/op
-// and bytes/op — and writes machine-readable JSON to the given path;
+// shapes across the k-way algorithms — runtime, the engine each ran,
+// allocs/op and bytes/op — and writes machine-readable JSON to the given path;
 // the committed BENCH_baseline.json gives future perf work a
 // trajectory to compare against.
 package main
@@ -37,7 +36,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("spkadd-bench: ")
-	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(bench.Experiments, ", ")+", phases, reuse, pool, monoid, tune, ablation, dtype, or all")
+	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(bench.Experiments, ", ")+", reuse, pool, monoid, tune, ablation, dtype, or all")
 	reps := flag.Int("reps", 1, "timed repetitions per cell (minimum reported)")
 	threads := flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 	scale := flag.Int("scale", 1, "divide workload sizes by this factor")

@@ -35,23 +35,19 @@
 //
 // # Execution engines
 //
-// Independently of the algorithm, Options.Phases selects how many
-// passes the driver takes over the inputs. The paper's two-phase
-// formulation (PhasesTwoPass) reads every input twice: a symbolic
-// phase sizes each output column, then a numeric phase fills it. The
-// single-pass engine, PhasesUpperBound, reads each input exactly
-// once — the paper's O(knd) memory-traffic lower bound: its staging
-// buffer is allocated from the per-column sum of input nonzeros,
-// filled in one pass, and compacted in parallel. Extra memory ≈ input
-// size.
-//
-// The default, PhasesAuto, picks UpperBound and falls back to TwoPass
-// when the single-pass hash tables would spill the last-level cache or
-// the staging buffer would exceed 1 GiB. Heap, SPA and Hash support
-// both engines, with all option combinations; SlidingHash and the
-// 2-way baselines always use their native drivers. Results are
-// identical between engines for any fixed algorithm (bit-for-bit with
-// SortedOutput). DESIGN.md covers the engine trade-offs in detail.
+// Each k-way algorithm has exactly one engine. Hash, SPA and Heap run
+// the single-pass engine, which reads each input exactly once — the
+// paper's O(knd) memory-traffic lower bound: its staging buffer is
+// allocated from the per-column sum of input nonzeros, filled in one
+// pass, and compacted in parallel. Extra memory ≈ input size.
+// SlidingHash keeps the paper's two-phase formulation, which reads
+// every input twice: a symbolic phase sizes each output column, then
+// a numeric phase fills it. Its per-part symbolic counts are what
+// keep each table in cache, and its unpartitioned case is the paper's
+// two-phase hash (Algorithms 5-6). The 2-way baselines keep their
+// pairwise drivers. OpStats.EngineUsed reports which engine a call
+// ran; with SortedOutput, Hash, SPA and Heap are bit-identical to
+// SlidingHash. DESIGN.md §2 covers the engines and the Auto rule.
 //
 // # Combine monoids
 //
@@ -68,16 +64,16 @@
 //	freq, _ := spkadd.Add(snapshots, spkadd.Options{Monoid: spkadd.Count})
 //	low, _ := spkadd.Add(forecasts, spkadd.Options{Monoid: spkadd.Min})
 //
-// Results are engine-identical (bit-for-bit with SortedOutput) for
-// every monoid, exactly like Plus. Non-Plus monoids run on the k-way
-// algorithms only (the 2-way baselines hardwire pairwise "+") and
-// reject AddScaled coefficients with ErrCoeffsRequirePlus — scaling
-// distributes over "+" but not over min, max or counting. Monoids
-// with an input map (Any, Count) compose with the streaming
-// Accumulator and Pool, which fold their running sum back in
-// unmapped; with a bare Adder the sum-reuse pattern below would
-// re-map the sum, so prefer an Accumulator for streaming Count. See
-// DESIGN.md §8 and examples/overlay.
+// Results are identical across the k-way algorithms (bit-for-bit
+// with SortedOutput) for every monoid, exactly like Plus. Non-Plus
+// monoids run on the k-way algorithms only (the 2-way baselines
+// hardwire pairwise "+") and reject AddScaled coefficients with
+// ErrCoeffsRequirePlus — scaling distributes over "+" but not over
+// min, max or counting. Monoids with an input map (Any, Count)
+// compose with the streaming Accumulator and Pool, which fold their
+// running sum back in unmapped; with a bare Adder the sum-reuse
+// pattern below would re-map the sum, so prefer an Accumulator for
+// streaming Count. See DESIGN.md §8 and examples/overlay.
 //
 // # Value types
 //
@@ -102,7 +98,7 @@
 // reachability and overlay workloads: it has no "+", so boolean
 // additions must name a monoid explicitly (AnyFor[bool] is the
 // natural one) and AddScaled does not apply. The Plus fast path, the
-// zero-allocation Adder steady state and engine-identical results
+// zero-allocation Adder steady state and algorithm-identical results
 // hold per instantiation — see TestDtypeParity,
 // BenchmarkAdderReuseDtype and examples/reach. Mixing element types
 // in one addition is not supported; convert inputs first. DESIGN.md

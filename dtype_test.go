@@ -1,6 +1,6 @@
 // Per-instantiation coverage of the generic value axis: every element
-// type runs the full algorithm × engine grid against the dense
-// reference, and a warmed generic Adder must hold the zero-allocation
+// type runs the engine cells of every k-way algorithm against the
+// dense reference, and a warmed generic Adder must hold the zero-allocation
 // steady state exactly like the float64 one.
 package spkadd_test
 
@@ -13,7 +13,8 @@ import (
 )
 
 // dtypeParityGrid checks one instantiation against the dense
-// reference across the k-way algorithms and engines. Comparison is
+// reference across the engine cells (engineCell): Hash, SPA and Heap
+// single-pass, SlidingHash unpartitioned and partitioned. Comparison is
 // exact (tolerance zero): kernels and reference both combine
 // duplicates in matrix order, so even float32 sums must agree
 // bit-for-bit within an instantiation.
@@ -23,15 +24,16 @@ func dtypeParityGrid[T spkadd.Number](t *testing.T, as []*spkadd.MatrixOf[T], mo
 	// bool), which matches Any on bool inputs and Plus on the rest.
 	want := matrix.ReferenceAdd(as)
 	for _, alg := range []spkadd.Algorithm{spkadd.Hash, spkadd.SPA, spkadd.Heap} {
-		for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
+		for _, p := range engineCells {
 			t.Run(fmt.Sprintf("%v/%v", alg, p), func(t *testing.T) {
-				opt := spkadd.OptionsOf[T]{Algorithm: alg, Phases: p, Monoid: mon, SortedOutput: true, Threads: 1}
+				opt := engineCell[T](alg, p)
+				opt.Monoid, opt.SortedOutput, opt.Threads = mon, true, 1
 				got, err := spkadd.Add(as, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !got.Equal(want) {
-					t.Errorf("%v/%v disagrees with the dense reference", alg, p)
+					t.Errorf("%v (max=%d) disagrees with the dense reference", opt.Algorithm, opt.MaxTableEntries)
 				}
 			})
 		}
@@ -70,13 +72,15 @@ func TestBoolRequiresMonoid(t *testing.T) {
 }
 
 // dtypeAllocGrid asserts the warmed zero-allocation steady state for
-// one instantiation across the engines.
+// one instantiation on both engines (Hash single-pass, SlidingHash
+// two-pass).
 func dtypeAllocGrid[T spkadd.Number](t *testing.T, as []*spkadd.MatrixOf[T], mon *spkadd.MonoidOf[T]) {
 	t.Helper()
-	for _, p := range []spkadd.Phases{spkadd.PhasesTwoPass, spkadd.PhasesUpperBound} {
+	for _, p := range engineCells {
 		t.Run(fmt.Sprintf("%v", p), func(t *testing.T) {
 			ad := spkadd.NewAdderOf[T]()
-			opt := spkadd.OptionsOf[T]{Algorithm: spkadd.Hash, Phases: p, Monoid: mon, SortedOutput: true, Threads: 1}
+			opt := engineCell[T](spkadd.Hash, p)
+			opt.Monoid, opt.SortedOutput, opt.Threads = mon, true, 1
 			for warm := 0; warm < 3; warm++ {
 				if _, err := ad.Add(as, opt); err != nil {
 					t.Fatal(err)

@@ -15,69 +15,19 @@ import (
 	"spkadd/internal/ops"
 )
 
-// phasesCase is one workload of the engine-comparison experiment.
-type phasesCase struct {
+// benchCase is one workload of the baseline grid and the monoid
+// experiment.
+type benchCase struct {
 	pattern string
 	k, d    int
 }
 
-func phasesCases() []phasesCase {
-	return []phasesCase{
-		{"ER", 8, 64},
-		{"ER", 32, 256},
-		{"ER", 64, 1024},
-		{"RMAT", 32, 128},
-	}
-}
-
-func phasesCollection(c phasesCase, rows, cols int) []*matrix.CSC {
+func benchCollection(c benchCase, rows, cols int) []*matrix.CSC {
 	o := generate.Opts{Rows: rows, Cols: cols, NNZPerCol: c.d, Seed: 97}
 	if c.pattern == "RMAT" {
 		return generate.RMATCollection(c.k, o, generate.Graph500)
 	}
 	return generate.ERCollection(c.k, o)
-}
-
-// Phases compares the execution engines — two-pass and upper bound —
-// across algorithms and workloads. This is the experiment behind the
-// single-pass engine's headline claim: it hits the O(knd)
-// memory-traffic lower bound while the two-pass driver runs at ~2x it.
-func Phases(cfg Config) error {
-	m := 1 << 18 / cfg.scale()
-	n := 64 / cfg.scale()
-	if n < 8 {
-		n = 8
-	}
-	algs := []core.Algorithm{core.Hash, core.SPA, core.Heap}
-	fmt.Fprintf(cfg.Out, "Engine comparison: SpKAdd runtime (s), m=%d n=%d (speedup vs two-pass)\n", m, n)
-	fmt.Fprintf(cfg.Out, "%-18s %-6s", "Workload", "Alg")
-	for _, p := range core.PhasesPolicies {
-		fmt.Fprintf(cfg.Out, " %16v", p)
-	}
-	fmt.Fprintln(cfg.Out)
-	for _, c := range phasesCases() {
-		as := phasesCollection(c, m, n)
-		for _, alg := range algs {
-			fmt.Fprintf(cfg.Out, "%-18s %-6v", fmt.Sprintf("%s k=%d d=%d", c.pattern, c.k, c.d), alg)
-			var twoPass time.Duration
-			for _, p := range core.PhasesPolicies {
-				opt := core.Options{Algorithm: alg, Phases: p, Threads: cfg.Threads, CacheBytes: cfg.cacheBytes()}
-				dur, _, err := timeAdd(as, opt, cfg.reps())
-				if err != nil {
-					return fmt.Errorf("%s %v %v: %w", c.pattern, alg, p, err)
-				}
-				if p == core.PhasesTwoPass {
-					twoPass = dur
-					fmt.Fprintf(cfg.Out, " %16s", fmtDur(dur))
-				} else {
-					fmt.Fprintf(cfg.Out, " %9s (%4.2fx)", fmtDur(dur), float64(twoPass)/float64(dur))
-				}
-			}
-			fmt.Fprintln(cfg.Out)
-		}
-	}
-	fmt.Fprintln(cfg.Out)
-	return nil
 }
 
 // BaselineCell is one measurement of the committed perf baseline.
@@ -90,8 +40,11 @@ type BaselineCell struct {
 	K         int    `json:"k"`
 	D         int    `json:"d"`
 	Algorithm string `json:"algorithm"`
-	Engine    string `json:"engine"`
-	Monoid    string `json:"monoid"`
+	// Engine is the engine the call ran, as OpStats.EngineUsed
+	// reports it: TwoPass for SlidingHash, UpperBound for the others
+	// (schema 8; before it, the requested engine).
+	Engine string `json:"engine"`
+	Monoid string `json:"monoid"`
 	// Dtype is the element type of the value axis (schema 7):
 	// "float64" on the classic grid, "float32" on the narrow-value
 	// sweep. Cells from pre-7 baselines have no dtype and are all
@@ -106,7 +59,7 @@ type BaselineCell struct {
 
 // BaselineReport is the schema of BENCH_baseline.json: enough
 // machine context to interpret the numbers, and one cell per
-// (workload, algorithm, engine).
+// (workload, algorithm, monoid, dtype).
 type BaselineReport struct {
 	Schema     int    `json:"schema"`
 	CreatedAt  string `json:"created_at"`
@@ -145,8 +98,8 @@ func cpuModel() string {
 	return ""
 }
 
-// Baseline measures a small, fixed grid of shapes across all
-// algorithms and engines and writes the result as JSON. The committed
+// Baseline measures a small, fixed grid of shapes across the k-way
+// algorithms and writes the result as JSON. The committed
 // BENCH_baseline.json gives future perf PRs a trajectory to compare
 // against (regenerate with `spkadd-bench -baseline <path>`).
 func Baseline(cfg Config, out io.Writer) error {
@@ -156,8 +109,10 @@ func Baseline(cfg Config, out io.Writer) error {
 		// a schedule field and sweep, since removed; 5 added the host
 		// topology (num_cpu, cpu_model); 6 added a planner sweep, since
 		// removed; 7 added the dtype field and a float32 sweep on the
-		// second workload.
-		Schema:     7,
+		// second workload; 8 replaced the engine sweep with one cell
+		// per algorithm, SlidingHash included, whose engine field is
+		// the one the call ran.
+		Schema:     8,
 		CreatedAt:  time.Now().UTC().Format(time.RFC3339),
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
@@ -169,17 +124,18 @@ func Baseline(cfg Config, out io.Writer) error {
 		Cols:       cols,
 		Reps:       cfg.reps(),
 	}
-	cases := []phasesCase{
+	cases := []benchCase{
 		{"ER", 8, 64},
 		{"ER", 32, 256},
 		{"RMAT", 16, 64},
 	}
-	// The full algorithm × engine grid runs under Plus (the original
-	// baseline dimensions — these cells prove the fast path is
-	// unregressed by the monoid layer); the first workload adds a
-	// non-Plus sweep so the generic combine path has a trajectory too.
+	// Every k-way algorithm runs under Plus (the original baseline
+	// dimensions — these cells prove the fast path is unregressed by
+	// the monoid layer); the first workload adds a non-Plus sweep so
+	// the generic combine path has a trajectory too.
+	algs := []core.Algorithm{core.Hash, core.SPA, core.Heap, core.SlidingHash}
 	for ci, c := range cases {
-		as := phasesCollection(c, rows, cols)
+		as := benchCollection(c, rows, cols)
 		in := 0
 		for _, a := range as {
 			in += a.NNZ()
@@ -189,35 +145,31 @@ func Baseline(cfg Config, out io.Writer) error {
 			monoids = ops.Builtins
 		}
 		for _, mon := range monoids {
-			for _, alg := range []core.Algorithm{core.Hash, core.SPA, core.Heap} {
-				for _, p := range core.PhasesPolicies {
-					opt := core.Options{Algorithm: alg, Phases: p, Monoid: mon, Threads: cfg.Threads, CacheBytes: cfg.cacheBytes()}
-					cell, err := measureBaselineCell(c, as, in, opt, cfg)
-					if err != nil {
-						return fmt.Errorf("baseline %s %s %v %v: %w", c.pattern, mon.Name, alg, p, err)
-					}
-					rep.Cells = append(rep.Cells, cell)
+			for _, alg := range algs {
+				opt := core.Options{Algorithm: alg, Monoid: mon, Threads: cfg.Threads, CacheBytes: cfg.cacheBytes()}
+				cell, err := measureBaselineCell(c, as, in, opt, cfg)
+				if err != nil {
+					return fmt.Errorf("baseline %s %s %v: %w", c.pattern, mon.Name, alg, err)
 				}
+				rep.Cells = append(rep.Cells, cell)
 			}
 		}
 		if ci == 1 {
-			// Dtype sweep (schema 7): the same algorithm × engine grid
-			// under Plus with float32 values — entries shrink from 12 to
-			// 8 bytes, so these cells track the narrow-value bandwidth
-			// win on the baseline's largest-d workload.
+			// Dtype sweep (schema 7): the same algorithms under Plus
+			// with float32 values — entries shrink from 12 to 8 bytes,
+			// so these cells track the narrow-value bandwidth win on
+			// the baseline's largest-d workload.
 			as32 := make([]*matrix.CSCOf[float32], len(as))
 			for i, a := range as {
 				as32[i] = toF32(a)
 			}
-			for _, alg := range []core.Algorithm{core.Hash, core.SPA, core.Heap} {
-				for _, p := range core.PhasesPolicies {
-					opt := core.OptionsOf[float32]{Algorithm: alg, Phases: p, Threads: cfg.Threads, CacheBytes: cfg.cacheBytes()}
-					cell, err := measureBaselineCell(c, as32, in, opt, cfg)
-					if err != nil {
-						return fmt.Errorf("baseline %s float32 %v %v: %w", c.pattern, alg, p, err)
-					}
-					rep.Cells = append(rep.Cells, cell)
+			for _, alg := range algs {
+				opt := core.OptionsOf[float32]{Algorithm: alg, Threads: cfg.Threads, CacheBytes: cfg.cacheBytes()}
+				cell, err := measureBaselineCell(c, as32, in, opt, cfg)
+				if err != nil {
+					return fmt.Errorf("baseline %s float32 %v: %w", c.pattern, alg, err)
 				}
+				rep.Cells = append(rep.Cells, cell)
 			}
 		}
 	}
@@ -245,15 +197,20 @@ func dtypeName[T matrix.Number]() string {
 	return "unknown"
 }
 
-// measureBaselineCell warms one configuration, times it, and samples
-// the allocation deltas of the timed repetitions. Generic over the
-// element type so the schema-7 dtype sweep measures float32 cells with
-// the same harness as the float64 grid.
-func measureBaselineCell[T matrix.Number](c phasesCase, as []*matrix.CSCOf[T], in int, opt core.OptionsOf[T], cfg Config) (BaselineCell, error) {
-	b, _, err := core.AddTimed(as, opt) // warm once, then time
+// measureBaselineCell warms one configuration, recording the engine
+// it ran, times it, and samples the allocation deltas of the timed
+// repetitions. Generic over the element type so the schema-7 dtype
+// sweep measures float32 cells with the same harness as the float64
+// grid.
+func measureBaselineCell[T matrix.Number](c benchCase, as []*matrix.CSCOf[T], in int, opt core.OptionsOf[T], cfg Config) (BaselineCell, error) {
+	var st core.OpStats
+	warm := opt
+	warm.Stats = &st
+	b, _, err := core.AddTimed(as, warm) // warm once, then time
 	if err != nil {
 		return BaselineCell{}, err
 	}
+	engine, _ := st.EngineUsed()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	var dur time.Duration = -1
@@ -277,7 +234,7 @@ func measureBaselineCell[T matrix.Number](c phasesCase, as []*matrix.CSCOf[T], i
 		K:           c.k,
 		D:           c.d,
 		Algorithm:   opt.Algorithm.String(),
-		Engine:      opt.Phases.String(),
+		Engine:      engine.String(),
 		Monoid:      monName,
 		Dtype:       dtypeName[T](),
 		Seconds:     dur.Seconds(),

@@ -60,7 +60,7 @@ func toF32(a *matrix.CSC) *matrix.CSCOf[float32] {
 // Dtype is the value-type A/B: the same additions run over float64 and
 // float32 values, interleaved repetition by repetition so clock drift
 // and cache state bias neither side. Both sides run the identical
-// pinned plan — SPA, two-pass — because the SPA accumulator is a dense
+// pinned plan — SPA — because the SPA accumulator is a dense
 // array of values and nothing else, making it the engine where halving
 // the element width halves the resident working set (12 → 8 bytes per
 // streamed entry besides); a heuristic plan could instead diverge
@@ -74,7 +74,7 @@ func Dtype(cfg Config) error {
 	// Fixed height (see dtypeRows); -scale shrinks the input volume
 	// via the column counts.
 	total := 12 << 20 / cfg.scale()
-	fmt.Fprintf(cfg.Out, "Value-type A/B: SpKAdd runtime (s), float64 vs float32, SPA two-pass, m=%d, ~%dM input entries per cell\n", dtypeRows, total>>20)
+	fmt.Fprintf(cfg.Out, "Value-type A/B: SpKAdd runtime (s), float64 vs float32, SPA, m=%d, ~%dM input entries per cell\n", dtypeRows, total>>20)
 	fmt.Fprintf(cfg.Out, "%-20s %8s %12s %12s %9s\n", "Workload", "dup", "float64", "float32", "f32 gain")
 	var large []float64 // float32 speedups on d>=64 cells
 	for _, c := range dtypeCases() {
@@ -95,8 +95,8 @@ func Dtype(cfg Config) error {
 			in += a.NNZ()
 			as32[i] = toF32(a)
 		}
-		opt64 := core.Options{Algorithm: core.SPA, Phases: core.PhasesTwoPass, Threads: cfg.Threads, CacheBytes: cfg.cacheBytes()}
-		opt32 := core.OptionsOf[float32]{Algorithm: core.SPA, Phases: core.PhasesTwoPass, Threads: cfg.Threads, CacheBytes: cfg.cacheBytes()}
+		opt64 := core.Options{Algorithm: core.SPA, Threads: cfg.Threads, CacheBytes: cfg.cacheBytes()}
+		opt32 := core.OptionsOf[float32]{Algorithm: core.SPA, Threads: cfg.Threads, CacheBytes: cfg.cacheBytes()}
 		ws64, ws32 := core.NewWorkspaceOf[float64](true), core.NewWorkspaceOf[float32](true)
 		b, err := ws64.Add(as64, opt64)
 		if err != nil {

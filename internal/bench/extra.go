@@ -51,9 +51,7 @@ func Ablation(cfg Config) error {
 
 	fmt.Fprintln(cfg.Out, "Ablation 1: hash-table load factor (ER d=256 k=32)")
 	for _, lf := range []float64{0.25, 0.5, 0.75, 0.95} {
-		// Ablations pin the two-pass engine so the numbers stay
-		// comparable across runs regardless of what PhasesAuto picks.
-		dur, _, err := timeAdd(er, core.Options{Algorithm: core.Hash, Threads: cfg.Threads, LoadFactor: lf, Phases: core.PhasesTwoPass}, cfg.reps()+2)
+		dur, _, err := timeAdd(er, core.Options{Algorithm: core.Hash, Threads: cfg.Threads, LoadFactor: lf}, cfg.reps()+2)
 		if err != nil {
 			return err
 		}
@@ -62,7 +60,7 @@ func Ablation(cfg Config) error {
 
 	fmt.Fprintln(cfg.Out, "Ablation 2: sorted vs unsorted hash output (ER d=256 k=32)")
 	for _, sorted := range []bool{false, true} {
-		dur, _, err := timeAdd(er, core.Options{Algorithm: core.Hash, Threads: cfg.Threads, SortedOutput: sorted, Phases: core.PhasesTwoPass}, cfg.reps()+2)
+		dur, _, err := timeAdd(er, core.Options{Algorithm: core.Hash, Threads: cfg.Threads, SortedOutput: sorted}, cfg.reps()+2)
 		if err != nil {
 			return err
 		}

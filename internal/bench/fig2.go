@@ -81,7 +81,7 @@ func bestAlgorithm(cfg Config, as []*matrix.CSC, d, k int) (core.Algorithm, erro
 		if skipEstimate(alg, k, as[0].Cols, d) {
 			continue
 		}
-		opt := core.Options{Algorithm: alg, Threads: cfg.Threads, CacheBytes: cfg.cacheBytes(), Phases: core.PhasesTwoPass}
+		opt := core.Options{Algorithm: alg, Threads: cfg.Threads, CacheBytes: cfg.cacheBytes()}
 		dur, _, err := timeAdd(as, opt, cfg.reps())
 		if err != nil {
 			return bestAlg, err

@@ -68,7 +68,7 @@ func Fig3(cfg Config) error {
 		for _, alg := range fig3Algorithms {
 			fmt.Fprintf(cfg.Out, "%-20v", alg)
 			for _, t := range threads {
-				opt := core.Options{Algorithm: alg, Threads: t, CacheBytes: cfg.cacheBytes(), Phases: core.PhasesTwoPass}
+				opt := core.Options{Algorithm: alg, Threads: t, CacheBytes: cfg.cacheBytes()}
 				dur, _, err := timeAdd(as, opt, cfg.reps())
 				if err != nil {
 					return fmt.Errorf("%s %v T=%d: %w", p.name, alg, t, err)

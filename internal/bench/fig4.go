@@ -45,8 +45,9 @@ func fig4Cases(cfg Config) []fig4Case {
 // Fig4 reproduces the hash-table-size sweeps: for each case, the
 // sliding-hash algorithm runs with table caps from 2^7 to the size
 // that needs no partitioning, reporting symbolic, computation
-// (numeric) and total times. The rightmost row of each panel is the
-// unpartitioned (plain hash) configuration, as in the paper.
+// (numeric) and total times. The last row of each panel is the
+// unpartitioned configuration, the paper's two-phase hash, as in the
+// paper.
 func Fig4(cfg Config) error {
 	for _, c := range fig4Cases(cfg) {
 		as := c.gen(cfg)

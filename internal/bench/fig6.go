@@ -50,7 +50,6 @@ func Fig6(cfg Config) error {
 				_, rep, err := summa.Run(a, b, summa.Config{
 					Grid: w.grid, SpKAdd: v.alg, SortIntermediates: v.sort,
 					Threads: cfg.Threads, Sequential: true,
-					Phases: core.PhasesTwoPass, // paper artifact: two-phase formulation
 				})
 				if err != nil {
 					return fmt.Errorf("%s %s: %w", w.label, v.name, err)

@@ -30,8 +30,6 @@ func Run(name string, cfg Config) error {
 		return Table5(cfg)
 	case "fig6":
 		return Fig6(cfg)
-	case "phases":
-		return Phases(cfg)
 	case "reuse":
 		return Reuse(cfg)
 	case "pool":
@@ -52,6 +50,6 @@ func Run(name string, cfg Config) error {
 		}
 		return nil
 	default:
-		return fmt.Errorf("%w: %q (want one of %v, \"phases\", \"reuse\", \"pool\", \"monoid\", \"tune\", \"ablation\", \"dtype\", or \"all\")", ErrUnknownExperiment, name, Experiments)
+		return fmt.Errorf("%w: %q (want one of %v, \"reuse\", \"pool\", \"monoid\", \"tune\", \"ablation\", \"dtype\", or \"all\")", ErrUnknownExperiment, name, Experiments)
 	}
 }

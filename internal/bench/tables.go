@@ -71,9 +71,7 @@ func runtimeTable(cfg Config, ds, ks []int, gen func(k, d int) []*matrix.CSC) er
 					cell[alg] = "-"
 					continue
 				}
-				// Paper artifacts measure the paper's two-phase
-				// formulation; the engine comparison is `-exp phases`.
-				opt := core.Options{Algorithm: alg, Threads: cfg.Threads, CacheBytes: cfg.cacheBytes(), Phases: core.PhasesTwoPass}
+				opt := core.Options{Algorithm: alg, Threads: cfg.Threads, CacheBytes: cfg.cacheBytes()}
 				dur, _, err := timeAdd(as, opt, cfg.reps())
 				if err != nil {
 					return fmt.Errorf("d=%d k=%d %v: %w", d, k, alg, err)

@@ -125,28 +125,41 @@ func allColumnsSorted[T matrix.Number](as []*matrix.CSCOf[T]) bool {
 }
 
 // autoSelect implements the paper's practical guidance (Fig 2): the
-// hash family wins across shapes and sparsities; choose SlidingHash
-// once the estimated per-thread symbolic tables spill out of the
-// last-level cache, and plain Hash otherwise. The density estimate is
-// the shared workloadEstimate, the same one pickPhases reads.
-func autoSelect[T matrix.Number](est workloadEstimate, opt OptionsOf[T]) Algorithm {
-	if est.cols == 0 {
+// hash family wins across shapes and sparsities. It picks SlidingHash
+// once the per-thread symbolic tables, sized by the mean combined
+// input nnz per column (the paper's kd), would spill CacheBytes, or
+// once Hash's single-pass staging buffer would pass
+// upperBoundStagingCap (SlidingHash's two-pass driver stages
+// nothing); plain Hash otherwise. It reads each input's NNZ and the
+// column count only, O(k).
+//
+//spkadd:noalloc
+func autoSelect[T matrix.Number](as []*matrix.CSCOf[T], opt OptionsOf[T]) Algorithm {
+	cols := int64(as[0].Cols)
+	if cols == 0 {
 		return Hash
 	}
-	t := sched.Threads(opt.Threads)
-	memSym := int64(est.avgColNNZ) * BytesPerSymbolicEntry * int64(t)
-	if memSym > opt.cacheBytes() {
+	var total int64
+	for _, a := range as {
+		total += int64(a.NNZ())
+	}
+	t := int64(sched.Threads(opt.Threads))
+	if total/cols*BytesPerSymbolicEntry*t > opt.cacheBytes() {
+		return SlidingHash
+	}
+	if total*entryBytesOf[T]() > upperBoundStagingCap {
 		return SlidingHash
 	}
 	return Hash
 }
 
-// addKWay runs the two-phase k-way driver: a symbolic phase computes
-// nnz(B(:,j)) for every column (load-balanced by input nnz), the
-// output is allocated in one shot, and the numeric phase fills each
-// column independently (load-balanced by output nnz). This is the
-// parallelization strategy of §III-A: thread-private data structures,
-// no synchronization inside a column.
+// addKWay is SlidingHash's two-phase driver: a symbolic phase
+// computes nnz(B(:,j)) for every column (load-balanced by input nnz),
+// the output is allocated in one shot, and the numeric phase fills
+// each column independently (load-balanced by output nnz). This is
+// the parallelization strategy of §III-A: thread-private data
+// structures, no synchronization inside a column. Hash, SPA and Heap
+// run the single-pass engine instead (singlepass.go).
 func (ws *WorkspaceOf[T]) addKWay() (*matrix.CSCOf[T], PhaseTimings, error) {
 	var pt PhaseTimings
 	n := ws.as[0].Cols
@@ -157,7 +170,7 @@ func (ws *WorkspaceOf[T]) addKWay() (*matrix.CSCOf[T], PhaseTimings, error) {
 
 	// Symbolic phase: per-column output sizes, balanced by input nnz.
 	// The weights double as the per-column input nnz the symbolic
-	// kernels need, so it is computed exactly once — outside the
+	// kernel needs, so it is computed exactly once — outside the
 	// timer, where the seed computed it, to keep the Fig 4 phase
 	// split comparable. Reservation (a no-op at one thread) stays
 	// outside the timers too: it is scratch sizing, like the workspace
@@ -181,17 +194,12 @@ func (ws *WorkspaceOf[T]) addKWay() (*matrix.CSCOf[T], PhaseTimings, error) {
 	ws.b = b
 	nnz := b.ColPtr[n]
 
-	// Numeric phase: fill columns, balanced by output nnz.
-	// (Generic monoids never reach this driver with DropIdentity:
-	// validation pins those to a single-pass engine, so the symbolic
-	// counts always agree with the numeric fill.) SlidingHash reserves
-	// by input nnz: its numeric tables are sized per row-range part of
+	// Numeric phase: fill columns, balanced by output nnz. Validation
+	// keeps DropIdentity monoids off this driver, so the symbolic
+	// counts always agree with the numeric fill. Workers reserve by
+	// input nnz: the numeric tables are sized per row-range part of
 	// the input, which can exceed the column's output nnz.
-	numBound := ws.counts
-	if ws.alg == SlidingHash {
-		numBound = ws.weights
-	}
-	ws.reserveWorkers(numBound, false)
+	ws.reserveWorkers(ws.weights, false)
 	numStart := time.Now()
 	err = ws.runCols(ws.counts, ws.numFn)
 	pt.Numeric = time.Since(numStart)
@@ -205,21 +213,11 @@ func (ws *WorkspaceOf[T]) addKWay() (*matrix.CSCOf[T], PhaseTimings, error) {
 }
 
 // symBody is the symbolic phase body: one worker sizing the columns of
-// [lo, hi) with its thread-private structures.
+// [lo, hi) with its thread-private tables.
 func (ws *WorkspaceOf[T]) symBody(w, lo, hi int) {
 	s := ws.worker(w)
 	for j := lo; j < hi; j++ {
-		inz := int(ws.weights[j])
-		switch ws.alg {
-		case Hash:
-			ws.counts[j] = int64(hashSymbolicCol(s, ws.as, j, inz))
-		case SlidingHash:
-			ws.counts[j] = int64(slidingSymbolicCol(s, ws.as, j, inz, ws.t, ws.cache, ws.opt.MaxTableEntries, ws.sortedIn))
-		case Heap:
-			ws.counts[j] = int64(heapSymbolicCol(s, ws.as, j))
-		case SPA:
-			ws.counts[j] = int64(spaSymbolicCol(s, ws.as, j))
-		}
+		ws.counts[j] = int64(slidingSymbolicCol(s, ws.as, j, int(ws.weights[j]), ws.t, ws.cache, ws.opt.MaxTableEntries, ws.sortedIn))
 	}
 	s.flushStats(ws.opt.Stats)
 }
@@ -228,20 +226,11 @@ func (ws *WorkspaceOf[T]) symBody(w, lo, hi int) {
 // columns of [lo, hi).
 func (ws *WorkspaceOf[T]) numBody(w, lo, hi int) {
 	ws.kernelFault()
-	s, b, mon := ws.worker(w), ws.b, ws.monP
+	s, b := ws.worker(w), ws.b
 	for j := lo; j < hi; j++ {
 		outRows := b.RowIdx[b.ColPtr[j]:b.ColPtr[j+1]]
 		outVals := b.Val[b.ColPtr[j]:b.ColPtr[j+1]]
-		switch ws.alg {
-		case Hash:
-			hashAddCol(s, ws.as, j, outRows, outVals, ws.opt.SortedOutput, ws.coeffs, mon)
-		case SlidingHash:
-			slidingHashAddCol(s, ws.as, j, outRows, outVals, ws.opt.SortedOutput, ws.t, ws.cache, ws.opt.MaxTableEntries, ws.sortedIn, ws.coeffs, mon)
-		case Heap:
-			heapAddCol(s, ws.as, j, outRows, outVals, ws.coeffs, mon)
-		case SPA:
-			spaAddCol(s, ws.as, j, outRows, outVals, ws.opt.SortedOutput, ws.coeffs, mon)
-		}
+		slidingHashAddCol(s, ws.as, j, outRows, outVals, ws.opt.SortedOutput, ws.t, ws.cache, ws.opt.MaxTableEntries, ws.sortedIn, ws.coeffs, ws.monP)
 	}
 	s.flushStats(ws.opt.Stats)
 }

@@ -246,11 +246,11 @@ func TestUnsortedOutputStillCorrect(t *testing.T) {
 func TestAutoSelection(t *testing.T) {
 	as := erInputs(4, 300, 8, 20, 8)
 	// Huge cache: plain hash.
-	if alg := autoSelect(estimateWorkload(as), Options{CacheBytes: 1 << 30}); alg != Hash {
+	if alg := autoSelect(as, Options{CacheBytes: 1 << 30}); alg != Hash {
 		t.Errorf("large cache: auto = %v, want Hash", alg)
 	}
 	// Tiny cache: sliding hash.
-	if alg := autoSelect(estimateWorkload(as), Options{CacheBytes: 64}); alg != SlidingHash {
+	if alg := autoSelect(as, Options{CacheBytes: 64}); alg != SlidingHash {
 		t.Errorf("tiny cache: auto = %v, want SlidingHash", alg)
 	}
 	// End to end through Auto.
@@ -265,12 +265,13 @@ func TestAutoSelection(t *testing.T) {
 
 func TestPhaseTimingsReported(t *testing.T) {
 	as := erInputs(8, 2000, 64, 32, 9)
-	_, pt, err := AddTimed(as, Options{Algorithm: Hash, Phases: PhasesTwoPass})
+	// SlidingHash, the two-pass driver, times both phases.
+	_, pt, err := AddTimed(as, Options{Algorithm: SlidingHash})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pt.Symbolic <= 0 || pt.Numeric <= 0 {
-		t.Errorf("k-way phases not timed: %+v", pt)
+		t.Errorf("two-pass phases not timed: %+v", pt)
 	}
 	if pt.Total() != pt.Symbolic+pt.Numeric {
 		t.Error("Total mismatch")
@@ -283,12 +284,14 @@ func TestPhaseTimingsReported(t *testing.T) {
 		t.Errorf("2-way phases: %+v", pt2)
 	}
 	// The single-pass engine has no symbolic phase to time.
-	_, pt3, err := AddTimed(as, Options{Algorithm: Hash, Phases: PhasesUpperBound})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt3.Symbolic != 0 || pt3.Numeric <= 0 {
-		t.Errorf("single-pass phases: %+v", pt3)
+	for _, alg := range []Algorithm{Hash, SPA, Heap} {
+		_, pt3, err := AddTimed(as, Options{Algorithm: alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt3.Symbolic != 0 || pt3.Numeric <= 0 {
+			t.Errorf("%v single-pass phases: %+v", alg, pt3)
+		}
 	}
 }
 

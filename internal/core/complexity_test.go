@@ -23,14 +23,14 @@ func totalNNZ(as []*matrix.CSC) int {
 func TestWorkComplexitySPA(t *testing.T) {
 	as := erInputs(16, 1000, 32, 20, 21)
 	var st OpStats
-	if _, err := Add(as, Options{Algorithm: SPA, Phases: PhasesTwoPass, Stats: &st}); err != nil {
+	if _, err := Add(as, Options{Algorithm: SPA, Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
 	in := int64(totalNNZ(as))
-	// SPA touches each input entry exactly once per phase (symbolic +
-	// numeric): work is linear with constant exactly 2.
-	if got := st.SPATouches.Load(); got != 2*in {
-		t.Errorf("SPA touches = %d, want exactly %d (2 phases x input nnz)", got, 2*in)
+	// SPA runs single-pass and touches each input entry exactly once:
+	// work is linear with constant exactly 1.
+	if got := st.SPATouches.Load(); got != in {
+		t.Errorf("SPA touches = %d, want exactly %d (one pass x input nnz)", got, in)
 	}
 }
 
@@ -41,14 +41,14 @@ func TestWorkComplexitySinglePass(t *testing.T) {
 	as := erInputs(16, 1000, 32, 20, 21)
 	in := int64(totalNNZ(as))
 	var st OpStats
-	if _, err := Add(as, Options{Algorithm: SPA, Phases: PhasesUpperBound, Stats: &st}); err != nil {
+	if _, err := Add(as, Options{Algorithm: SPA, Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.SPATouches.Load(); got != in {
 		t.Errorf("SPA touches = %d, want exactly %d (one pass)", got, in)
 	}
 	st = OpStats{}
-	if _, err := Add(as, Options{Algorithm: Hash, Phases: PhasesUpperBound, Stats: &st}); err != nil {
+	if _, err := Add(as, Options{Algorithm: Hash, Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.SymProbes.Load(); got != 0 {
@@ -57,31 +57,42 @@ func TestWorkComplexitySinglePass(t *testing.T) {
 	if probes := st.HashProbes.Load(); probes < in {
 		t.Errorf("hash probes = %d, below the one-pass floor %d", probes, in)
 	}
-	// And the two-pass engine does probe symbolically, so the counter
-	// is known to work.
+	// And SlidingHash's two-pass driver does probe symbolically, so
+	// the counter is known to work.
 	st = OpStats{}
-	if _, err := Add(as, Options{Algorithm: Hash, Phases: PhasesTwoPass, Stats: &st}); err != nil {
+	if _, err := Add(as, Options{Algorithm: SlidingHash, Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
 	if st.SymProbes.Load() == 0 {
-		t.Error("two-pass hash reported zero symbolic probes")
+		t.Error("two-pass sliding hash reported zero symbolic probes")
 	}
 }
 
 func TestWorkComplexityHash(t *testing.T) {
 	as := erInputs(16, 1000, 32, 20, 22)
+	in := int64(totalNNZ(as))
+	// Single pass: one insert per input entry, O(1) expected probes
+	// each at load factor 0.5 (allow 2.5x).
 	var st OpStats
-	if _, err := Add(as, Options{Algorithm: Hash, Phases: PhasesTwoPass, Stats: &st}); err != nil {
+	if _, err := Add(as, Options{Algorithm: Hash, Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
-	in := int64(totalNNZ(as))
-	probes := st.HashProbes.Load()
-	if probes < 2*in {
-		t.Errorf("hash probes = %d, below the 2*nnz floor %d", probes, 2*in)
+	if probes := st.HashProbes.Load(); probes < in || probes > int64(2.5*float64(in)) {
+		t.Errorf("hash probes = %d for %d inserts: want O(1) per insert, at least 1", probes, in)
 	}
-	// O(1) expected probes per insert at load factor 0.5: allow 2.5x.
+	// SlidingHash's two passes insert every entry twice, once into a
+	// symbolic table, so its symbolic probes alone reach the input
+	// nnz.
+	st = OpStats{}
+	if _, err := Add(as, Options{Algorithm: SlidingHash, Stats: &st}); err != nil {
+		t.Fatal(err)
+	}
+	sym, probes := st.SymProbes.Load(), st.HashProbes.Load()
+	if sym < in || probes < 2*in {
+		t.Errorf("two-pass probes = %d (%d symbolic), below the floors %d and %d", probes, sym, 2*in, in)
+	}
 	if probes > int64(2.5*float64(2*in)) {
-		t.Errorf("hash probes = %d for %d inserts: probing is not O(1)", probes, 2*in)
+		t.Errorf("two-pass probes = %d for %d inserts: probing is not O(1)", probes, 2*in)
 	}
 }
 
@@ -111,7 +122,7 @@ func TestDataMovementOrdering(t *testing.T) {
 	as := erInputs(16, 5000, 16, 16, 24)
 	moved := func(alg Algorithm) int64 {
 		var st OpStats
-		if _, err := Add(as, Options{Algorithm: alg, Phases: PhasesTwoPass, Stats: &st}); err != nil {
+		if _, err := Add(as, Options{Algorithm: alg, Stats: &st}); err != nil {
 			t.Fatal(err)
 		}
 		return st.EntriesMoved.Load()

@@ -81,7 +81,10 @@ func TestSingleRowAndSingleColumn(t *testing.T) {
 }
 
 func TestSymbolicVariantsAgree(t *testing.T) {
-	// All four symbolic kernels must report identical nnz(B(:,j)).
+	// SlidingHash's symbolic kernel must report the true nnz(B(:,j))
+	// however it partitions the column — one table, cache-sized row
+	// ranges, or an explicit entry cap — and whether it bounds the
+	// ranges by binary search (sorted inputs) or a filtering scan.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := rng.Intn(8) + 2
@@ -94,15 +97,20 @@ func TestSymbolicVariantsAgree(t *testing.T) {
 			}
 			as[i] = coo.ToCSC()
 		}
+		want := matrix.ReferenceAdd(as)
 		w := newWorkerState(k, 0.5)
 		for j := 0; j < cols; j++ {
 			inz := colInputNNZ(as, j)
-			h := hashSymbolicCol(w, as, j, inz)
-			s := spaSymbolicCol(w, as, j)
-			hp := heapSymbolicCol(w, as, j)
-			sl := slidingSymbolicCol(w, as, j, inz, 4, 256, 0, true)
-			if h != s || h != hp || h != sl {
-				return false
+			for _, v := range []struct {
+				cache      int64
+				maxEntries int
+				sortedIn   bool
+			}{
+				{1 << 30, 0, true}, {256, 0, true}, {256, 0, false}, {1 << 30, 3, true}, {1 << 30, 3, false},
+			} {
+				if slidingSymbolicCol(w, as, j, inz, 4, v.cache, v.maxEntries, v.sortedIn) != want.ColNNZ(j) {
+					return false
+				}
 			}
 		}
 		return true

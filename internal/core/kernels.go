@@ -13,13 +13,14 @@ import (
 // reuses it across all columns the thread processes (§III-A) — and,
 // living in a Workspace, across every call the workspace serves.
 //
-// tabHW/symHW are high-water marks: the key count each hash table's
+// tabHW is a high-water mark: the key count the numeric hash table's
 // current probe window was last sized for. Consecutive columns of
 // similar size skip the redundant Grow (and its SizeFor re-derivation)
 // entirely — a Reset (epoch bump) suffices while the requested size
 // stays within [hw/4, hw], the band in which the window is at most 4x
 // oversized, preserving the narrow-window cache guarantee hashtab's
-// Grow exists to provide.
+// Grow exists to provide. The symbolic table has no mark: only
+// SlidingHash uses it, and always sizes it exactly.
 type workerStateOf[T matrix.Number] struct {
 	table *hashtab.TableOf[T]
 	sym   *hashtab.Symbolic
@@ -31,7 +32,6 @@ type workerStateOf[T matrix.Number] struct {
 	kit   *numKit[T]
 	lf    float64
 	tabHW int // key count the numeric table's window was sized for
-	symHW int // likewise for the symbolic table
 }
 
 func newWorkerStateOf[T matrix.Number](k int, lf float64) *workerStateOf[T] {
@@ -45,11 +45,11 @@ func newWorkerState(k int, lf float64) *workerStateOf[matrix.Value] {
 
 // prepare adapts a workspace-resident worker to a new call's input
 // count and load factor. A load-factor change invalidates the
-// high-water marks so the next table request re-derives its window.
+// high-water mark so the next table request re-derives its window.
 func (w *workerStateOf[T]) prepare(k int, lf float64) {
 	if lf != w.lf {
 		w.lf = lf
-		w.tabHW, w.symHW = 0, 0
+		w.tabHW = 0
 	}
 	if cap(w.pos) < k {
 		w.pos = make([]int64, k)
@@ -80,14 +80,6 @@ func (w *workerStateOf[T]) hashTableSized(n int) *hashtab.TableOf[T] {
 	return w.table
 }
 
-func (w *workerStateOf[T]) symTable(n int) *hashtab.Symbolic {
-	if n <= w.symHW && n >= w.symHW>>2 && w.sym != nil {
-		w.sym.Reset()
-		return w.sym
-	}
-	return w.symTableSized(n)
-}
-
 // symTableSized is hashTableSized for the symbolic table.
 func (w *workerStateOf[T]) symTableSized(n int) *hashtab.Symbolic {
 	if w.sym == nil {
@@ -95,7 +87,6 @@ func (w *workerStateOf[T]) symTableSized(n int) *hashtab.Symbolic {
 	} else {
 		w.sym.Grow(n, w.lf)
 	}
-	w.symHW = n
 	return w.sym
 }
 
@@ -289,28 +280,11 @@ func coeff[T matrix.Arith](coeffs []T, i int) T {
 	return coeffs[i]
 }
 
-// --- Symbolic kernels: nnz(B(:,j)) per algorithm ---
+// --- SlidingHash's symbolic kernel: nnz(B(:,j)) ---
 //
-// The symbolic phase never touches values, so these are generic over
+// The symbolic phase never touches values, so it is generic over
 // every element type with no Arith split: one shared index-only
-// hashtab.Symbolic serves all instantiations, and the heap/SPA
-// symbolic passes carry zero values of T.
-
-// hashSymbolicCol is Algorithm 6: count distinct row indices with an
-// index-only hash table sized by inz = Σ_i nnz(A_i(:,j)), which the
-// driver already computed for load balancing.
-func hashSymbolicCol[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf[T], j, inz int) int {
-	if inz == 0 {
-		return 0
-	}
-	tab := w.symTable(inz)
-	for _, a := range as {
-		for _, r := range a.ColRows(j) {
-			tab.Insert(r)
-		}
-	}
-	return tab.Len()
-}
+// hashtab.Symbolic serves all instantiations.
 
 // slidingSymbolicCol is Algorithm 7: when the symbolic table would
 // spill out of cache, count over row ranges [r1, r2), one in-cache
@@ -408,61 +382,7 @@ func forEachInRange[T matrix.Number](a *matrix.CSCOf[T], j int, r1, r2 matrix.In
 	}
 }
 
-// heapSymbolicCol counts distinct rows with the k-way heap merge, the
-// "heap could also be used" variant the paper mentions in §II-D.
-func heapSymbolicCol[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf[T], j int) int {
-	h := w.kheap(len(as))
-	pos := w.pos
-	for i, a := range as {
-		pos[i] = a.ColPtr[j]
-		if pos[i] < a.ColPtr[j+1] {
-			h.Push(kheap.TupleOf[T]{Row: a.RowIdx[pos[i]], Mat: int32(i)})
-			pos[i]++
-		}
-	}
-	nz := 0
-	last := matrix.Index(-1)
-	for h.Len() > 0 {
-		top := h.Min()
-		if top.Row != last {
-			nz++
-			last = top.Row
-		}
-		i := top.Mat
-		a := as[i]
-		if pos[i] < a.ColPtr[j+1] {
-			h.ReplaceMin(kheap.TupleOf[T]{Row: a.RowIdx[pos[i]], Mat: i})
-			pos[i]++
-		} else {
-			h.Pop()
-		}
-	}
-	return nz
-}
-
-// spaSymbolicCol counts distinct rows with the SPA. The insert is
-// AddWith under a first-value-wins combine: value-free, so it works
-// for every element type (bool included) and still counts each
-// distinct row exactly once per generation.
-func spaSymbolicCol[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf[T], j int) int {
-	acc := w.spa(as[0].Rows)
-	var z T
-	for _, a := range as {
-		for _, r := range a.ColRows(j) {
-			acc.AddWith(r, z, keepFirst[T])
-		}
-	}
-	nz := acc.Len()
-	acc.Clear()
-	return nz
-}
-
-// keepFirst is the symbolic SPA's no-op combine (values are never
-// read). A named top-level function, not a closure: the funcval is a
-// package singleton, so the symbolic body stays allocation-free.
-func keepFirst[T matrix.Number](a, _ T) T { return a }
-
-// --- Numeric kernels: fill B(:,j) into preallocated slices ---
+// --- Numeric kernels: accumulate and emit B(:,j) ---
 //
 // Every numeric kernel takes the call's resolved monoid handle. A nil
 // *monoidStateOf selects the specialized T-Plus path — the exact
@@ -501,11 +421,10 @@ func accumInputsInto[T matrix.Number](kit *numKit[T], tab *hashtab.TableOf[T], a
 }
 
 // hashAccumCol accumulates column j of every input into the worker's
-// hash table, sized for `size` keys (output nnz in the two-pass
-// engine, input nnz in the single-pass engine), and returns the
-// table.
-func hashAccumCol[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf[T], j, size int, coeffs []T, mon *monoidStateOf[T]) *hashtab.TableOf[T] {
-	return accumInputsInto(w.kit, w.hashTable(size), as, j, coeffs, mon)
+// hash table, sized for inz keys (the column's input nnz, which
+// bounds its output nnz), and returns the table.
+func hashAccumCol[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf[T], j, inz int, coeffs []T, mon *monoidStateOf[T]) *hashtab.TableOf[T] {
+	return accumInputsInto(w.kit, w.hashTable(inz), as, j, coeffs, mon)
 }
 
 // spaAccumCol accumulates column j of every input into the worker's
@@ -547,15 +466,6 @@ func emitHashTab[T matrix.Number](tab *hashtab.TableOf[T], outRows []matrix.Inde
 	if sorted {
 		sortPairs(r, v)
 	}
-}
-
-// hashAddCol is Algorithm 5. outRows/outVals have exactly nnz(B(:,j))
-// elements.
-func hashAddCol[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf[T], j int, outRows []matrix.Index, outVals []T, sorted bool, coeffs []T, mon *monoidStateOf[T]) {
-	if len(outRows) == 0 {
-		return
-	}
-	emitHashTab(hashAccumCol(w, as, j, len(outRows), coeffs, mon), outRows, outVals, sorted)
 }
 
 // slidingHashAddCol is Algorithm 8: hash addition over row ranges
@@ -623,7 +533,7 @@ func slidingHashAddCol[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf[
 // min-heap, appending to the output on first sight of a row and
 // accumulating otherwise. Output is produced in ascending row order.
 // outRows/outVals may be larger than the result (the single-pass
-// engines pass the Σ_i nnz(A_i(:,j)) upper bound); the number of
+// engine passes the Σ_i nnz(A_i(:,j)) upper bound); the number of
 // entries written is returned.
 func heapMergeCol[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf[T], j int, outRows []matrix.Index, outVals []T, coeffs []T, mon *monoidStateOf[T]) int {
 	if mon != nil {
@@ -718,29 +628,4 @@ func heapMergeColM[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf[T], 
 		}
 	}
 	return out + 1
-}
-
-// heapAddCol runs the heap merge against an exactly-sized output, the
-// two-pass numeric phase of Algorithm 3.
-func heapAddCol[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf[T], j int, outRows []matrix.Index, outVals []T, coeffs []T, mon *monoidStateOf[T]) {
-	if heapMergeCol(w, as, j, outRows, outVals, coeffs, mon) != len(outRows) {
-		panic("core: heap symbolic nnz disagrees with numeric nnz")
-	}
-}
-
-// spaAddCol is Algorithm 4: accumulate into the dense SPA, then emit
-// (sorted when requested) and sparsely clear.
-func spaAddCol[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf[T], j int, outRows []matrix.Index, outVals []T, sorted bool, coeffs []T, mon *monoidStateOf[T]) {
-	acc := spaAccumCol(w, as, j, coeffs, mon)
-	need := len(outRows)
-	var r []matrix.Index
-	if sorted {
-		r, _ = acc.AppendSorted(outRows[:0:need], outVals[:0:need])
-	} else {
-		r, _ = acc.AppendUnsorted(outRows[:0:need], outVals[:0:need])
-	}
-	if len(r) != need || (need > 0 && &r[0] != &outRows[0]) {
-		panic("core: SPA symbolic nnz disagrees with numeric nnz")
-	}
-	acc.Clear()
 }

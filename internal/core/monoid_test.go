@@ -85,32 +85,33 @@ func bitIdentical(a, b *matrix.CSC) bool {
 	return true
 }
 
+// TestMonoidEngineParity holds both engines to every monoid: the
+// single pass of Hash, SPA and Heap must match the dense reference
+// and be bit-identical to SlidingHash's two-pass result.
 func TestMonoidEngineParity(t *testing.T) {
 	for pattern, as := range monoidInputs() {
 		for _, m := range ops.Builtins {
 			want := monoidReference(as, m)
-			for _, alg := range []Algorithm{Hash, SPA, Heap} {
-				var first *matrix.CSC
-				for _, p := range PhasesPolicies {
-					name := fmt.Sprintf("%s/%s/%v/%v", pattern, m.Name, alg, p)
-					got, err := Add(as, Options{
-						Algorithm: alg, Phases: p, Monoid: m,
-						SortedOutput: true, Threads: 3,
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if err := got.Validate(); err != nil {
-						t.Fatalf("%s: invalid output: %v", name, err)
-					}
-					if !got.Equal(want) {
-						t.Errorf("%s: differs from dense reference", name)
-					}
-					if first == nil {
-						first = got
-					} else if !bitIdentical(got, first) {
-						t.Errorf("%s: not bit-identical to the first engine's result", name)
-					}
+			var first *matrix.CSC
+			for _, alg := range []Algorithm{SlidingHash, Hash, SPA, Heap} {
+				name := fmt.Sprintf("%s/%s/%v", pattern, m.Name, alg)
+				got, err := Add(as, Options{
+					Algorithm: alg, Monoid: m,
+					SortedOutput: true, Threads: 3,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := got.Validate(); err != nil {
+					t.Fatalf("%s: invalid output: %v", name, err)
+				}
+				if !got.Equal(want) {
+					t.Errorf("%s: differs from dense reference", name)
+				}
+				if first == nil {
+					first = got
+				} else if !bitIdentical(got, first) {
+					t.Errorf("%s: not bit-identical to the two-pass SlidingHash result", name)
 				}
 			}
 		}
@@ -178,25 +179,22 @@ func TestMonoidDropIdentity(t *testing.T) {
 		t.Fatalf("reference nnz = %d, want 3 (one cancellation dropped)", want.NNZ())
 	}
 	for _, alg := range []Algorithm{Hash, SPA, Heap} {
-		for _, p := range []Phases{PhasesAuto, PhasesUpperBound} {
-			got, err := Add(as, Options{Algorithm: alg, Phases: p, Monoid: plusDrop, SortedOutput: true})
-			if err != nil {
-				t.Fatalf("%v/%v: %v", alg, p, err)
-			}
-			if !got.Equal(want) {
-				t.Errorf("%v/%v: identity entries not dropped (nnz=%d)", alg, p, got.NNZ())
-			}
+		got, err := Add(as, Options{Algorithm: alg, Monoid: plusDrop, SortedOutput: true})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
 		}
-		if _, err := Add(as, Options{Algorithm: alg, Phases: PhasesTwoPass, Monoid: plusDrop}); !errors.Is(err, ErrMonoidUnsupported) {
-			t.Errorf("%v: DropIdentity on the two-pass driver: %v, want ErrMonoidUnsupported", alg, err)
+		if !got.Equal(want) {
+			t.Errorf("%v: identity entries not dropped (nnz=%d)", alg, got.NNZ())
 		}
 	}
+	// SlidingHash's two-pass driver sizes the output before values
+	// exist, so it cannot drop entries.
 	if _, err := Add(as, Options{Algorithm: SlidingHash, Monoid: plusDrop}); !errors.Is(err, ErrMonoidUnsupported) {
 		t.Errorf("SlidingHash with DropIdentity: %v, want ErrMonoidUnsupported", err)
 	}
 	// A cache too small for hash tables makes Algorithm Auto pick
 	// SlidingHash; an unpinned DropIdentity call must resolve to Hash
-	// (and Phases Auto to UpperBound) instead of being rejected.
+	// instead of being rejected.
 	got, err := Add(as, Options{Monoid: plusDrop, CacheBytes: 8})
 	if err != nil {
 		t.Fatalf("Auto with DropIdentity and a tiny cache: %v", err)
@@ -370,36 +368,35 @@ func propInputs(rng *rand.Rand, k, rows, cols, d int) []*matrix.CSC {
 	return as
 }
 
-// checkMonoidParity asserts that every k-way algorithm × engine
-// produces the identical (bit-for-bit, sorted) result under m, and
-// that it matches the dense reference.
+// checkMonoidParity asserts that every k-way algorithm, on either
+// engine, produces the identical (bit-for-bit, sorted) result under m,
+// and that it matches the dense reference.
 func checkMonoidParity(t *testing.T, as []*matrix.CSC, m *ops.Monoid) {
 	t.Helper()
 	want := monoidReference(as, m)
 	var first *matrix.CSC
-	for _, alg := range []Algorithm{Hash, SPA, Heap} {
-		for _, p := range PhasesPolicies {
-			got, err := Add(as, Options{Algorithm: alg, Phases: p, Monoid: m, SortedOutput: true, Threads: 2})
-			if err != nil {
-				t.Fatalf("%s/%v/%v: %v", m.Name, alg, p, err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("%s/%v/%v: differs from dense reference", m.Name, alg, p)
-			}
-			if first == nil {
-				first = got
-			} else if !bitIdentical(got, first) {
-				t.Fatalf("%s/%v/%v: engines disagree bit-for-bit", m.Name, alg, p)
-			}
+	for _, alg := range []Algorithm{SlidingHash, Hash, SPA, Heap} {
+		got, err := Add(as, Options{Algorithm: alg, Monoid: m, SortedOutput: true, Threads: 2})
+		if err != nil {
+			t.Fatalf("%s/%v: %v", m.Name, alg, err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s/%v: differs from dense reference", m.Name, alg)
+		}
+		if first == nil {
+			first = got
+		} else if !bitIdentical(got, first) {
+			t.Fatalf("%s/%v: algorithms disagree bit-for-bit", m.Name, alg)
 		}
 	}
-	// SlidingHash (two-pass native driver) must agree as a set too.
+	// Partitioned SlidingHash folds each row in the same order, so it
+	// must agree bit for bit too.
 	got, err := Add(as, Options{Algorithm: SlidingHash, Monoid: m, SortedOutput: true, MaxTableEntries: 5})
 	if err != nil {
 		t.Fatalf("%s/SlidingHash: %v", m.Name, err)
 	}
-	if !got.Equal(want) {
-		t.Fatalf("%s/SlidingHash: differs from dense reference", m.Name)
+	if !bitIdentical(got, first) {
+		t.Fatalf("%s/SlidingHash: partitioned result differs bit-for-bit", m.Name)
 	}
 }
 

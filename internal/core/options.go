@@ -27,10 +27,11 @@ import (
 type Algorithm int
 
 const (
-	// Auto picks between Hash and SlidingHash from the estimated
-	// hash-table footprint versus CacheBytes (the paper's guidance in
+	// Auto picks between Hash and SlidingHash (the paper's guidance in
 	// Fig 2: hash-family algorithms dominate, sliding once tables
-	// spill out of the last-level cache).
+	// spill out of the last-level cache): SlidingHash when the
+	// estimated symbolic tables exceed CacheBytes or Hash's staging
+	// would pass 1 GiB, Hash otherwise.
 	Auto Algorithm = iota
 	// TwoWayIncremental adds matrices in pairs, left to right
 	// (Algorithm 1): O(k^2 nd) work on ER inputs.
@@ -49,13 +50,16 @@ const (
 	// SPA is the sparse-accumulator algorithm (Algorithm 4): O(knd)
 	// work, O(Tm) memory. Accepts unsorted inputs.
 	SPA
-	// Hash is the hash-table algorithm (Algorithm 5 with the symbolic
-	// phase of Algorithm 6): O(knd) work, O(T·nnz(B(:,j))) memory.
-	// Accepts unsorted inputs.
+	// Hash is the hash-table algorithm (Algorithm 5) in one pass:
+	// each column's table is sized by its input nnz, so no symbolic
+	// phase (Algorithm 6) runs. O(knd) work, O(T·Σ_i nnz(A_i(:,j)))
+	// table memory. Accepts unsorted inputs.
 	Hash
 	// SlidingHash is Hash with tables capped to the last-level cache,
-	// sliding over row ranges (Algorithms 7-8). Requires sorted
-	// inputs for the binary-search row partitioning.
+	// sliding over row ranges (Algorithms 7-8), on the two-pass
+	// driver. Unpartitioned, it is the paper's two-phase hash
+	// (Algorithms 5-6). Sorted inputs let it bound the row ranges by
+	// binary search.
 	SlidingHash
 )
 
@@ -86,30 +90,30 @@ var Algorithms = []Algorithm{
 	Heap, SPA, Hash, SlidingHash,
 }
 
-// Phases selects the execution engine that drives the k-way
-// algorithms (Heap, SPA, Hash): how many passes the driver takes over
-// the input matrices. The paper's lower bound is O(knd) memory
-// traffic; the classic two-phase driver reads every input twice (once
-// to size the output, once to fill it), while the upper-bound engine
-// reads each input exactly once. SlidingHash and the 2-way baselines
-// always use their native drivers regardless of this setting. See
-// DESIGN.md for the full engine comparison.
+// Phases names an execution engine: how many passes the driver takes
+// over the input matrices. It is not an option; OpStats.EngineUsed
+// reports it. The paper's lower bound is O(knd) memory traffic. Hash,
+// SPA and Heap run the single-pass upper-bound engine, which reads
+// each input once. SlidingHash and the 2-way baselines keep their
+// two-pass drivers, which read every input twice (once to size the
+// output, once to fill it). See DESIGN.md §2.
 type Phases int
 
 const (
-	// PhasesAuto picks an engine from memory headroom:
-	// PhasesUpperBound, unless the algorithm has no single-pass engine,
-	// its input-sized hash tables would spill the last-level cache, or
-	// its staging buffer would exceed 1 GiB — then PhasesTwoPass.
+	// PhasesAuto is what EngineUsed reports before any addition has
+	// been dispatched.
 	PhasesAuto Phases = iota
 	// PhasesTwoPass is the classic driver of §III-A: a symbolic phase
 	// computes nnz(B(:,j)) for every column, the output is allocated
-	// exactly, and a numeric phase fills it — reading all inputs twice.
+	// exactly, and a numeric phase fills it, reading all inputs twice.
+	// SlidingHash runs on it (its unpartitioned case is the paper's
+	// two-phase hash, Algorithms 5-6), and so do the 2-way baselines'
+	// pairwise drivers.
 	PhasesTwoPass
 	// PhasesUpperBound reads each input once into a staging buffer
 	// whose columns are sized by the Σ_i nnz(A_i(:,j)) upper bound,
 	// then compacts in parallel. Peak extra memory is the total input
-	// size.
+	// size. Hash, SPA and Heap run on it.
 	PhasesUpperBound
 )
 
@@ -126,9 +130,6 @@ func (p Phases) String() string {
 	}
 	return "Unknown"
 }
-
-// PhasesPolicies lists every concrete engine (everything but Auto).
-var PhasesPolicies = []Phases{PhasesTwoPass, PhasesUpperBound}
 
 const (
 	// BytesPerSymbolicEntry is b in Algorithm 7: a symbolic hash-table
@@ -181,12 +182,6 @@ type OptionsOf[T matrix.Number] struct {
 	// the executor resident in the call's Workspace, recycled across
 	// calls exactly like the rest of the scratch.
 	Executor *sched.Executor
-	// Phases selects the execution engine for the k-way algorithms:
-	// the classic two-pass symbolic+numeric driver or the single-pass
-	// upper-bound engine. The zero value (PhasesAuto) picks one from
-	// memory headroom. Ignored by SlidingHash and the 2-way baselines,
-	// which keep their native drivers.
-	Phases Phases
 	// Monoid selects the combine operation folded over colliding
 	// entries: nil (or ops.PlusFor[T]()) means T's addition, the
 	// paper's operation, served by specialized inlined kernels; any
@@ -252,17 +247,16 @@ type OpStats struct {
 	// is comparable across engines.
 	EntriesMoved atomic.Int64 //spkadd:atomic
 	// SymProbes counts the subset of HashProbes spent in the symbolic
-	// (output-sizing) tables. The single-pass engine never sizes the
-	// output symbolically, so SymProbes stays zero under
-	// PhasesUpperBound — the observable proof that each input is read
-	// exactly once.
+	// (output-sizing) tables. Only SlidingHash sizes the output
+	// symbolically; the single-pass engine of Hash, SPA and Heap never
+	// does, so SymProbes stays zero under PhasesUpperBound — the
+	// observable proof that each input is read exactly once.
 	SymProbes atomic.Int64 //spkadd:atomic
-	// engineUsed records the Phases engine the most recent dispatched
-	// addition actually ran (read via EngineUsed). Options.Phases is a
-	// request, not a guarantee: SlidingHash and the 2-way baselines
-	// keep their native two-pass drivers whatever the caller asks for,
-	// and this is where that fallback becomes observable. Stored as
-	// engine+1 so the zero value means "no addition dispatched yet".
+	// engineUsed records the engine the most recent dispatched
+	// addition ran (read via EngineUsed). The algorithm decides it:
+	// PhasesUpperBound for Hash, SPA and Heap, PhasesTwoPass for
+	// SlidingHash and the 2-way baselines. Stored as engine+1 so the
+	// zero value means "no addition dispatched yet".
 	engineUsed atomic.Int64 //spkadd:atomic
 	// monoidUsed records the resolved combine monoid of the most
 	// recent dispatched addition (read via MonoidUsed), like
@@ -358,12 +352,10 @@ func (s *OpStats) MonoidUsed() (*ops.Monoid, bool) {
 }
 
 // EngineUsed returns the execution engine the most recent addition
-// observed by these stats actually ran, and whether any addition has
-// been dispatched (single-matrix copies dispatch no engine). When the
-// caller's requested Options.Phases is unsupported by the algorithm —
-// SlidingHash and the 2-way baselines keep their native drivers — the
-// fallback is reported here as PhasesTwoPass instead of staying
-// silent.
+// observed by these stats ran, and whether any addition has been
+// dispatched (single-matrix copies dispatch no engine). With
+// Algorithm Auto it tells which way the call resolved: PhasesTwoPass
+// means Auto picked SlidingHash, PhasesUpperBound plain Hash.
 func (s *OpStats) EngineUsed() (Phases, bool) {
 	v := s.engineUsed.Load()
 	if v == 0 {
@@ -374,9 +366,9 @@ func (s *OpStats) EngineUsed() (Phases, bool) {
 
 // PhaseTimings reports the wall-clock split between the symbolic
 // (output-size) phase and the numeric addition phase, the series shown
-// separately in the paper's Fig 4. The single-pass engine
-// (PhasesUpperBound) has no symbolic phase and reports its full time
-// as Numeric, like the 2-way algorithms.
+// separately in the paper's Fig 4. Only SlidingHash has a symbolic
+// phase; the single-pass engine of Hash, SPA and Heap and the 2-way
+// algorithms report their full time as Numeric.
 type PhaseTimings struct {
 	Symbolic time.Duration
 	Numeric  time.Duration

@@ -30,26 +30,27 @@ func TestLoadFactorClamp(t *testing.T) {
 
 // TestLoadFactorFullTables proves the clamped 1.0 load factor is
 // actually usable: results stay correct when tables are packed to
-// capacity, across both phases and engines.
+// capacity, on both engines — Hash's single pass and SlidingHash's
+// symbolic and numeric tables.
 func TestLoadFactorFullTables(t *testing.T) {
 	as := erInputs(6, 300, 16, 10, 71)
 	want := matrix.ReferenceAdd(as)
-	for _, p := range PhasesPolicies {
-		got, err := Add(as, Options{Algorithm: Hash, LoadFactor: 9, Phases: p, SortedOutput: true})
+	for _, alg := range []Algorithm{Hash, SlidingHash} {
+		got, err := Add(as, Options{Algorithm: alg, LoadFactor: 9, SortedOutput: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
-			t.Errorf("%v: LoadFactor 9 (clamped to 1.0) gave a wrong sum", p)
+			t.Errorf("%v: LoadFactor 9 (clamped to 1.0) gave a wrong sum", alg)
 		}
 	}
 }
 
-// TestValidateRejectsUnknownEnums: an Algorithm or Phases value
-// outside its constants has no driver behind it and must fail
-// validation — one-shot, through a reused workspace at two threads,
-// and on the single-input shortcut — rather than return an empty sum
-// or run a two-pass engine that skips the DropIdentity check.
+// TestValidateRejectsUnknownEnums: an Algorithm value outside its
+// constants has no driver behind it and must fail validation —
+// one-shot, through a reused workspace at two threads, and on the
+// single-input shortcut — rather than return an empty sum, with or
+// without a generic monoid.
 func TestValidateRejectsUnknownEnums(t *testing.T) {
 	as := erInputs(4, 300, 16, 8, 75)
 	plusDrop := &ops.Monoid{
@@ -60,11 +61,9 @@ func TestValidateRejectsUnknownEnums(t *testing.T) {
 	for _, opt := range []Options{
 		{Algorithm: Algorithm(99)},
 		{Algorithm: Algorithm(-1)},
-		{Phases: Phases(7)},
-		{Phases: Phases(-1)},
-		{Phases: Phases(7), Monoid: plusDrop},
+		{Algorithm: Algorithm(99), Monoid: plusDrop},
 	} {
-		name := fmt.Sprintf("Algorithm(%d)/Phases(%d)", int(opt.Algorithm), int(opt.Phases))
+		name := fmt.Sprintf("Algorithm(%d)", int(opt.Algorithm))
 		if opt.Monoid != nil {
 			name += "/" + opt.Monoid.Name
 		}
@@ -82,100 +81,82 @@ func TestValidateRejectsUnknownEnums(t *testing.T) {
 	}
 }
 
-// TestEngineUsedObservable proves the resolved execution engine is
-// observable through OpStats — in particular the silent fallback:
-// SlidingHash and the 2-way algorithms keep their native drivers
-// whatever Options.Phases asks for, and that must show up as
-// PhasesTwoPass rather than the caller's request.
+// TestEngineUsedObservable proves the engine a call ran is observable
+// through OpStats. The algorithm decides it — Hash, SPA and Heap run
+// single-pass, SlidingHash and the 2-way algorithms two-pass — and
+// Auto reports whichever way it resolved.
 func TestEngineUsedObservable(t *testing.T) {
 	as := erInputs(4, 400, 16, 8, 72)
 	for _, tc := range []struct {
 		alg  Algorithm
-		req  Phases
 		want Phases
 	}{
-		{Hash, PhasesUpperBound, PhasesUpperBound},
-		{Hash, PhasesTwoPass, PhasesTwoPass},
-		{SPA, PhasesUpperBound, PhasesUpperBound},
-		{Heap, PhasesUpperBound, PhasesUpperBound},
-		// The fallbacks: requesting the single-pass engine on
-		// algorithms that have none.
-		{SlidingHash, PhasesUpperBound, PhasesTwoPass},
-		{TwoWayTree, PhasesUpperBound, PhasesTwoPass},
-		{TwoWayIncremental, PhasesUpperBound, PhasesTwoPass},
+		{Hash, PhasesUpperBound},
+		{SPA, PhasesUpperBound},
+		{Heap, PhasesUpperBound},
+		{SlidingHash, PhasesTwoPass},
+		{TwoWayTree, PhasesTwoPass},
+		{TwoWayIncremental, PhasesTwoPass},
+		{Auto, PhasesUpperBound},
 	} {
 		var stats OpStats
 		if _, ok := stats.EngineUsed(); ok {
 			t.Fatal("fresh OpStats reports an engine before any addition")
 		}
-		_, err := Add(as, Options{Algorithm: tc.alg, Phases: tc.req, Stats: &stats})
-		if err != nil {
-			t.Fatalf("%v/%v: %v", tc.alg, tc.req, err)
+		if _, err := Add(as, Options{Algorithm: tc.alg, Stats: &stats}); err != nil {
+			t.Fatalf("%v: %v", tc.alg, err)
 		}
 		got, ok := stats.EngineUsed()
 		if !ok {
-			t.Fatalf("%v/%v: no engine recorded", tc.alg, tc.req)
+			t.Fatalf("%v: no engine recorded", tc.alg)
 		}
 		if got != tc.want {
-			t.Errorf("%v requesting %v: ran %v, want %v", tc.alg, tc.req, got, tc.want)
+			t.Errorf("%v: ran %v, want %v", tc.alg, got, tc.want)
 		}
-	}
-	// PhasesAuto records whichever concrete engine it picked.
-	var stats OpStats
-	if _, err := Add(as, Options{Algorithm: Hash, Phases: PhasesAuto, Stats: &stats}); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := stats.EngineUsed(); !ok || got == PhasesAuto {
-		t.Errorf("PhasesAuto recorded %v (ok=%v), want a concrete engine", got, ok)
 	}
 }
 
-// TestEstimateSharedAcrossHeuristics pins autoSelect and pickPhases to
-// the one shared workloadEstimate: the estimate's fields must equal
-// the formulas the two heuristics historically computed independently,
-// and both decisions must flip exactly at the thresholds the shared
-// estimate predicts — so the heuristics can no longer drift apart.
+// TestEstimateSharedAcrossHeuristics pins the footprint side of Auto's
+// one rule (TestPhasesAutoPolicy pins the staging side): autoSelect
+// flips Hash to SlidingHash exactly where kd 4-byte symbolic slots per
+// thread exceed CacheBytes, for float64 and float32, and validate
+// resolves Auto to that same answer — except that a DropIdentity
+// monoid keeps Hash, the algorithm that can drop entries.
 func TestEstimateSharedAcrossHeuristics(t *testing.T) {
-	for _, tc := range []struct{ k, rows, cols, d int }{
-		{4, 300, 8, 20},
-		{8, 100000, 64, 16},
-		{2, 50, 5, 3},
+	autoFootprint[float64](t)
+	autoFootprint[float32](t)
+}
+
+func autoFootprint[T matrix.Number](t *testing.T) {
+	var z T
+	drop := &ops.MonoidOf[T]{Name: "FirstDrop", Combine: func(a, _ T) T { return a }, DropIdentity: true}
+	for _, tc := range []struct{ k, rows, cols, d, threads int }{
+		{4, 300, 8, 20, 1},
+		{8, 100000, 64, 16, 1},
+		{2, 50, 5, 3, 3},
 	} {
-		as := erInputs(tc.k, tc.rows, tc.cols, tc.d, 81)
-		est := estimateWorkload(as)
-
-		total := 0
+		as := convertAll[T](erInputs(tc.k, tc.rows, tc.cols, tc.d, 81))
+		var total int64
 		for _, a := range as {
-			total += a.NNZ()
+			total += int64(a.NNZ())
 		}
-		if est.k != tc.k || est.rows != tc.rows || est.cols != tc.cols || est.total != int64(total) {
-			t.Fatalf("estimate shape = (%d, %d, %d, %d), want (%d, %d, %d, %d)",
-				est.k, est.rows, est.cols, est.total, tc.k, tc.rows, tc.cols, total)
-		}
-		avg := float64(total) / float64(tc.cols)
-		if est.avgColNNZ != avg {
-			t.Errorf("avgColNNZ = %g, want %g", est.avgColNNZ, avg)
-		}
-
-		// autoSelect flips Hash -> SlidingHash exactly at the symbolic
-		// table footprint the shared estimate predicts.
-		threads := sched.Threads(1)
-		memSym := int64(est.avgColNNZ) * BytesPerSymbolicEntry * int64(threads)
-		if alg := autoSelect(est, Options{Threads: 1, CacheBytes: memSym}); alg != Hash {
-			t.Errorf("at exactly the footprint: auto = %v, want Hash", alg)
-		}
-		if alg := autoSelect(est, Options{Threads: 1, CacheBytes: memSym - 1}); alg != SlidingHash {
-			t.Errorf("one byte under: auto = %v, want SlidingHash", alg)
-		}
-
-		// pickPhases flips Hash's engine to TwoPass at the numeric
-		// footprint from the same estimate.
-		memNum := int64(est.avgColNNZ) * BytesPerAddEntry * int64(threads)
-		if p := pickPhases(est, Hash, Options{Threads: 1, CacheBytes: memNum - 1}); p != PhasesTwoPass {
-			t.Errorf("under numeric footprint: engine = %v, want TwoPass", p)
-		}
-		if p := pickPhases(est, Hash, Options{Threads: 1, CacheBytes: memNum}); p != PhasesUpperBound {
-			t.Errorf("at numeric footprint: engine = %v, want UpperBound", p)
+		footprint := total / int64(tc.cols) * BytesPerSymbolicEntry * int64(sched.Threads(tc.threads))
+		for _, c := range []struct {
+			cache int64
+			want  Algorithm
+		}{{footprint, Hash}, {footprint - 1, SlidingHash}} {
+			opt := OptionsOf[T]{Threads: tc.threads, CacheBytes: c.cache}
+			if alg := autoSelect(as, opt); alg != c.want {
+				t.Errorf("%T %+v, cache %d: auto = %v, want %v", z, tc, c.cache, alg, c.want)
+			}
+			p, err := opt.validate(as, nil, 0)
+			if err != nil || p.alg != c.want {
+				t.Errorf("%T %+v, cache %d: validate resolved %v (%v), want %v", z, tc, c.cache, p.alg, err, c.want)
+			}
+			opt.Monoid = drop
+			if p, err := opt.validate(as, nil, 0); err != nil || p.alg != Hash {
+				t.Errorf("%T %+v, cache %d, DropIdentity: validate resolved %v (%v), want Hash", z, tc, c.cache, p.alg, err)
+			}
 		}
 	}
 }

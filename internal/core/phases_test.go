@@ -10,10 +10,20 @@ import (
 	"spkadd/internal/matrix"
 )
 
-// The parity suite: the single-pass engine must produce output
-// entry-for-entry identical (after canonical sort; Equal compares
-// sorted columns with zero tolerance) to the two-phase engine for
-// every supported kernel/option combination.
+// The parity suite. Each k-way algorithm has exactly one engine: Hash,
+// SPA and Heap read each input once, SlidingHash keeps the two-pass
+// driver. Unpartitioned SlidingHash is the paper's two-phase hash
+// (Algorithms 5-6), so it is the reference the others are held to bit
+// for bit:
+//   - with SortedOutput, Hash, SPA and Heap match it exactly: every
+//     algorithm folds a row's entries in input order, so even the
+//     float sums agree;
+//   - unsorted Hash matches it too, since both emit a column in
+//     first-insertion order;
+//   - partitioned SlidingHash (MaxTableEntries) matches it when sorted.
+//
+// The inputs are small, so the default CacheBytes leaves SlidingHash
+// unpartitioned unless MaxTableEntries is set.
 
 func phasesInputs() map[string][]*matrix.CSC {
 	return map[string][]*matrix.CSC{
@@ -22,17 +32,28 @@ func phasesInputs() map[string][]*matrix.CSC {
 	}
 }
 
+// twoPhase returns the reference sum of as: unpartitioned SlidingHash,
+// which must report the two-pass engine and a symbolic phase.
+func twoPhase(t *testing.T, as []*matrix.CSC, sorted bool) *matrix.CSC {
+	t.Helper()
+	var st OpStats
+	ref, err := Add(as, Options{Algorithm: SlidingHash, SortedOutput: sorted, Stats: &st})
+	if err != nil {
+		t.Fatalf("two-phase reference: %v", err)
+	}
+	if e, _ := st.EngineUsed(); e != PhasesTwoPass || st.SymProbes.Load() == 0 {
+		t.Fatalf("two-phase reference ran %v with %d symbolic probes, want TwoPass with a symbolic phase", e, st.SymProbes.Load())
+	}
+	return ref
+}
+
 func TestPhasesParityAllCombos(t *testing.T) {
 	for pattern, as := range phasesInputs() {
-		for _, alg := range []Algorithm{Hash, SPA, Heap} {
-			for _, sorted := range []bool{false, true} {
-				base := Options{Algorithm: alg, Phases: PhasesTwoPass, SortedOutput: sorted}
-				want, err := Add(as, base)
-				if err != nil {
-					t.Fatalf("%s/%v two-pass: %v", pattern, alg, err)
-				}
+		for _, sorted := range []bool{false, true} {
+			want := twoPhase(t, as, sorted)
+			for _, alg := range []Algorithm{Hash, SPA, Heap} {
 				name := fmt.Sprintf("%s/%v/sorted=%v", pattern, alg, sorted)
-				got, err := Add(as, Options{Algorithm: alg, Phases: PhasesUpperBound, SortedOutput: sorted, Threads: 3})
+				got, err := Add(as, Options{Algorithm: alg, SortedOutput: sorted, Threads: 3})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -40,10 +61,26 @@ func TestPhasesParityAllCombos(t *testing.T) {
 					t.Fatalf("%s: invalid output: %v", name, err)
 				}
 				if !got.Equal(want) {
-					t.Errorf("%s: differs from two-pass engine", name)
+					t.Errorf("%s: differs from the two-phase hash", name)
+				}
+				if sorted && !bitIdentical(got, want) {
+					t.Errorf("%s: not bit-identical to the two-phase hash", name)
 				}
 				if sorted && !got.IsColumnSorted() {
 					t.Errorf("%s: SortedOutput violated", name)
+				}
+			}
+			for _, maxEntries := range []int{4, 16} {
+				name := fmt.Sprintf("%s/SlidingHash/max=%d/sorted=%v", pattern, maxEntries, sorted)
+				got, err := Add(as, Options{Algorithm: SlidingHash, MaxTableEntries: maxEntries, SortedOutput: sorted, Threads: 3})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !got.Equal(want) {
+					t.Errorf("%s: differs from the unpartitioned run", name)
+				}
+				if sorted && !bitIdentical(got, want) {
+					t.Errorf("%s: not bit-identical to the unpartitioned run", name)
 				}
 			}
 		}
@@ -51,7 +88,8 @@ func TestPhasesParityAllCombos(t *testing.T) {
 }
 
 func TestPhasesParityUnsortedInputs(t *testing.T) {
-	// Hash and SPA accept unsorted input columns in every engine.
+	// Hash, SPA and SlidingHash accept unsorted input columns;
+	// SlidingHash then bounds its row ranges by a filtering scan.
 	as := erInputs(5, 300, 20, 9, 73)
 	rng := rand.New(rand.NewSource(74))
 	for _, a := range as {
@@ -64,51 +102,60 @@ func TestPhasesParityUnsortedInputs(t *testing.T) {
 		}
 	}
 	want := matrix.ReferenceAdd(as)
-	for _, alg := range []Algorithm{Hash, SPA} {
-		got, err := Add(as, Options{Algorithm: alg, Phases: PhasesUpperBound, SortedOutput: true})
+	for _, opt := range []Options{
+		{Algorithm: Hash},
+		{Algorithm: SPA},
+		{Algorithm: SlidingHash},
+		{Algorithm: SlidingHash, MaxTableEntries: 4},
+	} {
+		opt.SortedOutput = true
+		got, err := Add(as, opt)
 		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
+			t.Fatalf("%v/max=%d: %v", opt.Algorithm, opt.MaxTableEntries, err)
 		}
 		if !got.Equal(want) {
-			t.Errorf("%v: wrong result on unsorted inputs", alg)
+			t.Errorf("%v/max=%d: wrong result on unsorted inputs", opt.Algorithm, opt.MaxTableEntries)
 		}
 	}
 }
 
 func TestPhasesSlidingHashFallsBack(t *testing.T) {
-	// SlidingHash has no single-pass engine; an explicit upper-bound
-	// request silently keeps the two-phase driver and the result stays
-	// correct.
+	// SlidingHash has no single-pass engine: its per-part symbolic
+	// counts are the algorithm. It runs the two-pass driver, symbolic
+	// phase and all, and the result stays correct.
 	as := erInputs(8, 500, 16, 20, 75)
 	want := matrix.ReferenceAdd(as)
 	var st OpStats
-	got, err := Add(as, Options{Algorithm: SlidingHash, Phases: PhasesUpperBound, SortedOutput: true, Stats: &st, MaxTableEntries: 8})
+	got, pt, err := AddTimed(as, Options{Algorithm: SlidingHash, SortedOutput: true, Stats: &st, MaxTableEntries: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
 		t.Error("wrong result")
 	}
-	if st.SymProbes.Load() == 0 {
-		t.Error("sliding hash should have run its symbolic phase")
+	if st.SymProbes.Load() == 0 || pt.Symbolic <= 0 {
+		t.Errorf("sliding hash should have run its symbolic phase: %d probes, %v", st.SymProbes.Load(), pt.Symbolic)
+	}
+	if e, _ := st.EngineUsed(); e != PhasesTwoPass {
+		t.Errorf("sliding hash ran %v, want TwoPass", e)
 	}
 }
 
 func TestPhasesCancellationAndEmpty(t *testing.T) {
 	// Cancellation to explicit zeros and empty inputs behave the same
-	// in every engine (the engines are structural, not value-driven).
+	// in every algorithm (the engines are structural, not value-driven).
 	a := matrix.FromTriples(4, 1, []matrix.Triple{{Row: 2, Col: 0, Val: 1}})
 	b := matrix.FromTriples(4, 1, []matrix.Triple{{Row: 2, Col: 0, Val: -1}})
 	empty := matrix.NewCSC(10, 5, 0)
-	for _, alg := range []Algorithm{Hash, SPA, Heap} {
-		got, err := Add([]*matrix.CSC{a, b}, Options{Algorithm: alg, Phases: PhasesUpperBound, SortedOutput: true})
+	for _, alg := range []Algorithm{Hash, SPA, Heap, SlidingHash} {
+		got, err := Add([]*matrix.CSC{a, b}, Options{Algorithm: alg, SortedOutput: true})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
 		if got.NNZ() != 1 || got.Val[0] != 0 {
 			t.Errorf("%v: cancellation produced nnz=%d, want one explicit zero", alg, got.NNZ())
 		}
-		zero, err := Add([]*matrix.CSC{empty, empty.Clone()}, Options{Algorithm: alg, Phases: PhasesUpperBound})
+		zero, err := Add([]*matrix.CSC{empty, empty.Clone()}, Options{Algorithm: alg})
 		if err != nil {
 			t.Fatalf("%v empty: %v", alg, err)
 		}
@@ -124,17 +171,17 @@ func TestPhasesAddScaledParity(t *testing.T) {
 	for i := range coeffs {
 		coeffs[i] = 0.25 * matrix.Value(i+1)
 	}
+	want, err := AddScaled(as, coeffs, Options{Algorithm: SlidingHash, SortedOutput: true})
+	if err != nil {
+		t.Fatalf("two-phase hash: %v", err)
+	}
 	for _, alg := range []Algorithm{Hash, SPA, Heap} {
-		want, err := AddScaled(as, coeffs, Options{Algorithm: alg, Phases: PhasesTwoPass, SortedOutput: true})
-		if err != nil {
-			t.Fatalf("%v two-pass: %v", alg, err)
-		}
-		got, err := AddScaled(as, coeffs, Options{Algorithm: alg, Phases: PhasesUpperBound, SortedOutput: true})
+		got, err := AddScaled(as, coeffs, Options{Algorithm: alg, SortedOutput: true})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
-		if !got.Equal(want) {
-			t.Errorf("%v: scaled sum differs from two-pass engine", alg)
+		if !bitIdentical(got, want) {
+			t.Errorf("%v: scaled sum differs from the two-phase hash", alg)
 		}
 	}
 }
@@ -142,19 +189,21 @@ func TestPhasesAddScaledParity(t *testing.T) {
 func TestPhasesAccumulatorParity(t *testing.T) {
 	as := erInputs(20, 800, 16, 12, 77)
 	want := matrix.ReferenceAdd(as)
-	for _, budget := range []int64{1, 10 * entryBytes, 1 << 20} {
-		ac := NewAccumulator(800, 16, budget, Options{Algorithm: Hash, Phases: PhasesUpperBound, SortedOutput: true})
-		for _, a := range as {
-			if err := ac.Push(a); err != nil {
+	for _, alg := range []Algorithm{Hash, SlidingHash} {
+		for _, budget := range []int64{1, 10 * entryBytes, 1 << 20} {
+			ac := NewAccumulator(800, 16, budget, Options{Algorithm: alg, SortedOutput: true})
+			for _, a := range as {
+				if err := ac.Push(a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := ac.Sum()
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		got, err := ac.Sum()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Errorf("budget=%d: streaming sum differs", budget)
+			if !got.Equal(want) {
+				t.Errorf("%v/budget=%d: streaming sum differs", alg, budget)
+			}
 		}
 	}
 }
@@ -162,11 +211,11 @@ func TestPhasesAccumulatorParity(t *testing.T) {
 func TestPhasesAddCSRParity(t *testing.T) {
 	a := generate.ER(generate.Opts{Rows: 300, Cols: 40, NNZPerCol: 8, Seed: 78}).ToCSR()
 	b := generate.ER(generate.Opts{Rows: 300, Cols: 40, NNZPerCol: 8, Seed: 79}).ToCSR()
-	want, err := AddCSR([]*matrix.CSR{a, b}, Options{Algorithm: Hash, Phases: PhasesTwoPass, SortedOutput: true})
+	want, err := AddCSR([]*matrix.CSR{a, b}, Options{Algorithm: SlidingHash, SortedOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AddCSR([]*matrix.CSR{a, b}, Options{Algorithm: Hash, Phases: PhasesUpperBound, SortedOutput: true})
+	got, err := AddCSR([]*matrix.CSR{a, b}, Options{Algorithm: Hash, SortedOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,92 +230,93 @@ func TestPhasesAddCSRParity(t *testing.T) {
 }
 
 func TestPhasesSortedOutputBitIdentical(t *testing.T) {
-	// With sorted output, both engines must agree bit for bit:
-	// per-row accumulation order is the input order in every engine,
-	// so even the float sums match exactly.
+	// With sorted output every algorithm must agree bit for bit with
+	// the two-phase hash, partitioned or not: per-row accumulation
+	// order is the input order in every kernel, so even the float
+	// sums match exactly.
 	as := generate.RMATCollection(8, generate.Opts{Rows: 400, Cols: 16, NNZPerCol: 12, Seed: 80}, generate.Graph500)
-	for _, alg := range []Algorithm{Hash, SPA, Heap} {
-		ref, err := Add(as, Options{Algorithm: alg, Phases: PhasesTwoPass, SortedOutput: true})
+	ref := twoPhase(t, as, true)
+	for _, opt := range []Options{
+		{Algorithm: Hash, Threads: 4},
+		{Algorithm: SPA, Threads: 4},
+		{Algorithm: Heap, Threads: 4},
+		{Algorithm: SlidingHash, MaxTableEntries: 8, Threads: 2},
+	} {
+		opt.SortedOutput = true
+		got, err := Add(as, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Add(as, Options{Algorithm: alg, Phases: PhasesUpperBound, SortedOutput: true, Threads: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.NNZ() != ref.NNZ() {
-			t.Fatalf("%v: nnz %d != %d", alg, got.NNZ(), ref.NNZ())
-		}
-		for i := range got.RowIdx {
-			if got.RowIdx[i] != ref.RowIdx[i] || got.Val[i] != ref.Val[i] {
-				t.Fatalf("%v: layout differs at %d", alg, i)
-			}
-		}
+		requireIdentical(t, got, ref, fmt.Sprintf("%v/max=%d", opt.Algorithm, opt.MaxTableEntries))
 	}
 }
 
 // TestPhasesUnsortedHashOrderIdentical pins the unsorted Hash layout:
-// both engines emit a column in first-seen row order, so the output
-// is identical entry for entry although the two-pass engine sizes its
-// tables by output nnz and the single-pass engine by input nnz.
+// the single pass and the two-phase hash both emit a column in
+// first-seen row order, so the output is identical entry for entry
+// although Hash sizes its tables by input nnz and the two-phase hash
+// by output nnz.
 func TestPhasesUnsortedHashOrderIdentical(t *testing.T) {
 	as := generate.RMATCollection(8, generate.Opts{Rows: 400, Cols: 16, NNZPerCol: 12, Seed: 83}, generate.Graph500)
-	ref, err := Add(as, Options{Algorithm: Hash, Phases: PhasesTwoPass})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Add(as, Options{Algorithm: Hash, Phases: PhasesUpperBound, Threads: 3})
+	ref := twoPhase(t, as, false)
+	got, err := Add(as, Options{Algorithm: Hash, Threads: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireIdentical(t, got, ref, "unsorted Hash")
 }
 
+// TestPhasesAutoPolicy pins Auto's one rule: Hash, until the symbolic
+// tables would spill CacheBytes or Hash's single-pass staging would
+// pass upperBoundStagingCap; SlidingHash past either. The footprint
+// side is TestEstimateSharedAcrossHeuristics; this is the staging
+// side, plus the resolution seen from outside.
 func TestPhasesAutoPolicy(t *testing.T) {
-	// Rare duplicates within the staging cap: upper bound.
-	sparse := erInputs(4, 100000, 8, 16, 81)
-	if p := pickPhases(estimateWorkload(sparse), Hash, Options{}); p != PhasesUpperBound {
-		t.Errorf("sparse ER: auto = %v, want UpperBound", p)
-	}
-	// Heavy duplicates (k identical supports): upper bound too.
-	base := generate.ER(generate.Opts{Rows: 200, Cols: 8, NNZPerCol: 16, Seed: 82})
-	dup := []*matrix.CSC{base, base.Clone(), base.Clone(), base.Clone(), base.Clone(), base.Clone(), base.Clone(), base.Clone()}
-	if p := pickPhases(estimateWorkload(dup), Hash, Options{}); p != PhasesUpperBound {
-		t.Errorf("duplicate-heavy: auto = %v, want UpperBound", p)
-	}
-	// Single-pass hash tables spilling the cache: two-pass.
-	if p := pickPhases(estimateWorkload(sparse), Hash, Options{CacheBytes: 16}); p != PhasesTwoPass {
-		t.Errorf("tiny cache: auto = %v, want TwoPass", p)
-	}
-	// Staging past the cap: two-pass, which needs no staging.
 	autoPolicyStagingCap[float64](t)
 	autoPolicyStagingCap[float32](t)
-	// Unsupported algorithms always resolve to two-pass, even when
-	// asked for the single-pass engine.
-	if p := pickPhases(estimateWorkload(sparse), SlidingHash, Options{Phases: PhasesUpperBound}); p != PhasesTwoPass {
-		t.Errorf("sliding hash: resolved %v, want TwoPass", p)
-	}
-	// An explicit request on a supported algorithm is honored.
-	if p := pickPhases(estimateWorkload(dup), Heap, Options{Phases: PhasesUpperBound}); p != PhasesUpperBound {
-		t.Errorf("explicit request: resolved %v, want UpperBound", p)
+	// End to end, EngineUsed shows which way Auto resolved.
+	as := erInputs(4, 1000, 8, 16, 81)
+	for _, tc := range []struct {
+		cache int64
+		want  Phases
+	}{{0, PhasesUpperBound}, {16, PhasesTwoPass}} {
+		var st OpStats
+		got, err := Add(as, Options{CacheBytes: tc.cache, SortedOutput: true, Stats: &st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e, _ := st.EngineUsed(); e != tc.want {
+			t.Errorf("CacheBytes %d: Auto ran %v, want %v", tc.cache, e, tc.want)
+		}
+		if !got.Equal(matrix.ReferenceAdd(as)) {
+			t.Errorf("CacheBytes %d: wrong sum", tc.cache)
+		}
 	}
 }
 
-// autoPolicyStagingCap checks that Auto flips from UpperBound to
-// TwoPass exactly at upperBoundStagingCap. The cap is in bytes, so the
-// entry count that crosses it depends on T's entry width.
+// autoPolicyStagingCap checks that Auto flips from Hash to SlidingHash
+// exactly at upperBoundStagingCap. The cap is in bytes, so the entry
+// count that crosses it depends on T's entry width. autoSelect reads
+// only Cols and NNZ, so the inputs are headers over one shared row
+// array: a gigabyte of staging is priced without being allocated.
 func autoPolicyStagingCap[T matrix.Number](t *testing.T) {
 	t.Helper()
 	limit := upperBoundStagingCap / entryBytesOf[T]()
 	const cols = 1 << 20 // ~100 entries per column: tables stay in cache
+	rows := make([]matrix.Index, 1<<20)
 	for _, tc := range []struct {
 		total int64
-		want  Phases
-	}{{limit - 1, PhasesUpperBound}, {limit + 1, PhasesTwoPass}} {
-		est := workloadEstimate{k: 1, rows: cols, cols: cols, total: tc.total, avgColNNZ: float64(tc.total) / cols}
-		if p := pickPhases(est, Hash, OptionsOf[T]{}); p != tc.want {
+		want  Algorithm
+	}{{limit - 1, Hash}, {limit, Hash}, {limit + 1, SlidingHash}} {
+		var as []*matrix.CSCOf[T]
+		for left := tc.total; left > 0; {
+			n := min(left, int64(len(rows)))
+			as = append(as, &matrix.CSCOf[T]{Rows: cols, Cols: cols, RowIdx: rows[:n]})
+			left -= n
+		}
+		if alg := autoSelect(as, OptionsOf[T]{}); alg != tc.want {
 			var z T
-			t.Errorf("%T staging of %d entries: auto = %v, want %v", z, tc.total, p, tc.want)
+			t.Errorf("%T staging of %d entries: auto = %v, want %v", z, tc.total, alg, tc.want)
 		}
 	}
 }
@@ -285,14 +335,27 @@ func TestQuickPhasesParity(t *testing.T) {
 			}
 			as[i] = coo.ToCSC()
 		}
-		alg := []Algorithm{Hash, SPA, Heap}[rng.Intn(3)]
 		sorted := rng.Intn(2) == 0
-		want, err := Add(as, Options{Algorithm: alg, Phases: PhasesTwoPass, SortedOutput: sorted})
+		want, err := Add(as, Options{Algorithm: SlidingHash, SortedOutput: sorted})
 		if err != nil {
 			return false
 		}
-		got, err := Add(as, Options{Algorithm: alg, Phases: PhasesUpperBound, SortedOutput: sorted, Threads: 1 + rng.Intn(3)})
-		return err == nil && got.Validate() == nil && got.Equal(want)
+		opt := Options{SortedOutput: sorted, Threads: 1 + rng.Intn(3)}
+		switch rng.Intn(4) {
+		case 0:
+			opt.Algorithm = Hash
+		case 1:
+			opt.Algorithm = SPA
+		case 2:
+			opt.Algorithm = Heap
+		default:
+			opt.Algorithm, opt.MaxTableEntries = SlidingHash, 1+rng.Intn(8)
+		}
+		got, err := Add(as, opt)
+		if err != nil || got.Validate() != nil || !got.Equal(want) {
+			return false
+		}
+		return !sorted || bitIdentical(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -19,37 +19,62 @@ func schedTestInputs(pattern string, k, rows, cols, d int, seed uint64) []*matri
 
 // TestScheduleParity proves multi-threaded additions on the resident
 // executor produce output bit-identical to one thread, for every
-// algorithm and engine, on uniform and skewed inputs. Scheduling
-// decides only which worker computes which column — with stealing,
-// differently from run to run; any difference in the result is a
-// stolen or double-run range.
+// algorithm (SlidingHash partitioned or not), on uniform and skewed
+// inputs. Scheduling decides only which worker computes which column
+// — with stealing, differently from run to run; any difference in the
+// result is a stolen or double-run range.
 func TestScheduleParity(t *testing.T) {
 	for _, pattern := range []string{"ER", "RMAT"} {
 		as := schedTestInputs(pattern, 8, 4096, 48, 12, 7)
-		for _, alg := range []Algorithm{Hash, SPA, Heap, SlidingHash, TwoWayIncremental} {
-			engines := PhasesPolicies
-			if alg == SlidingHash || alg == TwoWayIncremental {
-				engines = []Phases{PhasesTwoPass}
+		for _, base := range []Options{
+			{Algorithm: Hash}, {Algorithm: SPA}, {Algorithm: Heap},
+			{Algorithm: SlidingHash}, {Algorithm: SlidingHash, MaxTableEntries: 16},
+			{Algorithm: TwoWayIncremental},
+		} {
+			opt := base
+			opt.SortedOutput, opt.Threads = true, 1
+			name := fmt.Sprintf("%s/%v/max=%d", pattern, opt.Algorithm, opt.MaxTableEntries)
+			want, err := Add(as, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			for _, p := range engines {
-				opt := Options{Algorithm: alg, Phases: p, SortedOutput: true, Threads: 1}
-				want, err := Add(as, opt)
+			for _, th := range []int{2, 4} {
+				opt.Threads = th
+				got, err := Add(as, opt)
 				if err != nil {
-					t.Fatalf("%s/%v/%v: %v", pattern, alg, p, err)
+					t.Fatalf("%s/T%d: %v", name, th, err)
 				}
-				for _, th := range []int{2, 4} {
-					opt.Threads = th
-					got, err := Add(as, opt)
-					if err != nil {
-						t.Fatalf("%s/%v/%v/T%d: %v", pattern, alg, p, th, err)
-					}
-					if !got.Equal(want) {
-						t.Fatalf("%s/%v/%v: Threads %d result differs from Threads 1", pattern, alg, p, th)
-					}
+				if !bitIdentical(got, want) {
+					t.Fatalf("%s: Threads %d result differs from Threads 1", name, th)
 				}
 			}
 		}
 	}
+}
+
+// engineCells are the engine labels of the allocation and parity
+// grids, whose subtest IDs name an algorithm and an engine. Hash, SPA
+// and Heap have only the single pass, so a TwoPass cell runs
+// SlidingHash, the one k-way algorithm on the two-pass driver
+// (engineCell), and the case IDs stay stable.
+var engineCells = []Phases{PhasesTwoPass, PhasesUpperBound}
+
+// engineCell is the configuration grid cell alg/engine runs: alg on
+// its single pass, or for TwoPass the algorithm left on the two-pass
+// driver — SlidingHash, unpartitioned under the Hash label (the
+// paper's two-phase hash) and partitioned by an entry cap under SPA
+// (16 entries) and Heap (4).
+func engineCell(alg Algorithm, engine Phases) Options {
+	if engine != PhasesTwoPass {
+		return Options{Algorithm: alg}
+	}
+	switch alg {
+	case SPA:
+		return Options{Algorithm: SlidingHash, MaxTableEntries: 16}
+	case Heap:
+		return Options{Algorithm: SlidingHash, MaxTableEntries: 4}
+	}
+	return Options{Algorithm: SlidingHash}
 }
 
 // scheduleRegimes is the grid the schedule tests run the one weighted,
@@ -75,7 +100,7 @@ var scheduleRegimes = []struct {
 func TestScheduleStatsObservability(t *testing.T) {
 	var inline OpStats
 	as := schedTestInputs("RMAT", 8, 1<<14, 64, 32, 9)
-	if _, err := Add(as, Options{Algorithm: Hash, Phases: PhasesTwoPass, Threads: 1, Stats: &inline}); err != nil {
+	if _, err := Add(as, Options{Algorithm: SlidingHash, Threads: 1, Stats: &inline}); err != nil {
 		t.Fatal(err)
 	}
 	if r, st := inline.SchedRegions.Load(), inline.Steals.Load(); r != 0 || st != 0 {
@@ -85,7 +110,7 @@ func TestScheduleStatsObservability(t *testing.T) {
 		t.Run(rg.name, func(t *testing.T) {
 			var stats OpStats
 			as := schedTestInputs(rg.pattern, 8, 1<<14, 64, 32, 9)
-			opt := Options{Algorithm: Hash, Phases: PhasesTwoPass, Threads: rg.threads, Stats: &stats}
+			opt := Options{Algorithm: SlidingHash, Threads: rg.threads, Stats: &stats}
 			if _, err := Add(as, opt); err != nil {
 				t.Fatal(err)
 			}
@@ -133,12 +158,13 @@ func TestSharedExecutorOptionParity(t *testing.T) {
 
 // TestWorkspaceZeroAllocAllSchedules is the core-level form of the
 // Adder's zero-allocation contract: a warmed recycling workspace runs
-// every algorithm × engine combination without allocating, on every
-// cell of scheduleRegimes — on the reservation path, since stealing
-// makes the column→worker assignment vary run to run, and including
-// the executor's own scheduling machinery. Both engines stage in
-// workspace-owned buffers, so the zero is strict at any size: the ER
-// input holds ~48K entries, 28% of them duplicates.
+// every engine cell (engineCell: Hash, SPA and Heap single-pass,
+// SlidingHash unpartitioned and partitioned) without allocating, on
+// every cell of scheduleRegimes — on the reservation path, since
+// stealing makes the column→worker assignment vary run to run, and
+// including the executor's own scheduling machinery. Both engines
+// keep their scratch in the workspace, so the zero is strict at any
+// size: the ER input holds ~48K entries, 28% of them duplicates.
 func TestWorkspaceZeroAllocAllSchedules(t *testing.T) {
 	inputs := map[string][]*matrix.CSC{
 		"RMAT": schedTestInputs("RMAT", 8, 2048, 48, 8, 13),
@@ -146,11 +172,12 @@ func TestWorkspaceZeroAllocAllSchedules(t *testing.T) {
 	}
 	for _, alg := range []Algorithm{Hash, SPA, Heap} {
 		for _, rg := range scheduleRegimes {
-			for _, p := range PhasesPolicies {
+			for _, p := range engineCells {
 				t.Run(fmt.Sprintf("%v/%s/%v", alg, rg.name, p), func(t *testing.T) {
 					as := inputs[rg.pattern]
 					ws := NewWorkspace(true)
-					opt := Options{Algorithm: alg, Phases: p, SortedOutput: true, Threads: rg.threads}
+					opt := engineCell(alg, p)
+					opt.SortedOutput, opt.Threads = true, rg.threads
 					for warm := 0; warm < 3; warm++ {
 						if _, err := ws.Add(as, opt); err != nil {
 							t.Fatal(err)

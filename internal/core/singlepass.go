@@ -5,80 +5,38 @@ import (
 
 	"spkadd/internal/hashtab"
 	"spkadd/internal/matrix"
-	"spkadd/internal/sched"
 )
 
-// This file implements the single-pass execution engine. The paper
-// proves SpKAdd's memory-traffic lower bound is O(knd); the classic
-// two-phase driver (add.go) streams all k inputs through memory twice
-// — once to size the output, once to fill it — so it runs at ~2x that
-// bound. addUpperBound reads each input exactly once: the output
-// staging area is allocated from the Σ_i nnz(A_i(:,j)) per-column
-// upper bound, filled in one pass, and compacted in parallel. Peak
-// extra memory ≈ total input size.
+// This file implements the single-pass execution engine, the one
+// engine of Hash, SPA and Heap. The paper proves SpKAdd's
+// memory-traffic lower bound is O(knd); a two-phase driver streams
+// all k inputs through memory twice — once to size the output, once
+// to fill it — so it runs at ~2x that bound. addUpperBound reads each
+// input exactly once: the output staging area is allocated from the
+// Σ_i nnz(A_i(:,j)) per-column upper bound, filled in one pass, and
+// compacted in parallel. Peak extra memory ≈ total input size.
+// SlidingHash keeps the two-phase driver (add.go): its per-part
+// symbolic counts are what keep each table within its cache share.
 //
-// It supports the Hash, SPA and Heap kernels, sorted and unsorted
-// output, coefficients, and any thread count, with output entry-for-entry
-// identical (after canonical sort) to the two-phase engine. It runs on
-// a Workspace: staging buffers and column extents survive the call, so
-// repeated additions allocate nothing in steady state. Mul (mul.go) is
-// its second caller: the same tail, stageAndCompact, runs a product
-// with each column's flops as its staging bound.
+// It supports sorted and unsorted output, coefficients, and any
+// thread count; with SortedOutput every algorithm's result is
+// bit-identical to unpartitioned SlidingHash, the paper's two-phase
+// hash. It runs on a Workspace: staging buffers and column extents
+// survive the call, so repeated additions allocate nothing in steady
+// state. Mul (mul.go) is its second caller: the same tail,
+// stageAndCompact, runs a product with each column's flops as its
+// staging bound.
 
 const (
-	// upperBoundStagingCap bounds the staging buffer PhasesAuto lets
-	// the upper-bound engine allocate (entryBytesOf per input entry —
-	// 12 for float64/int64, 8 for float32/int32, 5 for bool) before
-	// preferring the two-pass engine, which needs no staging.
+	// upperBoundStagingCap bounds the staging buffer Auto lets Hash's
+	// single-pass engine allocate (entryBytesOf per input entry — 12
+	// for float64/int64, 8 for float32/int32, 5 for bool). Past it,
+	// Auto picks SlidingHash, whose two-pass driver needs no staging.
 	upperBoundStagingCap = 1 << 30
 	// inputWeightsParallelMin is the column count above which the
 	// per-column input-nnz weights are computed in parallel.
 	inputWeightsParallelMin = 1 << 12
 )
-
-// singlePassSupported reports whether alg has a single-pass engine.
-// SlidingHash keeps the two-pass driver: its row-range partitioning is
-// derived from per-part symbolic counts, which a single pass cannot
-// provide without giving up the in-cache table guarantee.
-func singlePassSupported(alg Algorithm) bool {
-	switch alg {
-	case Hash, SPA, Heap:
-		return true
-	}
-	return false
-}
-
-// pickPhases resolves the engine for one call. An explicit request is
-// honored whenever the algorithm supports it; Auto picks the
-// single-pass engine unless its input-sized scratch would not fit,
-// reading the shared workloadEstimate autoSelect consumes (see the
-// Phases constants and DESIGN.md §2).
-func pickPhases[T matrix.Number](est workloadEstimate, alg Algorithm, opt OptionsOf[T]) Phases {
-	if !singlePassSupported(alg) {
-		return PhasesTwoPass
-	}
-	if opt.Phases != PhasesAuto {
-		return opt.Phases
-	}
-	// Memory headroom: the single-pass hash engine sizes per-worker
-	// tables by input nnz instead of output nnz. If those larger
-	// tables would spill the last-level cache, the two-pass engine's
-	// smaller numeric tables recover more than the saved symbolic pass
-	// costs. Entry cost is T's — a float32 call keeps the single-pass
-	// engine (and the staging budget below) viable at twice the input
-	// size.
-	eb := entryBytesOf[T]()
-	if alg == Hash {
-		t := sched.Threads(opt.Threads)
-		if int64(est.avgColNNZ)*eb*int64(t) > opt.cacheBytes() {
-			return PhasesTwoPass
-		}
-	}
-	if est.total*eb > upperBoundStagingCap {
-		return PhasesTwoPass
-	}
-	return PhasesUpperBound
-}
 
 // allocCSC builds an empty CSC whose ColPtr is the prefix sum of the
 // per-column counts, with RowIdx/Val allocated to match.
@@ -98,8 +56,8 @@ func allocCSC[T matrix.Number](rows, cols int, counts []int64) *matrix.CSCOf[T] 
 // upper bound, the column's staging extent — and returns the entry
 // count. This is also where the drop-identity output policy applies:
 // only the single-pass engine sees values before the output is sized,
-// so only it can drop identity-valued results (validation pins
-// DropIdentity monoids here).
+// so only it can drop identity-valued results (validation keeps
+// DropIdentity monoids off SlidingHash).
 //
 //spkadd:noalloc single-pass emit: accumulate one column straight into its staging extent
 func emitColInto[T matrix.Number](ws *workerStateOf[T], as []*matrix.CSCOf[T], j, inz int, alg Algorithm, sorted bool, coeffs []T, mon *monoidStateOf[T], outRows []matrix.Index, outVals []T) int {
@@ -162,9 +120,10 @@ func dropIdentityEntries[T matrix.Number](rows []matrix.Index, vals []T, nz int,
 }
 
 // addUpperBound is the upper-bound single-pass engine
-// (PhasesUpperBound): the staging area is allocated from the
-// per-column Σ_i nnz(A_i(:,j)) bound, filled in one pass over the
-// inputs, and compacted in parallel into the exact-size output.
+// (PhasesUpperBound) of Hash, SPA and Heap: the staging area is
+// allocated from the per-column Σ_i nnz(A_i(:,j)) bound, filled in
+// one pass over the inputs, and compacted in parallel into the
+// exact-size output.
 func (ws *WorkspaceOf[T]) addUpperBound() (*matrix.CSCOf[T], PhaseTimings, error) {
 	var pt PhaseTimings
 	ws.colScratch(ws.as[0].Cols)

@@ -174,10 +174,10 @@ func (st *streamOf[T]) quarantine() {
 // are detected by an atomic busy flag and fail with
 // ErrAccumulatorInUse instead of corrupting the resident workspace.
 // Each addition it performs is internally parallel per the configured
-// Options, including the execution-engine policy: when Phases
-// resolves to the single-pass engine (the common PhasesAuto outcome
-// for in-cache workloads) each batched reduction reads its inputs
-// exactly once.
+// Options. When the algorithm resolves to Hash, SPA or Heap (Auto's
+// choice unless the tables would spill CacheBytes), each batched
+// reduction runs the single-pass engine and reads its inputs exactly
+// once.
 type AccumulatorOf[T matrix.Number] struct {
 	rows, cols int
 	busy       atomic.Bool

@@ -12,7 +12,7 @@ import (
 // for every entry into the engines: package Add/AddTimed/AddScaled,
 // Workspace (hence the public Adder), Accumulator reductions and Pool
 // shard reductions all funnel through Options.validate, so the
-// coefficient, monoid, sortedness and engine checks — and the
+// coefficient, monoid and sortedness checks — and the
 // LoadFactor/CacheBytes clamps applied via the Options accessors —
 // cannot drift between entry points.
 
@@ -24,10 +24,10 @@ var ErrCoeffsRequirePlus = errors.New("spkadd: coefficients require the Plus mon
 
 // ErrMonoidUnsupported is returned when a monoid cannot run on the
 // requested configuration: a non-Plus monoid on a 2-way baseline
-// (their pairwise drivers hardwire "+"), a DropIdentity monoid on the
-// two-pass driver (the symbolic phase sizes the output before values
-// exist), a monoid without a Combine function, or a nil Monoid on an
-// element type with no default Plus (bool).
+// (their pairwise drivers hardwire "+"), a DropIdentity monoid on
+// SlidingHash (its two-pass driver's symbolic phase sizes the output
+// before values exist), a monoid without a Combine function, or a nil
+// Monoid on an element type with no default Plus (bool).
 var ErrMonoidUnsupported = errors.New("spkadd: monoid unsupported for this configuration")
 
 // monoidStateOf is the per-call resolution of Options.Monoid for the
@@ -63,12 +63,11 @@ func (m *monoidStateOf[T]) mapFor(i int) func(T) T {
 }
 
 // planOf is a fully validated and resolved addition call: the concrete
-// algorithm, the execution engine it will run on, input sortedness,
+// algorithm (which fixes the engine it runs on), input sortedness,
 // and the combine monoid. Producing the whole plan in one place keeps
 // every entry point's behaviour identical.
 type planOf[T matrix.Number] struct {
-	alg    Algorithm
-	engine Phases
+	alg Algorithm
 	// sortedIn reports that every input column is sorted. It is
 	// computed only for the algorithms that read it (see validate) and
 	// stays false for the rest, whatever their inputs.
@@ -107,14 +106,10 @@ func (o OptionsOf[T]) validate(as []*matrix.CSCOf[T], coeffs []T, premapped int)
 	if err := validateDims(as); err != nil {
 		return p, err
 	}
-	// An unknown enum value has no driver behind it: an algorithm
-	// would fall through every kernel switch and return an empty sum,
-	// an engine would skip the DropIdentity check.
+	// An unknown algorithm has no driver behind it: it would fall
+	// through every kernel switch and return an empty sum.
 	if _, ok := algoNames[o.Algorithm]; !ok {
 		return p, fmt.Errorf("spkadd: unknown Algorithm %d", int(o.Algorithm))
-	}
-	if _, ok := phasesNames[o.Phases]; !ok {
-		return p, fmt.Errorf("spkadd: unknown Phases %d", int(o.Phases))
 	}
 
 	plus := ops.PlusFor[T]()
@@ -152,12 +147,11 @@ func (o OptionsOf[T]) validate(as []*matrix.CSCOf[T], coeffs []T, premapped int)
 		return p, nil
 	}
 
-	est := estimateWorkload(as)
 	alg := o.Algorithm
 	if alg == Auto {
-		alg = autoSelect(est, o)
+		alg = autoSelect(as, o)
 		if alg == SlidingHash && p.mon.drop {
-			// DropIdentity needs a single-pass engine, which
+			// DropIdentity needs the single-pass engine, which
 			// SlidingHash lacks: an unpinned call falls back to Hash.
 			alg = Hash
 		}
@@ -185,24 +179,13 @@ func (o OptionsOf[T]) validate(as []*matrix.CSCOf[T], coeffs []T, premapped int)
 				ErrMonoidUnsupported, alg, p.mon.def.Name)
 		}
 	}
-
-	// Engine resolution. The 2-way baselines and SlidingHash keep
-	// their native two-pass drivers; DropIdentity additionally needs
-	// the single-pass engine, because only it sees values before the
-	// output is sized.
-	p.engine = pickPhases(est, alg, o)
-	if p.generic && p.mon.drop {
-		if !singlePassSupported(alg) {
-			return p, fmt.Errorf("%w: DropIdentity monoid %s needs a single-pass engine, but %v has none",
-				ErrMonoidUnsupported, p.mon.def.Name, alg)
-		}
-		if o.Phases == PhasesTwoPass {
-			return p, fmt.Errorf("%w: DropIdentity monoid %s cannot run on the two-pass driver (the symbolic phase sizes the output before values exist)",
-				ErrMonoidUnsupported, p.mon.def.Name)
-		}
-		if p.engine == PhasesTwoPass { // PhasesAuto preferred two-pass
-			p.engine = PhasesUpperBound
-		}
+	// DropIdentity needs the single-pass engine, because only it sees
+	// values before the output is sized. The 2-way baselines were
+	// rejected above with every generic monoid; SlidingHash is the one
+	// k-way algorithm on the two-pass driver.
+	if p.mon.drop && alg == SlidingHash {
+		return p, fmt.Errorf("%w: DropIdentity monoid %s needs the single-pass engine, but %v runs two-pass (its symbolic phase sizes the output before values exist)",
+			ErrMonoidUnsupported, p.mon.def.Name, alg)
 	}
 	return p, nil
 }

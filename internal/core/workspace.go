@@ -238,11 +238,10 @@ func (ws *WorkspaceOf[T]) addDispatch(ctx context.Context, as []*matrix.CSCOf[T]
 	}
 	switch p.alg {
 	case TwoWayIncremental, TwoWayTree, MapIncremental, MapTree:
-		// The 2-way baselines ignore Options.Phases entirely; their
-		// native pairwise drivers read inputs like the two-pass engine
-		// and that is what the stats report. They still run their
-		// parallel passes on the resolved executor — the workspace's
-		// resident pool, or the caller's shared one.
+		// The 2-way baselines' native pairwise drivers read inputs like
+		// the two-pass engine, and that is what the stats report. They
+		// still run their parallel passes on the resolved executor —
+		// the workspace's resident pool, or the caller's shared one.
 		if opt.Stats != nil {
 			opt.Stats.RecordEngine(PhasesTwoPass)
 		}
@@ -272,15 +271,22 @@ func (ws *WorkspaceOf[T]) addDispatch(ctx context.Context, as []*matrix.CSCOf[T]
 	default:
 		ws.begin(as, p, opt, coeffs)
 		ws.ctx = ctx
+		// Each k-way algorithm has one engine: SlidingHash's per-part
+		// symbolic counts need the two-pass driver, and Hash, SPA and
+		// Heap run single-pass.
+		engine := PhasesUpperBound
+		if p.alg == SlidingHash {
+			engine = PhasesTwoPass
+		}
+		if opt.Stats != nil {
+			opt.Stats.RecordEngine(engine)
+		}
 		var b *matrix.CSCOf[T]
 		var err error
-		if opt.Stats != nil {
-			opt.Stats.RecordEngine(p.engine)
-		}
-		if p.engine == PhasesUpperBound {
-			b, pt, err = ws.addUpperBound()
-		} else {
+		if engine == PhasesTwoPass {
 			b, pt, err = ws.addKWay()
+		} else {
+			b, pt, err = ws.addUpperBound()
 		}
 		ws.end()
 		if err != nil {

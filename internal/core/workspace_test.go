@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -41,8 +42,8 @@ func requireIdentical(t *testing.T, got, want *matrix.CSC, label string) {
 }
 
 // TestWorkspaceReuseParity drives ONE recycling workspace through a
-// sequence of calls with changing shapes, algorithms, engines, thread
-// counts and sortedness, comparing every result bit-for-bit against a
+// sequence of calls with changing shapes, algorithms (so both
+// engines), thread counts and sortedness, comparing every result bit-for-bit against a
 // fresh one-shot Add. Growing and then shrinking shapes is the point:
 // stale counts, weights, extents or output prefixes from a larger
 // earlier call must never leak into a smaller later one.
@@ -61,29 +62,29 @@ func TestWorkspaceReuseParity(t *testing.T) {
 	}
 	seed := uint64(100)
 	for _, sorted := range []bool{true, false} {
-		for _, alg := range []Algorithm{Hash, SPA, Heap, SlidingHash} {
-			for _, p := range []Phases{PhasesTwoPass, PhasesUpperBound, PhasesAuto} {
-				if alg == SlidingHash && p != PhasesTwoPass {
-					continue // SlidingHash has only the two-pass driver
-				}
-				for _, th := range []int{1, 3} {
-					for _, s := range shapes {
-						seed++
-						as := wsTestCollection(t, s.pattern, s.k, s.rows, s.cols, s.d, seed)
-						opt := Options{Algorithm: alg, Phases: p, SortedOutput: sorted, Threads: th}
-						got, err := ws.Add(as, opt)
-						if err != nil {
-							t.Fatalf("%v/%v/sorted=%v/t=%d %+v: %v", alg, p, sorted, th, s, err)
-						}
-						want, err := Add(as, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !sorted {
-							got, want = got.Clone().SortColumns(), want.Clone().SortColumns()
-						}
-						requireIdentical(t, got, want, alg.String()+"/"+p.String())
+		for _, base := range []Options{
+			{Algorithm: Hash}, {Algorithm: SPA}, {Algorithm: Heap}, {Algorithm: Auto},
+			{Algorithm: SlidingHash}, {Algorithm: SlidingHash, MaxTableEntries: 8},
+		} {
+			for _, th := range []int{1, 3} {
+				for _, s := range shapes {
+					seed++
+					as := wsTestCollection(t, s.pattern, s.k, s.rows, s.cols, s.d, seed)
+					opt := base
+					opt.SortedOutput, opt.Threads = sorted, th
+					name := fmt.Sprintf("%v/max=%d/sorted=%v/t=%d", opt.Algorithm, opt.MaxTableEntries, sorted, th)
+					got, err := ws.Add(as, opt)
+					if err != nil {
+						t.Fatalf("%s %+v: %v", name, s, err)
 					}
+					want, err := Add(as, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sorted {
+						got, want = got.Clone().SortColumns(), want.Clone().SortColumns()
+					}
+					requireIdentical(t, got, want, name)
 				}
 			}
 		}
@@ -95,14 +96,14 @@ func TestWorkspaceReuseParity(t *testing.T) {
 // call. The ping-pong output buffers must keep the running sum correct
 // over many iterations.
 func TestWorkspaceStreamingSelfInput(t *testing.T) {
-	for _, p := range PhasesPolicies {
+	for _, alg := range []Algorithm{Hash, SlidingHash} {
 		ws := NewWorkspace(true)
 		rng := rand.New(rand.NewSource(7))
 		var sum *matrix.CSC
 		var ref *matrix.CSC
 		for step := 0; step < 12; step++ {
 			delta := generate.ER(generate.Opts{Rows: 600, Cols: 24, NNZPerCol: 1 + rng.Intn(12), Seed: uint64(step + 1)})
-			opt := Options{Algorithm: Hash, Phases: p, SortedOutput: true}
+			opt := Options{Algorithm: alg, SortedOutput: true}
 			var err error
 			if sum == nil {
 				sum, err = ws.Add([]*matrix.CSC{delta}, opt)
@@ -110,14 +111,14 @@ func TestWorkspaceStreamingSelfInput(t *testing.T) {
 			} else {
 				sum, err = ws.Add([]*matrix.CSC{sum, delta}, opt)
 				if err != nil {
-					t.Fatalf("%v step %d: %v", p, step, err)
+					t.Fatalf("%v step %d: %v", alg, step, err)
 				}
 				ref2, err2 := Add([]*matrix.CSC{ref, delta}, opt)
 				if err2 != nil {
 					t.Fatal(err2)
 				}
 				ref = ref2
-				requireIdentical(t, sum, ref, p.String())
+				requireIdentical(t, sum, ref, alg.String())
 				continue
 			}
 			if err != nil {
@@ -137,10 +138,10 @@ func TestWorkspaceScaledAndStats(t *testing.T) {
 	for i := range coeffs {
 		coeffs[i] = matrix.Value(i+1) * 0.5
 	}
-	for _, p := range PhasesPolicies {
+	for _, alg := range []Algorithm{Hash, SlidingHash} {
 		for rep := 0; rep < 3; rep++ {
 			var st OpStats
-			opt := Options{Algorithm: Hash, Phases: p, SortedOutput: true, Stats: &st}
+			opt := Options{Algorithm: alg, SortedOutput: true, Stats: &st}
 			got, err := ws.AddScaled(as, coeffs, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -149,13 +150,13 @@ func TestWorkspaceScaledAndStats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireIdentical(t, got, want, "scaled/"+p.String())
+			requireIdentical(t, got, want, "scaled/"+alg.String())
 			if st.HashProbes.Load() == 0 || st.EntriesMoved.Load() == 0 {
 				t.Fatalf("%v rep %d: stats not accumulated (probes=%d moved=%d)",
-					p, rep, st.HashProbes.Load(), st.EntriesMoved.Load())
+					alg, rep, st.HashProbes.Load(), st.EntriesMoved.Load())
 			}
-			if p != PhasesTwoPass && st.SymProbes.Load() != 0 {
-				t.Fatalf("%v: single-pass engine reported %d symbolic probes", p, st.SymProbes.Load())
+			if alg == Hash && st.SymProbes.Load() != 0 {
+				t.Fatalf("single-pass Hash reported %d symbolic probes", st.SymProbes.Load())
 			}
 		}
 	}
@@ -170,7 +171,7 @@ func TestWorkspaceStatsNoLeak(t *testing.T) {
 	upperBound := func(ws *Workspace) (probes, sym int64) {
 		t.Helper()
 		var st OpStats
-		if _, err := ws.Add(as, Options{Algorithm: Hash, Phases: PhasesUpperBound, Threads: 1, Stats: &st}); err != nil {
+		if _, err := ws.Add(as, Options{Algorithm: Hash, Threads: 1, Stats: &st}); err != nil {
 			t.Fatal(err)
 		}
 		return st.HashProbes.Load(), st.SymProbes.Load()
@@ -178,7 +179,7 @@ func TestWorkspaceStatsNoLeak(t *testing.T) {
 	wantProbes, _ := upperBound(NewWorkspace(false))
 
 	ws := NewWorkspace(false)
-	if _, err := ws.Add(as, Options{Algorithm: Hash, Phases: PhasesTwoPass, Threads: 1}); err != nil {
+	if _, err := ws.Add(as, Options{Algorithm: SlidingHash, Threads: 1}); err != nil {
 		t.Fatal(err)
 	}
 	probes, sym := upperBound(ws)

@@ -73,10 +73,10 @@ type MonoidOf[T matrix.Number] struct {
 
 	// DropIdentity selects the drop-identity output policy: entries
 	// whose combined value equals Identity are removed from the
-	// output instead of stored. Only the single-pass engine can
-	// honor it (the two-pass driver sizes the output structurally,
-	// before values exist), so requesting it with PhasesTwoPass or an
-	// algorithm without a single-pass engine is a validation error.
+	// output instead of stored. Only the single-pass engine of Hash,
+	// SPA and Heap can honor it (SlidingHash's two-pass driver sizes
+	// the output structurally, before values exist), so requesting it
+	// with SlidingHash is a validation error; Auto resolves to Hash.
 	DropIdentity bool
 }
 

@@ -32,10 +32,6 @@ type Config struct {
 	// SpKAdd is the reduction algorithm (the paper compares Heap
 	// against Hash).
 	SpKAdd core.Algorithm
-	// Phases selects the reduction's execution engine; the zero value
-	// (PhasesAuto) picks one per workload. The Fig 6 harness pins
-	// PhasesTwoPass to measure the paper's two-phase formulation.
-	Phases core.Phases
 	// SortIntermediates makes the local multiplications emit sorted
 	// columns. Heap SpKAdd requires it; hash SpKAdd does not, which
 	// lets the multiply phase skip sorting (the "Unsorted Hash" bars
@@ -137,7 +133,7 @@ func Run(a, b *matrix.CSC, cfg Config) (*matrix.CSC, Report, error) {
 	rep.CommVolumeBytes = commVolume
 
 	mulOpt := core.MulOptions{Threads: cfg.Threads, SortOutput: cfg.SortIntermediates}
-	addOpt := core.Options{Algorithm: cfg.SpKAdd, Threads: cfg.Threads, SortedOutput: true, Phases: cfg.Phases}
+	addOpt := core.Options{Algorithm: cfg.SpKAdd, Threads: cfg.Threads, SortedOutput: true}
 
 	// In sequential mode one workspace serves every process's
 	// multiplies and reduction in turn, so the g*g*g products and g*g

@@ -68,13 +68,15 @@ type (
 	Algorithm = core.Algorithm
 	// Options configure Add; the zero value is ready to use.
 	Options = core.Options
-	// Phases selects the execution engine for the k-way algorithms:
-	// the classic two-pass symbolic+numeric driver or the single-pass
-	// upper-bound engine that reads each input exactly once.
+	// Phases names the execution engine an addition ran, as
+	// OpStats.EngineUsed reports it: the single-pass upper-bound
+	// engine of Hash, SPA and Heap, or the two-pass symbolic+numeric
+	// driver of SlidingHash and the 2-way baselines.
 	Phases = core.Phases
 	// OpStats accumulates work counters across a call.
 	OpStats = core.OpStats
-	// PhaseTimings reports the symbolic/numeric wall-clock split.
+	// PhaseTimings reports the symbolic/numeric wall-clock split;
+	// only SlidingHash has a symbolic phase.
 	PhaseTimings = core.PhaseTimings
 )
 
@@ -100,17 +102,21 @@ const (
 	SlidingHash = core.SlidingHash
 )
 
-// Execution-engine (phase-policy) constants. The two-phase driver
-// reads every input twice (symbolic sizing + numeric fill); the
-// upper-bound engine reads each input exactly once, at the paper's
-// O(knd) memory-traffic lower bound. See DESIGN.md.
+// Execution-engine constants, the values OpStats.EngineUsed reports.
+// The algorithm fixes the engine: each k-way algorithm has exactly
+// one. The two-phase driver reads every input twice (symbolic sizing
+// + numeric fill); the upper-bound engine reads each input exactly
+// once, at the paper's O(knd) memory-traffic lower bound. See
+// DESIGN.md §2.
 const (
-	// PhasesAuto picks an engine from memory headroom (the default).
+	// PhasesAuto is reported before any addition was dispatched.
 	PhasesAuto = core.PhasesAuto
-	// PhasesTwoPass is the classic symbolic+numeric two-pass driver.
+	// PhasesTwoPass is the classic symbolic+numeric two-pass driver
+	// of SlidingHash and the 2-way baselines.
 	PhasesTwoPass = core.PhasesTwoPass
-	// PhasesUpperBound allocates from the per-column input-nnz upper
-	// bound, fills in one pass, then compacts in parallel.
+	// PhasesUpperBound, the engine of Hash, SPA and Heap, allocates
+	// from the per-column input-nnz upper bound, fills in one pass,
+	// then compacts in parallel.
 	PhasesUpperBound = core.PhasesUpperBound
 )
 
@@ -244,7 +250,8 @@ var (
 	ErrCoeffsRequirePlus = core.ErrCoeffsRequirePlus
 	// ErrMonoidUnsupported reports a monoid on a configuration that
 	// cannot run it: a non-Plus monoid on a 2-way baseline, or a
-	// DropIdentity monoid on the two-pass driver.
+	// DropIdentity monoid on SlidingHash, whose two-pass driver sizes
+	// the output before values exist.
 	ErrMonoidUnsupported = core.ErrMonoidUnsupported
 )
 
@@ -259,7 +266,9 @@ func Add[T Number](as []*MatrixOf[T], opt OptionsOf[T]) (*MatrixOf[T], error) {
 }
 
 // AddTimed is Add, additionally reporting the wall-clock split between
-// the symbolic (output sizing) and numeric phases.
+// the symbolic (output sizing) and numeric phases. Only SlidingHash
+// has a symbolic phase; every other algorithm reports its full time
+// as Numeric.
 func AddTimed[T Number](as []*MatrixOf[T], opt OptionsOf[T]) (*MatrixOf[T], PhaseTimings, error) {
 	return core.AddTimed(as, opt)
 }
