@@ -216,12 +216,15 @@ func TestAdderZeroSteadyStateAllocsMonoid(t *testing.T) {
 // its workers between calls. The cells are uniform (ER) or skewed
 // (RMAT) column weights at 2 or 4 workers; each keeps, as its subtest
 // name, one of the four column schedules the one weighted,
-// work-stealing schedule replaced, so the cases keep their IDs.
+// work-stealing schedule replaced, so the cases keep their IDs. The
+// Band cells run the wide bandInputs (bench_test.go), whose long
+// columns sort by bitmap.
 func TestAdderZeroSteadyStateAllocsSchedules(t *testing.T) {
 	o := generate.Opts{Rows: 2048, Cols: 48, NNZPerCol: 8, Seed: 9}
 	inputs := map[string][]*spkadd.Matrix{
 		"ER":   generate.ERCollection(8, o),
 		"RMAT": generate.RMATCollection(8, o, generate.Graph500),
+		"Band": bandInputs(),
 	}
 	regimes := []struct {
 		name    string
@@ -232,6 +235,7 @@ func TestAdderZeroSteadyStateAllocsSchedules(t *testing.T) {
 		{"Weighted", "RMAT", 2},
 		{"Dynamic", "ER", 4},
 		{"WeightedStealing", "RMAT", 4},
+		{"Band", "Band", 2},
 	}
 	for _, rg := range regimes {
 		for _, p := range engineCells {

@@ -190,13 +190,29 @@ func BenchmarkAblationLoadFactor(b *testing.B) {
 }
 
 // BenchmarkAblationSortedOutput quantifies the cost of sorted output
-// for the hash algorithm (the sorted-vs-unsorted hash gap of Fig 6).
+// for the hash algorithm (the sorted-vs-unsorted hash gap of Fig 6):
+// the sorted run reports its time over the unsorted run's as
+// sorted/unsorted.
 func BenchmarkAblationSortedOutput(b *testing.B) {
 	as := generate.ERCollection(32, generate.Opts{Rows: benchRows, Cols: 32, NNZPerCol: 256, Seed: 13})
+	var unsortedNs float64
 	for _, sorted := range []bool{false, true} {
 		b.Run(fmt.Sprintf("sorted=%v", sorted), func(b *testing.B) {
 			addLoop(b, as, spkadd.Options{Algorithm: spkadd.Hash, SortedOutput: sorted})
+			reportSortedRatio(b, sorted, &unsortedNs)
 		})
+	}
+}
+
+// reportSortedRatio keeps an unsorted run's ns/op in *unsortedNs and
+// reports a later sorted run's ns/op over it as the sorted/unsorted
+// metric, the ratio Fig 6 puts at about 1.2 for hash SpKAdd.
+func reportSortedRatio(b *testing.B, sorted bool, unsortedNs *float64) {
+	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	if !sorted {
+		*unsortedNs = ns
+	} else if *unsortedNs > 0 {
+		b.ReportMetric(ns / *unsortedNs, "sorted/unsorted")
 	}
 }
 
@@ -216,11 +232,13 @@ func BenchmarkColAdd(b *testing.B) {
 }
 
 // BenchmarkSpGEMM benchmarks the local multiply kernel, sorted vs
-// unsorted output (the 20%-faster-multiply claim of Fig 6).
+// unsorted output (the 20%-faster-multiply claim of Fig 6); the sorted
+// run reports the sorted/unsorted ratio.
 func BenchmarkSpGEMM(b *testing.B) {
 	a := generate.ProteinLike(4000, 128, 64, 16)
 	c := generate.ProteinLike(4000, 128, 64, 17)
-	for _, sorted := range []bool{true, false} {
+	var unsortedNs float64
+	for _, sorted := range []bool{false, true} {
 		b.Run(fmt.Sprintf("sorted=%v", sorted), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -228,6 +246,7 @@ func BenchmarkSpGEMM(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			reportSortedRatio(b, sorted, &unsortedNs)
 		})
 	}
 }
@@ -324,19 +343,52 @@ func BenchmarkAdderReuseMonoid(b *testing.B) {
 	}
 }
 
+// bandInputs is the wide collection of the sorted allocation gate: 8
+// inputs of 2^20 rows whose 8 columns each hold about 1.6K distinct
+// rows in a 4096-row band from row j·2^17. Their span passes the row
+// sorter's bitmap rule, so each sorted emit sorts by bitmap with
+// scratch for 50 times the ~32-entry columns of adderReuseInputs.
+func bandInputs() []*spkadd.Matrix {
+	band := generate.ERCollection(8, generate.Opts{Rows: 1 << 12, Cols: 8, NNZPerCol: 256, Seed: 32})
+	as := make([]*spkadd.Matrix, len(band))
+	for i, src := range band {
+		a := &spkadd.Matrix{Rows: 1 << 20, Cols: src.Cols, ColPtr: src.ColPtr, Val: src.Val}
+		for j := 0; j < src.Cols; j++ {
+			for _, r := range src.ColRows(j) {
+				a.RowIdx = append(a.RowIdx, r+spkadd.Index(j)<<17)
+			}
+		}
+		as[i] = a
+	}
+	return as
+}
+
 // BenchmarkAdderReuseSched is BenchmarkAdderReuse at default
 // (GOMAXPROCS) threads, for both engines (Hash single-pass,
 // SlidingHash two-pass): the CI allocation gate greps
 // it with the other reuse benchmarks, so a warmed Adder must report 0
 // allocs/op with its phases running as multi-worker regions too —
 // stealing and the scheduling machinery included, which is what the
-// resident executor exists to guarantee. The CI sched smoke runs it at
-// -cpu 1,4, so the steal loop executes on every change.
+// resident executor exists to guarantee. The Band cells add the wide
+// bandInputs, whose long columns sort by bitmap, for every algorithm
+// that calls the row sorter.
+// The CI sched smoke runs it at -cpu 1,4, so the steal loop executes
+// on every change.
 func BenchmarkAdderReuseSched(b *testing.B) {
-	as := adderReuseInputs()
-	for _, alg := range []spkadd.Algorithm{spkadd.SlidingHash, spkadd.Hash} {
-		opt := spkadd.Options{Algorithm: alg, SortedOutput: true}
-		b.Run(alg.String(), func(b *testing.B) {
+	reuse, band := adderReuseInputs(), bandInputs()
+	for _, c := range []struct {
+		name string
+		as   []*spkadd.Matrix
+		alg  spkadd.Algorithm
+	}{
+		{"SlidingHash", reuse, spkadd.SlidingHash},
+		{"Hash", reuse, spkadd.Hash},
+		{"Band/SlidingHash", band, spkadd.SlidingHash},
+		{"Band/Hash", band, spkadd.Hash},
+		{"Band/SPA", band, spkadd.SPA},
+	} {
+		as, opt := c.as, spkadd.Options{Algorithm: c.alg, SortedOutput: true}
+		b.Run(c.name, func(b *testing.B) {
 			ad := spkadd.NewAdder()
 			for warm := 0; warm < 3; warm++ {
 				if _, err := ad.Add(as, opt); err != nil {

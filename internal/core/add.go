@@ -178,7 +178,7 @@ func (ws *WorkspaceOf[T]) addKWay() (*matrix.CSCOf[T], PhaseTimings, error) {
 	if err := ws.fillInputWeights(); err != nil {
 		return nil, pt, err
 	}
-	ws.reserveWorkers(ws.weights, true)
+	ws.reserveWorkers(ws.weights, ws.as[0].Rows, true)
 	symStart := time.Now()
 	err := ws.runCols(ws.weights, ws.symFn)
 	pt.Symbolic = time.Since(symStart)
@@ -199,7 +199,7 @@ func (ws *WorkspaceOf[T]) addKWay() (*matrix.CSCOf[T], PhaseTimings, error) {
 	// counts always agree with the numeric fill. Workers reserve by
 	// input nnz: the numeric tables are sized per row-range part of
 	// the input, which can exceed the column's output nnz.
-	ws.reserveWorkers(ws.weights, false)
+	ws.reserveWorkers(ws.weights, ws.as[0].Rows, false)
 	numStart := time.Now()
 	err = ws.runCols(ws.counts, ws.numFn)
 	pt.Numeric = time.Since(numStart)

@@ -54,67 +54,3 @@ func mergeInto[T matrix.Arith](ar []matrix.Index, av []T, br []matrix.Index, bv 
 	}
 	return o
 }
-
-// sortPairs sorts (rows, vals) jointly by ascending row index. Used by
-// the hash algorithm when sorted output is requested (Algorithm 5,
-// line 15). Recursion is through a top-level function rather than a
-// self-referencing closure: the closure form puts a funcval on the
-// heap per call, which would be the only steady-state allocation in a
-// reused workspace's sorted-output path.
-func sortPairs[T matrix.Number](rows []matrix.Index, vals []T) {
-	if len(rows) > 1 {
-		quickSortPairs(rows, vals, 0, len(rows)-1)
-	}
-}
-
-func quickSortPairs[T matrix.Number](rows []matrix.Index, vals []T, lo, hi int) {
-	for hi-lo > 12 {
-		p := partitionPairs(rows, vals, lo, hi)
-		if p-lo < hi-p {
-			quickSortPairs(rows, vals, lo, p)
-			lo = p + 1
-		} else {
-			quickSortPairs(rows, vals, p+1, hi)
-			hi = p
-		}
-	}
-	for i := lo + 1; i <= hi; i++ {
-		for j := i; j > lo && rows[j] < rows[j-1]; j-- {
-			rows[j], rows[j-1] = rows[j-1], rows[j]
-			vals[j], vals[j-1] = vals[j-1], vals[j]
-		}
-	}
-}
-
-func partitionPairs[T matrix.Number](rows []matrix.Index, vals []T, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	if rows[mid] < rows[lo] {
-		swapPair(rows, vals, mid, lo)
-	}
-	if rows[hi] < rows[lo] {
-		swapPair(rows, vals, hi, lo)
-	}
-	if rows[hi] < rows[mid] {
-		swapPair(rows, vals, hi, mid)
-	}
-	pivot := rows[mid]
-	swapPair(rows, vals, mid, hi-1)
-	i, j := lo, hi-1
-	for {
-		for i++; rows[i] < pivot; i++ {
-		}
-		for j--; rows[j] > pivot; j-- {
-		}
-		if i >= j {
-			break
-		}
-		swapPair(rows, vals, i, j)
-	}
-	swapPair(rows, vals, i, hi-1)
-	return i
-}
-
-func swapPair[T matrix.Number](rows []matrix.Index, vals []T, i, j int) {
-	rows[i], rows[j] = rows[j], rows[i]
-	vals[i], vals[j] = vals[j], vals[i]
-}

@@ -110,7 +110,8 @@ func TestSortPairsPermutation(t *testing.T) {
 			rows[i] = matrix.Index(perm[i]) // distinct keys
 			vals[i] = float64(rows[i]) + 0.5
 		}
-		sortPairs(rows, vals)
+		var s rowSorterOf[matrix.Value]
+		s.sort(rows, vals)
 		for i := range rows {
 			if i > 0 && rows[i] < rows[i-1] {
 				return false
@@ -131,12 +132,13 @@ func TestSortPairsPermutation(t *testing.T) {
 // concatenated sorted runs, the shape the hash emits of Add and Mul
 // produce (one ascending run per input column merged in).
 func TestSortPairsLongColumns(t *testing.T) {
+	var s rowSorterOf[matrix.Value]
 	sorts := func(rows []matrix.Index) bool {
 		vals := make([]matrix.Value, len(rows))
 		for i, r := range rows {
 			vals[i] = float64(r) * 2
 		}
-		sortPairs(rows, vals)
+		s.sort(rows, vals)
 		for i := range rows {
 			if i > 0 && rows[i] <= rows[i-1] {
 				return false

@@ -98,9 +98,12 @@ func TestSymbolicVariantsAgree(t *testing.T) {
 			as[i] = coo.ToCSC()
 		}
 		want := matrix.ReferenceAdd(as)
-		w := newWorkerState(k, 0.5)
+		w := newWorkerStateOf[matrix.Value](k, 0.5)
 		for j := 0; j < cols; j++ {
-			inz := colInputNNZ(as, j)
+			inz := 0
+			for _, a := range as {
+				inz += a.ColNNZ(j)
+			}
 			for _, v := range []struct {
 				cache      int64
 				maxEntries int

@@ -29,18 +29,14 @@ type workerStateOf[T matrix.Number] struct {
 	pos   []int64 // per-matrix cursors for the heap kernel
 	// kit binds the instantiation's Plus fast-path loops (nil for
 	// bool, whose calls are always monoid-generic; see kitFor).
-	kit   *numKit[T]
-	lf    float64
-	tabHW int // key count the numeric table's window was sized for
+	kit    *numKit[T]
+	lf     float64
+	tabHW  int            // key count the numeric table's window was sized for
+	sorter rowSorterOf[T] // every sorted emit's row sorter (rowsort.go)
 }
 
 func newWorkerStateOf[T matrix.Number](k int, lf float64) *workerStateOf[T] {
 	return &workerStateOf[T]{lf: lf, pos: make([]int64, k), kit: kitFor[T]()}
-}
-
-// newWorkerState is the float64 constructor (the paper's element type).
-func newWorkerState(k int, lf float64) *workerStateOf[matrix.Value] {
-	return newWorkerStateOf[matrix.Value](k, lf)
 }
 
 // prepare adapts a workspace-resident worker to a new call's input
@@ -134,15 +130,6 @@ func (w *workerStateOf[T]) flushStats(s *OpStats) {
 	s.SymProbes.Add(symProbes)
 	s.HeapOps.Add(heapOps)
 	s.SPATouches.Add(touches)
-}
-
-// colInputNNZ returns Σ_i nnz(A_i(:,j)).
-func colInputNNZ[T matrix.Number](as []*matrix.CSCOf[T], j int) int {
-	n := 0
-	for _, a := range as {
-		n += a.ColNNZ(j)
-	}
-	return n
 }
 
 // --- The Plus fast-path kit ---
@@ -454,17 +441,18 @@ func spaAccumCol[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf[T], j 
 }
 
 // emitHashTab appends the table's entries into the exactly-sized
-// output extent. Three-index slices cap appends at the column's
-// allocation: a symbolic/numeric disagreement reallocates instead of
-// corrupting the next column, and the length check catches it.
-func emitHashTab[T matrix.Number](tab *hashtab.TableOf[T], outRows []matrix.Index, outVals []T, sorted bool) {
+// output extent, sorted by the worker's row sorter when asked.
+// Three-index slices cap appends at the column's allocation: a
+// symbolic/numeric disagreement reallocates instead of corrupting the
+// next column, and the length check catches it.
+func emitHashTab[T matrix.Number](w *workerStateOf[T], tab *hashtab.TableOf[T], outRows []matrix.Index, outVals []T, sorted bool) {
 	need := len(outRows)
 	r, v := tab.AppendEntries(outRows[:0:need], outVals[:0:need])
 	if len(r) != need || &r[0] != &outRows[0] {
 		panic("core: symbolic nnz disagrees with numeric nnz")
 	}
 	if sorted {
-		sortPairs(r, v)
+		w.sorter.sort(r, v)
 	}
 }
 
@@ -483,7 +471,7 @@ func slidingHashAddCol[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf[
 	// the parts a float64 one does for the same cache share.
 	parts := hashtab.SlidingParts(onz, entryBytesOf[T](), threads, cacheBytes, maxEntries)
 	if parts == 1 {
-		emitHashTab(accumInputsInto(w.kit, w.hashTableSized(onz), as, j, coeffs, mon), outRows, outVals, sorted)
+		emitHashTab(w, accumInputsInto(w.kit, w.hashTableSized(onz), as, j, coeffs, mon), outRows, outVals, sorted)
 		return
 	}
 	m := as[0].Rows
@@ -520,7 +508,7 @@ func slidingHashAddCol[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf[
 			panic("core: sliding symbolic nnz disagrees with numeric nnz")
 		}
 		if sorted {
-			sortPairs(r, v)
+			w.sorter.sort(r, v)
 		}
 		out += len(r)
 	}

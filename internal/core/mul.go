@@ -84,7 +84,7 @@ func (ws *WorkspaceOf[T]) mulBody(w, lo, hi int) {
 		s.kit.mulAccum(tab, ws.mulA, ws.mulB, j)
 		outRows := ws.stRows[ws.ubPtr[j]:ws.ubPtr[j+1]]
 		outVals := ws.stVals[ws.ubPtr[j]:ws.ubPtr[j+1]]
-		ws.counts[j] = int64(emitStaged(tab, outRows, outVals, ws.opt.SortedOutput))
+		ws.counts[j] = int64(emitStaged(s, tab, outRows, outVals, ws.opt.SortedOutput))
 	}
 	s.flushStats(ws.opt.Stats)
 }

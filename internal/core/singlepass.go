@@ -64,19 +64,17 @@ func emitColInto[T matrix.Number](ws *workerStateOf[T], as []*matrix.CSCOf[T], j
 	nz := 0
 	switch alg {
 	case Hash:
-		nz = emitStaged(hashAccumCol(ws, as, j, inz, coeffs, mon), outRows, outVals, sorted)
+		nz = emitStaged(ws, hashAccumCol(ws, as, j, inz, coeffs, mon), outRows, outVals, sorted)
 	case SPA:
 		acc := spaAccumCol(ws, as, j, coeffs, mon)
 		nz = acc.Len()
-		var r []matrix.Index
-		if sorted {
-			r, _ = acc.AppendSorted(outRows[:0:inz], outVals[:0:inz])
-		} else {
-			r, _ = acc.AppendUnsorted(outRows[:0:inz], outVals[:0:inz])
-		}
+		r, v := acc.AppendUnsorted(outRows[:0:inz], outVals[:0:inz])
 		acc.Clear()
 		if len(r) != nz {
 			panic("core: single-pass SPA emitted a different count than it accumulated")
+		}
+		if sorted {
+			ws.sorter.sort(r, v)
 		}
 	case Heap:
 		nz = heapMergeCol(ws, as, j, outRows, outVals, coeffs, mon)
@@ -91,14 +89,14 @@ func emitColInto[T matrix.Number](ws *workerStateOf[T], as []*matrix.CSCOf[T], j
 
 // emitStaged gathers the table's entries, in first-insertion order,
 // into a staging extent whose length bounds the column, sorts them
-// when asked, and returns their count.
-func emitStaged[T matrix.Number](tab *hashtab.TableOf[T], outRows []matrix.Index, outVals []T, sorted bool) int {
+// with the worker's row sorter when asked, and returns their count.
+func emitStaged[T matrix.Number](w *workerStateOf[T], tab *hashtab.TableOf[T], outRows []matrix.Index, outVals []T, sorted bool) int {
 	r, v := tab.AppendEntries(outRows[:0:len(outRows)], outVals[:0:len(outVals)])
 	if len(r) > len(outRows) {
 		panic("core: single-pass hash column outgrew its staging bound")
 	}
 	if sorted {
-		sortPairs(r, v)
+		w.sorter.sort(r, v)
 	}
 	return len(r)
 }
@@ -148,7 +146,7 @@ func (ws *WorkspaceOf[T]) addUpperBound() (*matrix.CSCOf[T], PhaseTimings, error
 // scratch sizing like the workspace growth no timer ever saw.
 func (ws *WorkspaceOf[T]) stageAndCompact(rows int, body func(w, lo, hi int)) (*matrix.CSCOf[T], time.Duration, error) {
 	n := len(ws.weights)
-	ws.reserveWorkers(ws.weights, false)
+	ws.reserveWorkers(ws.weights, rows, false)
 	start := time.Now()
 	ws.ubPtr = grow(ws.ubPtr, n+1)
 	ws.ubPtr[0] = 0

@@ -376,16 +376,17 @@ func (ws *WorkspaceOf[T]) runCols(weights []int64, body func(worker, lo, hi int)
 }
 
 // reserveWorkers pre-creates every worker's thread-private scratch
-// and reserves its hash-table or SPA index storage for the phase's
-// largest per-column bound, whenever the call runs more than one
-// worker. A weighted region steals, so the same call may hand any
+// and reserves its hash-table or SPA index storage (and, for a sorted
+// numeric phase, its row sorter) for the phase's largest per-column
+// bound in an output of rows rows, whenever the call runs more than
+// one worker. A weighted region steals, so the same call may hand any
 // column to any worker on different runs; without the reservation a
 // reused workspace's steady-state call could still allocate when the
 // largest column lands on a worker that had not seen it before,
 // breaking the Adder's zero-allocation contract. Reservation only
 // grows backing storage; the per-column probe-window sizing (the
 // cache behaviour the hash algorithms are built around) is untouched.
-func (ws *WorkspaceOf[T]) reserveWorkers(bound []int64, sym bool) {
+func (ws *WorkspaceOf[T]) reserveWorkers(bound []int64, rows int, sym bool) {
 	if ws.t <= 1 {
 		return
 	}
@@ -403,10 +404,14 @@ func (ws *WorkspaceOf[T]) reserveWorkers(bound []int64, sym bool) {
 				s.hashTableSized(int(maxW))
 			}
 		case SPA:
-			rows := ws.as[0].Rows
 			s.spa(rows).Reserve(min(int(maxW), rows))
 		case Heap:
 			s.kheap(len(ws.as))
+		}
+		// The heap merge emits in row order; every other sorted emit
+		// calls the row sorter.
+		if ws.opt.SortedOutput && !sym && ws.alg != Heap {
+			s.sorter.reserve(int(maxW), rows)
 		}
 	}
 }

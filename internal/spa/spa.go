@@ -123,20 +123,9 @@ func (s *SPAOf[T]) Get(r matrix.Index) T {
 // callers must not retain it across Clear).
 func (s *SPAOf[T]) Indices() []matrix.Index { return s.idx }
 
-// AppendSorted appends the accumulated entries in ascending row order
+// AppendUnsorted appends the accumulated entries in insertion order
 // to rows/vals and returns the extended slices (lines 8-10 of
-// Algorithm 4, sorted-output variant). It sorts the index list in
-// place.
-func (s *SPAOf[T]) AppendSorted(rows []matrix.Index, vals []T) ([]matrix.Index, []T) {
-	sortIndices(s.idx)
-	for _, r := range s.idx {
-		rows = append(rows, r)
-		vals = append(vals, s.vals[r])
-	}
-	return rows, vals
-}
-
-// AppendUnsorted appends entries in insertion order.
+// Algorithm 4); a sorted emit sorts them afterwards.
 func (s *SPAOf[T]) AppendUnsorted(rows []matrix.Index, vals []T) ([]matrix.Index, []T) {
 	for _, r := range s.idx {
 		rows = append(rows, r)
@@ -158,62 +147,4 @@ func (s *SPAOf[T]) Clear() {
 		}
 		s.gen = 1
 	}
-}
-
-// sortIndices is an insertion-friendly pdq-free sort for Index slices.
-// Columns are typically short; a quicksort specialised to Index avoids
-// sort.Slice's reflection-based swaps in this hot path, and recursing
-// through a top-level function (not a self-referencing closure) keeps
-// the sorted-output path allocation-free.
-func sortIndices(a []matrix.Index) {
-	if len(a) > 1 {
-		quickSortIndices(a, 0, len(a)-1)
-	}
-}
-
-func quickSortIndices(a []matrix.Index, lo, hi int) {
-	for hi-lo > 12 {
-		p := partition(a, lo, hi)
-		if p-lo < hi-p {
-			quickSortIndices(a, lo, p)
-			lo = p + 1
-		} else {
-			quickSortIndices(a, p+1, hi)
-			hi = p
-		}
-	}
-	for i := lo + 1; i <= hi; i++ {
-		for j := i; j > lo && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-func partition(a []matrix.Index, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	// Median-of-three pivot.
-	if a[mid] < a[lo] {
-		a[mid], a[lo] = a[lo], a[mid]
-	}
-	if a[hi] < a[lo] {
-		a[hi], a[lo] = a[lo], a[hi]
-	}
-	if a[hi] < a[mid] {
-		a[hi], a[mid] = a[mid], a[hi]
-	}
-	pivot := a[mid]
-	a[mid], a[hi-1] = a[hi-1], a[mid]
-	i, j := lo, hi-1
-	for {
-		for i++; a[i] < pivot; i++ {
-		}
-		for j--; a[j] > pivot; j-- {
-		}
-		if i >= j {
-			break
-		}
-		a[i], a[j] = a[j], a[i]
-	}
-	a[i], a[hi-1] = a[hi-1], a[i]
-	return i
 }

@@ -2,7 +2,6 @@ package spa
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -43,26 +42,6 @@ func TestReserve(t *testing.T) {
 	}
 }
 
-func TestAppendSorted(t *testing.T) {
-	s := New(100)
-	for _, r := range []matrix.Index{42, 7, 99, 7, 0} {
-		Accum(s, r, 1)
-	}
-	rows, vals := s.AppendSorted(nil, nil)
-	want := []matrix.Index{0, 7, 42, 99}
-	if len(rows) != len(want) {
-		t.Fatalf("rows = %v", rows)
-	}
-	for i := range want {
-		if rows[i] != want[i] {
-			t.Fatalf("rows = %v, want %v", rows, want)
-		}
-	}
-	if vals[1] != 2 { // row 7 accumulated twice
-		t.Errorf("vals = %v, want vals[1]=2", vals)
-	}
-}
-
 func TestClearIsSparse(t *testing.T) {
 	s := New(1000)
 	Accum(s, 5, 1)
@@ -99,44 +78,20 @@ func TestQuickMatchesMap(t *testing.T) {
 		if s.Len() != len(want) {
 			return false
 		}
-		rows, vals := s.AppendSorted(nil, nil)
-		if !sort.SliceIsSorted(rows, func(i, j int) bool { return rows[i] < rows[j] }) {
+		rows, vals := s.AppendUnsorted(nil, nil)
+		if len(rows) != len(want) {
 			return false
 		}
 		for i, r := range rows {
-			if want[r] != vals[i] {
+			if v, ok := want[r]; !ok || v != vals[i] {
 				return false
 			}
+			delete(want, r) // each row once
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSortIndicesLarge(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := make([]matrix.Index, 5000)
-	for i := range a {
-		a[i] = matrix.Index(rng.Intn(1 << 20))
-	}
-	sortIndices(a)
-	for i := 1; i < len(a); i++ {
-		if a[i] < a[i-1] {
-			t.Fatal("sortIndices produced unsorted output")
-		}
-	}
-	// Edge cases.
-	sortIndices(nil)
-	one := []matrix.Index{5}
-	sortIndices(one)
-	rev := []matrix.Index{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}
-	sortIndices(rev)
-	for i := range rev {
-		if rev[i] != matrix.Index(i) {
-			t.Fatal("reverse sort failed")
-		}
 	}
 }
 

@@ -26,6 +26,11 @@ func TestSummaMatchesSerial(t *testing.T) {
 			if err := got.Validate(); err != nil {
 				t.Fatalf("g=%d: invalid output: %v", g, err)
 			}
+			// EqualTol compares sorted copies, so sortedness needs its
+			// own check.
+			if !got.IsColumnSorted() {
+				t.Errorf("g=%d seq=%v: product columns are not sorted", g, seq)
+			}
 			if !got.EqualTol(want, 1e-9) {
 				t.Errorf("g=%d seq=%v: SUMMA product differs from serial reference", g, seq)
 			}
@@ -106,6 +111,9 @@ func TestSummaAllVariants(t *testing.T) {
 		got, rep, err := Run(a, b, cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if !got.IsColumnSorted() {
+			t.Errorf("%+v: product columns are not sorted", cfg)
 		}
 		if !got.EqualTol(want, 1e-9) {
 			t.Errorf("%+v: wrong product", cfg)

@@ -338,9 +338,10 @@ type SummaReport = summa.Report
 // RunSumma multiplies a by b on a simulated process grid, reducing
 // each process's intermediate products with the configured SpKAdd
 // algorithm. It reports the local-multiply / SpKAdd time split that
-// the paper's Fig 6 compares across reduction algorithms. Mismatched
-// operands wrap ErrDimMismatch, and operands with unsorted columns
-// ErrUnsortedInput.
+// the paper's Fig 6 compares across reduction algorithms. The
+// product's columns are sorted by row, with sorted or unsorted
+// intermediates alike. Mismatched operands wrap ErrDimMismatch, and
+// operands with unsorted columns ErrUnsortedInput.
 func RunSumma(a, b *Matrix, cfg SummaConfig) (*Matrix, SummaReport, error) {
 	return summa.Run(a, b, cfg)
 }
