@@ -137,7 +137,7 @@
 // stitches together. See DESIGN.md §5-6, examples/firehose and
 // `spkadd-bench -exp pool`.
 //
-// # Threads, scheduling and executor sharing
+// # Threads and scheduling
 //
 // Options.Threads sets the worker count of one call (<1 means
 // GOMAXPROCS). Every parallel phase spreads output columns over those
@@ -145,21 +145,11 @@
 // per-column nonzeros — and a worker that runs dry steals the back
 // half of the most-loaded peer's remaining range, which fixes skewed
 // inputs' tail latency. Workers are not spawned per call: every
-// Adder, Accumulator and Pool keeps a resident Executor — persistent
-// goroutines parked between parallel phases plus reusable
-// partitioning scratch — so a warmed Adder allocates nothing even for
-// its scheduling. Threads: 1 calls bypass the executor entirely.
-//
-// To put several of them under one global concurrency budget, create
-// an Executor explicitly and share it:
-//
-//	ex := spkadd.NewExecutor(8) // at most 8 workers, total
-//	opt := spkadd.Options{Threads: 8, Executor: ex}
-//	// many Adders/Accumulators (or PoolOptions.Add) using opt now
-//	// take turns on the same 8 workers instead of parking 8 each
-//
-// Parallel phases from concurrent callers serialize on the shared
-// pool; results never depend on the executor or the thread count.
+// Adder, Accumulator and Pool shard keeps a resident executor in its
+// workspace — persistent goroutines parked between parallel phases
+// plus reusable partitioning scratch — so a warmed Adder allocates
+// nothing even for its scheduling. Threads: 1 calls bypass the
+// executor entirely. Results never depend on the thread count.
 // OpStats reports per-phase load balance (LoadImbalance, Steals). See
 // DESIGN.md §9.
 //

@@ -175,9 +175,7 @@ func (ws *WorkspaceOf[T]) addKWay() (*matrix.CSCOf[T], PhaseTimings, error) {
 	// split comparable. Reservation (a no-op at one thread) stays
 	// outside the timers too: it is scratch sizing, like the workspace
 	// growth the timers never saw.
-	if err := ws.fillInputWeights(); err != nil {
-		return nil, pt, err
-	}
+	ws.fillInputWeights()
 	ws.reserveWorkers(ws.weights, ws.as[0].Rows, true)
 	symStart := time.Now()
 	err := ws.runCols(ws.weights, ws.symFn)

@@ -5,7 +5,6 @@ import (
 
 	"spkadd/internal/hashtab"
 	"spkadd/internal/matrix"
-	"spkadd/internal/sched"
 )
 
 // MulOptions configure a multiplication.
@@ -16,10 +15,6 @@ type MulOptions struct {
 	// Hash SpKAdd accepts unsorted inputs, which lets the SUMMA
 	// multiplies feeding it skip the sort (the paper's Fig 6).
 	SortOutput bool
-	// Executor, when non-nil, runs the multiply's regions on the given
-	// resident worker pool instead of the workspace's own — the same
-	// sharing contract as Options.Executor.
-	Executor *sched.Executor
 }
 
 // Mul computes C = A·B on a pooled workspace, as Add does: only the
@@ -50,7 +45,7 @@ func (ws *WorkspaceOf[T]) Mul(a, b *matrix.CSCOf[T], opt MulOptions) (*matrix.CS
 	if ws.kit == nil {
 		return nil, fmt.Errorf("%w: the element type has no Plus to multiply with", ErrMonoidUnsupported)
 	}
-	ws.begin(nil, planOf[T]{alg: Hash}, OptionsOf[T]{Threads: opt.Threads, SortedOutput: opt.SortOutput, Executor: opt.Executor}, nil)
+	ws.begin(nil, planOf[T]{alg: Hash}, OptionsOf[T]{Threads: opt.Threads, SortedOutput: opt.SortOutput}, nil)
 	ws.mulA, ws.mulB = a, b
 	ws.colScratch(b.Cols)
 	for j := range ws.weights {

@@ -171,17 +171,6 @@ type OptionsOf[T matrix.Number] struct {
 	// O(1) expected probing at the cost of memory; see the load-factor
 	// ablation.
 	LoadFactor float64
-	// Executor, when non-nil, runs every parallel phase of the call on
-	// the given resident worker pool instead of the workspace-owned
-	// default. Sharing one budgeted Executor across many Adders,
-	// Accumulators or a Pool's reductions puts all their parallel
-	// regions under one global concurrency budget: regions serialize
-	// on the shared pool and never exceed its worker budget, instead
-	// of each caller parking (or, worse, spawning) its own
-	// GOMAXPROCS-sized worker set. nil selects the pooled default —
-	// the executor resident in the call's Workspace, recycled across
-	// calls exactly like the rest of the scratch.
-	Executor *sched.Executor
 	// Monoid selects the combine operation folded over colliding
 	// entries: nil (or ops.PlusFor[T]()) means T's addition, the
 	// paper's operation, served by specialized inlined kernels; any
@@ -271,10 +260,8 @@ type OpStats struct {
 	// phase per addition: symbolic, numeric, single pass, compact, ...)
 	// the executor dispatched; single-worker phases run inline and are
 	// not regions. SchedMaxWeight and SchedMeanWeight accumulate each
-	// region's maximum and mean per-worker executed weight — the
-	// column weights of a weighted region, column counts of the static
-	// input-weights precompute — so LoadImbalance reports the observed
-	// balance.
+	// region's maximum and mean per-worker executed column weight, so
+	// LoadImbalance reports the observed balance.
 	SchedRegions    atomic.Int64 //spkadd:atomic
 	SchedMaxWeight  atomic.Int64 //spkadd:atomic
 	SchedMeanWeight atomic.Int64 //spkadd:atomic

@@ -9,7 +9,7 @@ import (
 
 // pairAddMerge adds two CSC matrices with sorted columns using the
 // linear ColAdd merge of Algorithm 1, parallel over columns on the
-// caller's executor. The result has sorted columns. This is the
+// workspace's executor. The result has sorted columns. This is the
 // specialised 2-way addition the paper's "2-way Incremental" and
 // "2-way Tree" rows use.
 func pairAddMerge[T matrix.Arith](a, b *matrix.CSCOf[T], opt OptionsOf[T], ex *sched.Executor) (*matrix.CSCOf[T], error) {

@@ -243,7 +243,7 @@ func TestReserveWorkersSorter(t *testing.T) {
 				}
 			}
 			ws.end()
-			ws.closeExecutor()
+			ws.Close()
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"spkadd/internal/generate"
 	"spkadd/internal/matrix"
-	"spkadd/internal/sched"
 )
 
 func schedTestInputs(pattern string, k, rows, cols, d int, seed uint64) []*matrix.CSC {
@@ -125,34 +124,6 @@ func TestScheduleStatsObservability(t *testing.T) {
 				t.Errorf("LoadImbalance() = %v, want >= 1", im)
 			}
 		})
-	}
-}
-
-// TestSharedExecutorOptionParity runs additions from several
-// workspaces through one caller-provided budgeted executor and checks
-// parity — the Options.Executor handle must only change where the
-// work runs, never what it computes.
-func TestSharedExecutorOptionParity(t *testing.T) {
-	ex := sched.NewExecutor(2)
-	defer ex.Close()
-	as := schedTestInputs("RMAT", 6, 2048, 32, 16, 5)
-	for _, alg := range []Algorithm{Hash, Heap, TwoWayTree} {
-		opt := Options{Algorithm: alg, SortedOutput: true, Threads: 4}
-		want, err := Add(as, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt.Executor = ex
-		ws := NewWorkspace(false)
-		for iter := 0; iter < 3; iter++ {
-			got, err := ws.Add(as, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("%v: shared-executor result differs (iter %d)", alg, iter)
-			}
-		}
 	}
 }
 

@@ -171,10 +171,7 @@ type PoolOptionsOf[T matrix.Number] struct {
 	// single-threaded: the shards themselves are the parallelism, and
 	// letting every reducer run GOMAXPROCS workers would oversubscribe
 	// the machine. Internally parallel reductions each run on their
-	// shard workspace's resident executor; set Add.Executor to place
-	// every shard's reductions under one caller-wide worker budget
-	// instead — noting that regions on a shared executor serialize,
-	// trading reduction throughput for a hard concurrency cap.
+	// shard workspace's resident executor.
 	Add OptionsOf[T]
 }
 
@@ -805,7 +802,7 @@ func (s *poolShardOf[T]) run(wg *sync.WaitGroup) {
 			// The reducer is the workspace's only user: release its
 			// parked workers with it rather than at GC time.
 			if s.ws != nil {
-				s.ws.closeExecutor()
+				s.ws.Close()
 			}
 			return
 		}

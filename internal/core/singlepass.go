@@ -27,16 +27,11 @@ import (
 // stageAndCompact, runs a product with each column's flops as its
 // staging bound.
 
-const (
-	// upperBoundStagingCap bounds the staging buffer Auto lets Hash's
-	// single-pass engine allocate (entryBytesOf per input entry — 12
-	// for float64/int64, 8 for float32/int32, 5 for bool). Past it,
-	// Auto picks SlidingHash, whose two-pass driver needs no staging.
-	upperBoundStagingCap = 1 << 30
-	// inputWeightsParallelMin is the column count above which the
-	// per-column input-nnz weights are computed in parallel.
-	inputWeightsParallelMin = 1 << 12
-)
+// upperBoundStagingCap bounds the staging buffer Auto lets Hash's
+// single-pass engine allocate (entryBytesOf per input entry — 12 for
+// float64/int64, 8 for float32/int32, 5 for bool). Past it, Auto
+// picks SlidingHash, whose two-pass driver needs no staging.
+const upperBoundStagingCap = 1 << 30
 
 // allocCSC builds an empty CSC whose ColPtr is the prefix sum of the
 // per-column counts, with RowIdx/Val allocated to match.
@@ -128,9 +123,7 @@ func (ws *WorkspaceOf[T]) addUpperBound() (*matrix.CSCOf[T], PhaseTimings, error
 	if err := ws.ctxCheck(); err != nil {
 		return nil, pt, err
 	}
-	if err := ws.fillInputWeights(); err != nil {
-		return nil, pt, err
-	}
+	ws.fillInputWeights()
 	b, numeric, err := ws.stageAndCompact(ws.as[0].Rows, ws.ubFn)
 	pt.Numeric = numeric
 	return b, pt, err

@@ -146,7 +146,7 @@ func (st *streamOf[T]) clearBatch() {
 // write target.
 func (st *streamOf[T]) quarantine() {
 	if st.ws != nil {
-		st.ws.closeExecutor()
+		st.ws.Close()
 		st.ws = nil
 	}
 	if st.opt.Stats != nil {

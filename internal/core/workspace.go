@@ -58,13 +58,13 @@ type WorkspaceOf[T matrix.Number] struct {
 	// workspace (nil for bool; see kitFor).
 	kit *numKit[T]
 
-	// ownEx is the workspace-resident executor: a pool of parked
-	// worker goroutines plus the partitioning scratch every parallel
-	// phase needs, created on the first multi-threaded call and then
-	// recycled like all other scratch — so a workspace-backed Adder,
-	// Accumulator or Pool shard pays goroutine creation and
-	// partitioning allocation once, not per phase per call. Elastic:
-	// it grows to whatever Threads each call requests.
+	// ownEx is the workspace's executor, the only one its calls run
+	// on: a pool of parked worker goroutines plus the partitioning
+	// scratch every parallel phase needs, created on the first
+	// multi-threaded region and then recycled like all other scratch
+	// — so a workspace-backed Adder, Accumulator or Pool shard pays
+	// goroutine creation and partitioning allocation once, not per
+	// phase per call. It grows to whatever Threads each call requests.
 	ownEx *sched.Executor
 
 	// Per-call state read by the persistent phase bodies.
@@ -76,7 +76,6 @@ type WorkspaceOf[T matrix.Number] struct {
 	cache    int64
 	sortedIn bool
 	ctx      context.Context // nil for context-free calls
-	ex       *sched.Executor // Options.Executor, or ownEx
 	b        *matrix.CSCOf[T]
 	// mulA, mulB are Mul's operands; a product has no input list.
 	mulA, mulB *matrix.CSCOf[T]
@@ -86,7 +85,7 @@ type WorkspaceOf[T matrix.Number] struct {
 	mon  monoidStateOf[T]
 	monP *monoidStateOf[T]
 
-	symFn, numFn, ubFn, compactFn, weightsFn, mulFn func(w, lo, hi int)
+	symFn, numFn, ubFn, compactFn, mulFn func(w, lo, hi int)
 }
 
 // Workspace is the float64 workspace, the paper's element type.
@@ -117,7 +116,6 @@ func NewWorkspaceOf[T matrix.Number](recycleOutput bool) *WorkspaceOf[T] {
 	ws.numFn = ws.numBody
 	ws.ubFn = ws.ubBody
 	ws.compactFn = ws.compactBody
-	ws.weightsFn = ws.weightsBody
 	ws.mulFn = ws.mulBody
 	return ws
 }
@@ -240,12 +238,11 @@ func (ws *WorkspaceOf[T]) addDispatch(ctx context.Context, as []*matrix.CSCOf[T]
 	case TwoWayIncremental, TwoWayTree, MapIncremental, MapTree:
 		// The 2-way baselines' native pairwise drivers read inputs like
 		// the two-pass engine, and that is what the stats report. They
-		// still run their parallel passes on the resolved executor —
-		// the workspace's resident pool, or the caller's shared one.
+		// still run their parallel passes on the workspace's executor.
 		if opt.Stats != nil {
 			opt.Stats.RecordEngine(PhasesTwoPass)
 		}
-		ex := ws.executorFor(opt, sched.Threads(opt.Threads))
+		ex := ws.executorFor(sched.Threads(opt.Threads))
 		start := time.Now()
 		var b *matrix.CSCOf[T]
 		var err error
@@ -319,7 +316,6 @@ func (ws *WorkspaceOf[T]) begin(as []*matrix.CSCOf[T], p planOf[T], opt OptionsO
 	}
 	ws.t = sched.Threads(opt.Threads)
 	ws.cache = opt.cacheBytes()
-	ws.ex = ws.executorFor(opt, ws.t)
 	if ws.t > len(ws.workers) {
 		workers := make([]*workerStateOf[T], ws.t)
 		copy(workers, ws.workers)
@@ -327,28 +323,24 @@ func (ws *WorkspaceOf[T]) begin(as []*matrix.CSCOf[T], p planOf[T], opt OptionsO
 	}
 }
 
-// executorFor resolves the executor a call's parallel phases run on:
-// the caller's shared pool when Options.Executor is set, the
-// workspace-resident one (created on first need) otherwise. A
-// single-threaded call never touches an executor — runColsOn runs its
-// regions inline — so a workspace that only ever serves Threads==1
-// calls parks no goroutines at all.
-func (ws *WorkspaceOf[T]) executorFor(opt OptionsOf[T], t int) *sched.Executor {
-	if opt.Executor != nil {
-		return opt.Executor
-	}
+// executorFor returns the workspace's executor for a region of t
+// workers, creating it on first need. A single-threaded call never
+// touches an executor — runColsOn runs its regions inline — so a
+// workspace that only ever serves Threads==1 calls parks no
+// goroutines at all.
+func (ws *WorkspaceOf[T]) executorFor(t int) *sched.Executor {
 	if t > 1 && ws.ownEx == nil {
-		ws.ownEx = sched.NewElasticExecutor()
+		ws.ownEx = sched.NewExecutor()
 	}
 	return ws.ownEx
 }
 
-// closeExecutor releases the workspace-resident executor's parked
-// workers now instead of at GC time. Owners call it when the
-// workspace is retired (a Pool shard's reducer exiting, a poisoned
-// workspace quarantined); a later multi-threaded call would create a
-// fresh executor.
-func (ws *WorkspaceOf[T]) closeExecutor() {
+// Close releases the workspace executor's parked workers now instead
+// of at GC time. Owners call it when the workspace is retired (a Pool
+// shard's reducer exiting, a poisoned workspace quarantined, a
+// sequential SUMMA run finishing); a later multi-threaded call would
+// create a fresh executor.
+func (ws *WorkspaceOf[T]) Close() {
 	if ws.ownEx != nil {
 		ws.ownEx.Close()
 		ws.ownEx = nil
@@ -357,22 +349,21 @@ func (ws *WorkspaceOf[T]) closeExecutor() {
 
 // end drops the references to caller data so a pooled or idle
 // workspace does not pin input matrices (scratch stays resident —
-// that is the point). The per-call Options are dropped whole: they
-// hold the caller's shared Executor (whose runtime cleanup must be
-// able to fire once the caller drops its handle) and Stats; only
-// ownEx stays resident, workers parked, for the next call.
+// that is the point). The per-call Options are dropped whole, Stats
+// with them; only ownEx stays resident, workers parked, for the next
+// call.
 func (ws *WorkspaceOf[T]) end() {
-	ws.as, ws.coeffs, ws.b, ws.ex, ws.ctx = nil, nil, nil, nil, nil
+	ws.as, ws.coeffs, ws.b, ws.ctx = nil, nil, nil, nil
 	ws.mulA, ws.mulB = nil, nil
 	ws.opt = OptionsOf[T]{}
 	ws.mon, ws.monP = monoidStateOf[T]{}, nil
 }
 
-// runCols runs columns [0, len(weights)) on the call's executor as a
-// region weighted by weights, recording its load statistics into
+// runCols runs columns [0, len(weights)) on the workspace's executor
+// as a region weighted by weights, recording its load statistics into
 // Options.Stats.
 func (ws *WorkspaceOf[T]) runCols(weights []int64, body func(worker, lo, hi int)) error {
-	return runColsOn(ws.ex, ws.t, weights, ws.opt.Stats, body)
+	return runColsOn(ws.executorFor(ws.t), ws.t, weights, ws.opt.Stats, body)
 }
 
 // reserveWorkers pre-creates every worker's thread-private scratch
@@ -417,20 +408,10 @@ func (ws *WorkspaceOf[T]) reserveWorkers(bound []int64, rows int, sym bool) {
 }
 
 // reserveCount is how many distinct worker ids a phase over n columns
-// can actually run: the call's thread count, capped by the
-// executor's worker budget and the column count — reserving scratch
-// for workers the executor will never wake (a budget-capped shared
-// pool under a larger Threads request) would multiply memory for
-// nothing.
+// can actually run: the call's thread count, capped by the column
+// count.
 func (ws *WorkspaceOf[T]) reserveCount(n int) int {
-	t := ws.t
-	if b := ws.ex.Budget(); b > 0 && b < t {
-		t = b
-	}
-	if n < t {
-		t = n
-	}
-	return t
+	return min(ws.t, n)
 }
 
 func maxWeight(bound []int64) int64 {
@@ -468,31 +449,13 @@ func (ws *WorkspaceOf[T]) colScratch(n int) {
 
 // fillInputWeights computes Σ_i nnz(A_i(:,j)) for every column into
 // ws.weights (zeroed by colScratch) — the symbolic load-balancing
-// weights and the staging upper bounds of the single-pass engine.
-// Wide matrices are summed in parallel on the call's executor (always
-// statically: the weights this precompute exists to produce are not
-// known yet, and the per-column work is one pointer subtraction per
-// input, uniform by construction).
-func (ws *WorkspaceOf[T]) fillInputWeights() error {
-	n := ws.as[0].Cols
-	if n >= inputWeightsParallelMin && ws.t > 1 {
-		ls, err := ws.ex.Static(n, ws.t, ws.weightsFn)
-		if err != nil {
-			return err
-		}
-		if ws.opt.Stats != nil {
-			ws.opt.Stats.RecordRegion(ls)
-		}
-	} else {
-		ws.weightsBody(0, 0, n)
-	}
-	return nil
-}
-
-func (ws *WorkspaceOf[T]) weightsBody(_, lo, hi int) {
+// weights and the staging upper bounds of the single-pass engine. It
+// is one sequential pass at every width, as Mul sums its flop
+// weights: the per-column work is one pointer subtraction per input.
+func (ws *WorkspaceOf[T]) fillInputWeights() {
 	for _, a := range ws.as {
 		ptr := a.ColPtr
-		for j := lo; j < hi; j++ {
+		for j := range ws.weights {
 			ws.weights[j] += ptr[j+1] - ptr[j]
 		}
 	}

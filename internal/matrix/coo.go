@@ -1,9 +1,6 @@
 package matrix
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // COOOf is a sparse matrix in coordinate (triple) format over element
 // type T. Entries may be unordered and may contain duplicates; ToCSC
@@ -84,16 +81,4 @@ func FromTriples(rows, cols int, ts []Triple) *CSC {
 func FromTriplesOf[T Number](rows, cols int, ts []TripleOf[T]) *CSCOf[T] {
 	c := &COOOf[T]{Rows: rows, Cols: cols, Entries: ts}
 	return c.ToCSC()
-}
-
-// SortRowMajor sorts entries by (row, col); useful for deterministic
-// output and tests.
-func (c *COOOf[T]) SortRowMajor() {
-	sort.Slice(c.Entries, func(i, j int) bool {
-		a, b := c.Entries[i], c.Entries[j]
-		if a.Row != b.Row {
-			return a.Row < b.Row
-		}
-		return a.Col < b.Col
-	})
 }

@@ -63,14 +63,6 @@ type MonoidOf[T matrix.Number] struct {
 	// folded back in unmapped.
 	MapInput func(v T) T
 
-	// Absorbing is an absorbing-element hint: when HasAbsorbing,
-	// Combine(Absorbing, v) == Absorbing for every v. Engines and
-	// user code may exploit it (an accumulated cell that has reached
-	// the absorbing element can skip further combines); none of the
-	// built-in kernels currently require it.
-	Absorbing    T
-	HasAbsorbing bool
-
 	// DropIdentity selects the drop-identity output policy: entries
 	// whose combined value equals Identity are removed from the
 	// output instead of stored. Only the single-pass engine of Hash,
@@ -120,24 +112,20 @@ var (
 	}
 
 	// Min keeps the smallest colliding value (tropical/min-plus
-	// ensembling). The identity is +Inf; -Inf absorbs. NaNs
-	// propagate, matching Go's built-in min.
+	// ensembling). The identity is +Inf. NaNs propagate, matching
+	// Go's built-in min.
 	Min = &Monoid{
-		Name:         "Min",
-		Identity:     math.Inf(1),
-		Combine:      func(a, b matrix.Value) matrix.Value { return min(a, b) },
-		Absorbing:    math.Inf(-1),
-		HasAbsorbing: true,
+		Name:     "Min",
+		Identity: math.Inf(1),
+		Combine:  func(a, b matrix.Value) matrix.Value { return min(a, b) },
 	}
 
 	// Max keeps the largest colliding value (max-pooling). The
-	// identity is -Inf; +Inf absorbs.
+	// identity is -Inf.
 	Max = &Monoid{
-		Name:         "Max",
-		Identity:     math.Inf(-1),
-		Combine:      func(a, b matrix.Value) matrix.Value { return max(a, b) },
-		Absorbing:    math.Inf(1),
-		HasAbsorbing: true,
+		Name:     "Max",
+		Identity: math.Inf(-1),
+		Combine:  func(a, b matrix.Value) matrix.Value { return max(a, b) },
 	}
 
 	// Any is the structural (boolean) union: a position present in
@@ -153,9 +141,7 @@ var (
 			}
 			return 0
 		},
-		MapInput:     one,
-		Absorbing:    1,
-		HasAbsorbing: true,
+		MapInput: one,
 	}
 
 	// Count is occurrence frequency: a position's output value is
@@ -185,31 +171,31 @@ var (
 	plusI64 = &MonoidOf[int64]{Name: "Plus", Combine: func(a, b int64) int64 { return a + b }}
 
 	minF32 = &MonoidOf[float32]{Name: "Min", Identity: float32(math.Inf(1)),
-		Combine: func(a, b float32) float32 { return min(a, b) }, Absorbing: float32(math.Inf(-1)), HasAbsorbing: true}
+		Combine: func(a, b float32) float32 { return min(a, b) }}
 	minI32 = &MonoidOf[int32]{Name: "Min", Identity: math.MaxInt32,
-		Combine: func(a, b int32) int32 { return min(a, b) }, Absorbing: math.MinInt32, HasAbsorbing: true}
+		Combine: func(a, b int32) int32 { return min(a, b) }}
 	minI64 = &MonoidOf[int64]{Name: "Min", Identity: math.MaxInt64,
-		Combine: func(a, b int64) int64 { return min(a, b) }, Absorbing: math.MinInt64, HasAbsorbing: true}
+		Combine: func(a, b int64) int64 { return min(a, b) }}
 
 	maxF32 = &MonoidOf[float32]{Name: "Max", Identity: float32(math.Inf(-1)),
-		Combine: func(a, b float32) float32 { return max(a, b) }, Absorbing: float32(math.Inf(1)), HasAbsorbing: true}
+		Combine: func(a, b float32) float32 { return max(a, b) }}
 	maxI32 = &MonoidOf[int32]{Name: "Max", Identity: math.MinInt32,
-		Combine: func(a, b int32) int32 { return max(a, b) }, Absorbing: math.MaxInt32, HasAbsorbing: true}
+		Combine: func(a, b int32) int32 { return max(a, b) }}
 	maxI64 = &MonoidOf[int64]{Name: "Max", Identity: math.MinInt64,
-		Combine: func(a, b int64) int64 { return max(a, b) }, Absorbing: math.MaxInt64, HasAbsorbing: true}
+		Combine: func(a, b int64) int64 { return max(a, b) }}
 
 	anyF32 = &MonoidOf[float32]{Name: "Any",
 		Combine:  func(a, b float32) float32 { return anyCombine(a, b) },
-		MapInput: oneOf[float32], Absorbing: 1, HasAbsorbing: true}
+		MapInput: oneOf[float32]}
 	anyI32 = &MonoidOf[int32]{Name: "Any",
 		Combine:  func(a, b int32) int32 { return anyCombine(a, b) },
-		MapInput: oneOf[int32], Absorbing: 1, HasAbsorbing: true}
+		MapInput: oneOf[int32]}
 	anyI64 = &MonoidOf[int64]{Name: "Any",
 		Combine:  func(a, b int64) int64 { return anyCombine(a, b) },
-		MapInput: oneOf[int64], Absorbing: 1, HasAbsorbing: true}
+		MapInput: oneOf[int64]}
 	anyB = &MonoidOf[bool]{Name: "Any",
 		Combine:  func(a, b bool) bool { return a || b },
-		MapInput: func(bool) bool { return true }, Absorbing: true, HasAbsorbing: true}
+		MapInput: func(bool) bool { return true }}
 
 	countF32 = &MonoidOf[float32]{Name: "Count",
 		Combine: func(a, b float32) float32 { return a + b }, MapInput: oneOf[float32]}

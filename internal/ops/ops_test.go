@@ -66,23 +66,6 @@ func TestAssociativeCommutative(t *testing.T) {
 	}
 }
 
-func TestAbsorbingHint(t *testing.T) {
-	grid := []matrix.Value{-4, 0, 1, 9}
-	for _, m := range Builtins {
-		if !m.HasAbsorbing {
-			continue
-		}
-		for _, v := range grid {
-			if m.MapInput != nil {
-				v = m.MapInput(v)
-			}
-			if got := m.Combine(m.Absorbing, v); got != m.Absorbing {
-				t.Errorf("%s: Combine(absorbing, %v) = %v, want %v", m.Name, v, got, m.Absorbing)
-			}
-		}
-	}
-}
-
 func TestMapInput(t *testing.T) {
 	for _, m := range []*Monoid{Any, Count} {
 		for _, v := range []matrix.Value{-7, 0.001, 42, math.Inf(1)} {

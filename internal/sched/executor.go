@@ -15,24 +15,22 @@ import (
 // goroutines and allocating prefix/boundary arrays per phase is
 // hostile to the steady state of repeated small and medium additions,
 // where goroutine creation and partitioning allocations dominate the
-// actual merge work. A one-shot caller creates an executor for the
-// call and closes it on return.
+// actual merge work. Each executor belongs to one workspace, which
+// keeps it across calls.
 //
-// Column regions run Weighted: contiguous weighted ranges exactly as
+// Every region runs Weighted: contiguous weighted ranges exactly as
 // in the paper's load balancing, claimed in shrinking chunks, with an
 // idle worker stealing the suffix half of the most-loaded peer's
 // remaining range. The weighted partition balances *predicted* work;
 // on RMAT-skewed columns the prediction error concentrates in a few
 // workers, and stealing moves it to whoever runs dry first, paying
-// for coordination only then. Static, plain equal blocks, serves
-// uniform per-index work that has no weights yet.
+// for coordination only then.
 
 // LoadStats describes how one parallel region's work spread over its
 // workers: Max and Mean are the largest and average per-worker
 // executed weight (the region's makespan is governed by Max/Mean), and
 // Steals counts range suffixes Weighted moved from a busy worker to an
-// idle one. Weight is the caller's weights under Weighted and plain
-// index counts under Static.
+// idle one.
 type LoadStats struct {
 	Workers int
 	Max     int64
@@ -80,18 +78,15 @@ func unpackRange(v int64) (int, int) { return int(v >> 32), int(v & 0xffffffff) 
 // between regions, so a region costs channel wakes instead of
 // goroutine creation, and the partitioning scratch (weight prefix
 // sums, range boundaries, steal ranges) is owned by the executor and
-// reused — a warmed executor runs every strategy without allocating.
+// reused — a warmed executor runs its regions without allocating.
 //
-// Run methods are safe for concurrent use: regions serialize on an
-// internal mutex, so an executor shared by several Adders (or handed
-// to a Pool's reductions) acts as one global concurrency budget —
-// concurrent callers take turns on the same workers rather than
-// oversubscribing the machine. A region's body must not start another
-// region on the same executor (it would self-deadlock on the region
-// lock); the engines never nest regions.
+// Weighted is safe for concurrent use, and safe to race with Close:
+// regions serialize on an internal mutex. A region's body must not
+// start another region on the same executor (it would self-deadlock
+// on the region lock); the engines never nest regions.
 //
-// The caller of a Run method participates as worker 0, so an executor
-// with budget t keeps t-1 goroutines parked. Close releases them;
+// The caller of Weighted participates as worker 0, so a region of t
+// workers keeps t-1 goroutines parked after it. Close releases them;
 // an executor that becomes unreachable without Close is cleaned up by
 // the runtime, so dropping one cannot leak its workers.
 type Executor struct {
@@ -103,23 +98,20 @@ type Executor struct {
 // reachable: workers reference only the state, and a runtime cleanup
 // on the handle shuts the workers down once the handle is collected.
 type execState struct {
-	budget int // max workers per region; 0 = grow to each request
-
 	mu     sync.Mutex // serializes regions; held for a region's full duration
 	wg     sync.WaitGroup
 	wake   []chan struct{} // resident workers; entry i is region worker i+1
 	closed bool
 
 	// Region descriptor, written under mu before workers wake.
-	steal    bool // claim chunks and steal (Weighted) vs run bounds whole
-	parts    int
-	body     func(worker, lo, hi int)
-	weighted bool // prefix holds real weights (vs unit index counts)
-	steals   atomic.Int64
-	prefix   []int64
-	bounds   []int
-	ranges   []stealRange
-	loads    []workerLoad
+	steal  bool // claim chunks and steal vs run bounds whole
+	parts  int
+	body   func(worker, lo, hi int)
+	steals atomic.Int64
+	prefix []int64
+	bounds []int
+	ranges []stealRange
+	loads  []workerLoad
 
 	// panicErr holds the first panic a region's worker recovered,
 	// cleared at region start and reported as the region's error. A
@@ -129,22 +121,10 @@ type execState struct {
 	panicErr atomic.Pointer[PanicError]
 }
 
-// NewExecutor returns a resident executor with a fixed worker budget:
-// no region runs more than t workers, whatever thread count its caller
-// asks for (t < 1 means GOMAXPROCS). This is the sharing form — one
-// budgeted pool handed to many Adders via Options.Executor caps their
-// combined parallelism.
-func NewExecutor(t int) *Executor { return newExecutor(Threads(t)) }
-
-// NewElasticExecutor returns a resident executor whose worker count
-// grows to each region's requested thread count. This is the
-// workspace-default form: it preserves the exact parallelism the
-// caller's Threads option always produced, only with resident workers
-// instead of per-phase spawns.
-func NewElasticExecutor() *Executor { return newExecutor(0) }
-
-func newExecutor(budget int) *Executor {
-	s := &execState{budget: budget}
+// NewExecutor returns a resident executor whose worker count grows
+// to each region's requested thread count.
+func NewExecutor() *Executor {
+	s := &execState{}
 	ex := &Executor{s: s}
 	// Workers hold only s; when the handle is dropped without Close,
 	// this cleanup closes the wake channels so the parked goroutines
@@ -153,13 +133,10 @@ func newExecutor(budget int) *Executor {
 	return ex
 }
 
-// Budget returns the executor's worker budget (0 for elastic).
-func (ex *Executor) Budget() int { return ex.s.budget }
-
 // Close parks the executor permanently: resident workers exit, and
-// later Run calls execute their region inline on the calling
-// goroutine alone. Close is idempotent and safe to call concurrently
-// with Run (it waits for a region in flight).
+// later regions run inline on the calling goroutine alone. Close is
+// idempotent and safe to call concurrently with Weighted (it waits
+// for a region in flight).
 func (ex *Executor) Close() { ex.s.shutdown() }
 
 func (s *execState) shutdown() {
@@ -175,39 +152,8 @@ func (s *execState) shutdown() {
 	s.wake = nil
 }
 
-// Static divides [0, n) into near-equal contiguous ranges on resident
-// workers. A panic in the body — on any worker, or on the caller's
-// inline share — is recovered and returned as a *PanicError; the
-// region's remaining work on the panicking worker is abandoned, but
-// the executor and its workers stay usable.
-// The same contract holds for Weighted.
-func (ex *Executor) Static(n, t int, body func(worker, lo, hi int)) (LoadStats, error) {
-	t = Threads(t)
-	if t > n {
-		t = n
-	}
-	if n == 0 {
-		return LoadStats{}, nil
-	}
-	if t <= 1 {
-		return solo(int64(n)), RunInline(n, body)
-	}
-	s := ex.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t = s.clampLocked(t); t <= 1 {
-		return solo(int64(n)), RunInline(n, body)
-	}
-	s.steal, s.body, s.weighted = false, body, false
-	s.bounds = grow(s.bounds, t+1)
-	for w := 0; w <= t; w++ {
-		s.bounds[w] = w * n / t
-	}
-	return s.runLocked(t)
-}
-
 // RunInline executes body(0, 0, n) on the calling goroutine —
-// the single-worker fast path of every region form — converting a
+// the single-worker fast path of a region — converting a
 // panic into the same *PanicError a resident worker's panic produces,
 // so callers see one failure contract whatever the worker count.
 func RunInline(n int, body func(worker, lo, hi int)) (err error) {
@@ -226,7 +172,14 @@ func RunInline(n int, body func(worker, lo, hi int)) (err error) {
 // its own range in geometrically shrinking chunks and, once idle,
 // steals the suffix half of the remaining range of the most-loaded (by
 // remaining weight) peer. Which worker runs an index thus varies from
-// run to run; that each index runs exactly once does not.
+// run to run; that each index runs exactly once does not. With all
+// weights zero the ranges are equal Span blocks and no worker steals.
+//
+// A panic in the body — on any worker, or on the caller's inline
+// share — is recovered and returned as a *PanicError; the region's
+// remaining work on the panicking worker is abandoned, but the
+// executor and its workers stay usable. A closed executor runs the
+// region inline.
 func (ex *Executor) Weighted(weights []int64, t int, body func(worker, lo, hi int)) (LoadStats, error) {
 	n := len(weights)
 	t = Threads(t)
@@ -242,10 +195,10 @@ func (ex *Executor) Weighted(weights []int64, t int, body func(worker, lo, hi in
 	s := ex.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t = s.clampLocked(t); t <= 1 {
+	if s.closed {
 		return solo(sumWeights(weights)), RunInline(n, body)
 	}
-	s.body, s.weighted = body, true
+	s.body = body
 	s.prefix, s.bounds = PartitionByWeightInto(weights, t, s.prefix, s.bounds)
 	s.steal = n <= stealMaxIndex
 	if s.steal {
@@ -265,18 +218,6 @@ func sumWeights(weights []int64) int64 {
 		}
 	}
 	return total
-}
-
-// clampLocked applies the worker budget and the closed state to a
-// region's requested worker count. Callers hold mu.
-func (s *execState) clampLocked(t int) int {
-	if s.closed {
-		return 1
-	}
-	if s.budget > 0 && t > s.budget {
-		t = s.budget
-	}
-	return t
 }
 
 // runLocked executes the prepared region descriptor on parts workers:
@@ -311,7 +252,7 @@ func (s *execState) runLocked(parts int) (LoadStats, error) {
 	// Drop the body at the barrier: parked workers reference s, and a
 	// body bound to the executor's owner (a workspace phase method
 	// value) would otherwise keep the handle reachable, so the cleanup
-	// backstop in newExecutor could never fire.
+	// backstop in NewExecutor could never fire.
 	s.body = nil
 	var total, max int64
 	for i := 0; i < parts; i++ {
@@ -370,16 +311,12 @@ func (s *execState) runWorker(w int) {
 	}
 }
 
-// rangeWeight is the executed weight of [lo, hi): real weight under
-// Weighted, index count under Static.
+// rangeWeight is the executed weight of [lo, hi).
 func (s *execState) rangeWeight(lo, hi int) int64 {
-	if !s.weighted {
-		return int64(hi - lo)
-	}
 	return s.prefix[hi] - s.prefix[lo]
 }
 
-// stealLoop is one worker of a Weighted region: drain the own
+// stealLoop is one worker of a stealing region: drain the own
 // range in geometrically shrinking chunks, then steal the suffix half
 // of the most-loaded peer's remainder, installing it as the own range
 // (so it can in turn be stolen from), until every range is empty.

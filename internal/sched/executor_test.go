@@ -80,17 +80,18 @@ func skewedWeights(n int, seed uint64) []int64 {
 	return w
 }
 
-// TestExecutorModesCover runs both region forms over a grid of shapes
-// and asserts exactly-once coverage with disjoint ranges.
+// TestExecutorModesCover runs regions over skewed and all-zero
+// weights on a grid of shapes and asserts exactly-once coverage with
+// disjoint ranges. All-zero weights give equal blocks that carry no
+// weight, so no worker has weight left to steal.
 func TestExecutorModesCover(t *testing.T) {
-	ex := NewElasticExecutor()
+	ex := NewExecutor()
 	defer ex.Close()
 	for _, n := range []int{0, 1, 2, 7, 64, 257} {
 		weights := skewedWeights(n, uint64(n)+3)
 		zero := make([]int64, n)
 		for _, th := range []int{1, 2, 3, 8} {
 			modes := map[string]func(*chunkRecorder) (LoadStats, error){
-				"static":   func(r *chunkRecorder) (LoadStats, error) { return ex.Static(n, th, r.body) },
 				"weighted": func(r *chunkRecorder) (LoadStats, error) { return ex.Weighted(weights, th, r.body) },
 				"weighted-zero": func(r *chunkRecorder) (LoadStats, error) {
 					return ex.Weighted(zero, th, r.body)
@@ -109,16 +110,19 @@ func TestExecutorModesCover(t *testing.T) {
 				if ls.Max < ls.Mean {
 					t.Errorf("%s n=%d t=%d: Max %d < Mean %d", name, n, th, ls.Max, ls.Mean)
 				}
+				if name == "weighted-zero" && (ls.Max != 0 || ls.Mean != 0 || ls.Steals != 0) {
+					t.Errorf("%s n=%d t=%d: LoadStats %+v, want Max == Mean == 0 and no steals", name, n, th, ls)
+				}
 			}
 		}
 	}
 }
 
 // TestExecutorReuseNoAlloc proves a warmed executor runs its regions
-// without allocating, in both region forms — the point of keeping
-// workers and partition scratch resident.
+// without allocating — the point of keeping workers and partition
+// scratch resident.
 func TestExecutorReuseNoAlloc(t *testing.T) {
-	ex := NewElasticExecutor()
+	ex := NewExecutor()
 	defer ex.Close()
 	const n, th = 256, 4
 	weights := skewedWeights(n, 11)
@@ -127,36 +131,12 @@ func TestExecutorReuseNoAlloc(t *testing.T) {
 			_ = i
 		}
 	}
-	runs := map[string]func(){
-		"static":   func() { ex.Static(n, th, body) },
-		"weighted": func() { ex.Weighted(weights, th, body) },
+	run := func() { ex.Weighted(weights, th, body) }
+	for warm := 0; warm < 3; warm++ {
+		run()
 	}
-	for name, run := range runs {
-		for warm := 0; warm < 3; warm++ {
-			run()
-		}
-		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-			t.Errorf("%s: warmed executor allocates %.1f times per region, want 0", name, allocs)
-		}
-	}
-}
-
-// TestExecutorBudget verifies a fixed-budget executor caps region
-// parallelism at its budget whatever the caller requests.
-func TestExecutorBudget(t *testing.T) {
-	ex := NewExecutor(2)
-	defer ex.Close()
-	if ex.Budget() != 2 {
-		t.Fatalf("Budget() = %d, want 2", ex.Budget())
-	}
-	var rec chunkRecorder
-	ls, err := ex.Static(64, 8, rec.body)
-	if err != nil {
-		t.Fatalf("region error: %v", err)
-	}
-	verifyChunks(t, rec.chunks, 64, 2)
-	if ls.Workers > 2 {
-		t.Errorf("region ran %d workers, budget is 2", ls.Workers)
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Errorf("warmed executor allocates %.1f times per region, want 0", allocs)
 	}
 }
 
@@ -164,7 +144,7 @@ func TestExecutorBudget(t *testing.T) {
 // executes regions — inline, single-worker — rather than hanging or
 // panicking.
 func TestExecutorCloseRunsInline(t *testing.T) {
-	ex := NewExecutor(4)
+	ex := NewExecutor()
 	var rec chunkRecorder
 	ex.Weighted(skewedWeights(32, 5), 4, rec.body)
 	ex.Close()
@@ -175,6 +155,56 @@ func TestExecutorCloseRunsInline(t *testing.T) {
 		t.Fatalf("region error: %v", err)
 	}
 	verifyChunks(t, rec.chunks, 32, 1)
+	if ls.Workers != 1 {
+		t.Errorf("closed executor ran %d workers, want 1 (inline)", ls.Workers)
+	}
+}
+
+// TestExecutorCloseDuringRegion closes an executor from another
+// goroutine while a region is in flight. Close must wait for the
+// region's barrier, since the workers it releases are still running
+// the body; the region must cover its range exactly once, the next
+// region must run inline, and no worker may be left behind. Run under
+// -race by the CI race job.
+func TestExecutorCloseDuringRegion(t *testing.T) {
+	leakcheck.Begin(t)
+	ex := NewExecutor()
+	const n, th = 64, 4
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	var rec chunkRecorder
+	regionDone := make(chan error, 1)
+	go func() {
+		_, err := ex.Weighted(make([]int64, n), th, func(w, lo, hi int) {
+			once.Do(func() { close(started) })
+			<-release
+			rec.body(w, lo, hi)
+		})
+		regionDone <- err
+	}()
+	<-started
+	closed := make(chan struct{})
+	go func() {
+		ex.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a region was in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-regionDone; err != nil {
+		t.Fatalf("region error: %v", err)
+	}
+	<-closed
+	verifyChunks(t, rec.chunks, n, th)
+	rec.chunks = rec.chunks[:0]
+	ls, err := ex.Weighted(make([]int64, n), th, rec.body)
+	if err != nil {
+		t.Fatalf("region after Close: %v", err)
+	}
+	verifyChunks(t, rec.chunks, n, 1)
 	if ls.Workers != 1 {
 		t.Errorf("closed executor ran %d workers, want 1 (inline)", ls.Workers)
 	}
@@ -192,9 +222,9 @@ func TestDroppedExecutorReclaimedAfterRegion(t *testing.T) {
 		ex      *Executor
 		covered atomic.Int64
 	}
-	o := &owner{ex: NewElasticExecutor()}
+	o := &owner{ex: NewExecutor()}
 	body := func(_, lo, hi int) { o.covered.Add(int64(hi - lo)) }
-	if _, err := o.ex.Static(8, 2, body); err != nil {
+	if _, err := o.ex.Weighted(make([]int64, 8), 2, body); err != nil {
 		t.Fatalf("region error: %v", err)
 	}
 	if got := o.covered.Load(); got != 8 {
@@ -208,7 +238,7 @@ func TestDroppedExecutorReclaimedAfterRegion(t *testing.T) {
 // its first chunk while worker 1 drains its own range, so worker 1
 // must steal worker 0's remainder for the region to finish promptly.
 func TestExecutorStealOccurs(t *testing.T) {
-	ex := NewElasticExecutor()
+	ex := NewExecutor()
 	defer ex.Close()
 	const n = 200
 	weights := make([]int64, n)
@@ -237,11 +267,11 @@ func TestExecutorStealOccurs(t *testing.T) {
 }
 
 // TestExecutorSharedConcurrent hammers one executor from many
-// goroutines mixing both region forms; regions must serialize
-// internally and each must still cover its range exactly once. Run
-// under -race by the CI race job.
+// goroutines mixing skewed and all-zero weights; regions must
+// serialize internally and each must still cover its range exactly
+// once. Run under -race by the CI race job.
 func TestExecutorSharedConcurrent(t *testing.T) {
-	ex := NewExecutor(3)
+	ex := NewExecutor()
 	defer ex.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
@@ -249,11 +279,11 @@ func TestExecutorSharedConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			n := 50 + 30*g
-			weights := skewedWeights(n, uint64(g))
+			weights, zero := skewedWeights(n, uint64(g)), make([]int64, n)
 			for iter := 0; iter < 20; iter++ {
 				var rec chunkRecorder
 				if (g+iter)%2 == 0 {
-					ex.Static(n, 3, rec.body)
+					ex.Weighted(zero, 3, rec.body)
 				} else {
 					ex.Weighted(weights, 3, rec.body)
 				}
@@ -264,15 +294,15 @@ func TestExecutorSharedConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// FuzzExecutorCover fuzzes shape, thread count and weight seed across
-// both region forms, asserting the exactly-once/disjointness
+// FuzzExecutorCover fuzzes shape, thread count and weight seed over
+// skewed and all-zero weights, asserting the exactly-once/disjointness
 // invariant.
 func FuzzExecutorCover(f *testing.F) {
 	f.Add(uint16(64), uint8(4), uint64(1), uint8(0))
 	f.Add(uint16(257), uint8(7), uint64(9), uint8(1))
 	f.Add(uint16(33), uint8(2), uint64(3), uint8(2))
 	f.Add(uint16(128), uint8(16), uint64(7), uint8(3))
-	ex := NewElasticExecutor()
+	ex := NewExecutor()
 	f.Cleanup(ex.Close)
 	f.Fuzz(func(t *testing.T, nRaw uint16, thRaw uint8, seed uint64, mode uint8) {
 		n := int(nRaw) % 512
@@ -280,7 +310,7 @@ func FuzzExecutorCover(f *testing.F) {
 		weights := skewedWeights(n, seed)
 		var rec chunkRecorder
 		if mode%2 == 0 {
-			ex.Static(n, th, rec.body)
+			ex.Weighted(make([]int64, n), th, rec.body)
 		} else {
 			ex.Weighted(weights, th, rec.body)
 		}
@@ -309,7 +339,7 @@ func FuzzPartitionByWeight(f *testing.F) {
 			}
 			total += weights[i]
 		}
-		bounds := PartitionByWeight(weights, parts)
+		_, bounds := PartitionByWeightInto(weights, parts, nil, nil)
 		if len(bounds) != parts+1 {
 			t.Fatalf("got %d bounds, want %d", len(bounds), parts+1)
 		}

@@ -15,11 +15,12 @@ import (
 // next region runs normally.
 func TestExecutorPanicRecovered(t *testing.T) {
 	leakcheck.Begin(t)
-	ex := NewExecutor(4)
+	ex := NewExecutor()
 	defer ex.Close()
 
 	boom := errors.New("boom")
-	_, err := ex.Static(64, 4, func(w, lo, hi int) {
+	zero := make([]int64, 64)
+	_, err := ex.Weighted(zero, 4, func(w, lo, hi int) {
 		if lo <= 17 && 17 < hi { // exactly one worker's range panics
 			panic(boom)
 		}
@@ -39,24 +40,18 @@ func TestExecutorPanicRecovered(t *testing.T) {
 		t.Error("errors.Is does not reach an error panic value")
 	}
 
-	// The executor is fully usable afterwards, in every region form.
+	// The executor is fully usable afterwards.
 	var n atomic.Int64
 	count := func(w, lo, hi int) { n.Add(int64(hi - lo)) }
 	weights := make([]int64, 64)
 	for i := range weights {
 		weights[i] = 1
 	}
-	for name, run := range map[string]func() (LoadStats, error){
-		"Static":   func() (LoadStats, error) { return ex.Static(64, 4, count) },
-		"Weighted": func() (LoadStats, error) { return ex.Weighted(weights, 4, count) },
-	} {
-		n.Store(0)
-		if _, err := run(); err != nil {
-			t.Fatalf("%s after recovered panic: %v", name, err)
-		}
-		if n.Load() != 64 {
-			t.Errorf("%s after recovered panic covered %d of 64 items", name, n.Load())
-		}
+	if _, err := ex.Weighted(weights, 4, count); err != nil {
+		t.Fatalf("Weighted after recovered panic: %v", err)
+	}
+	if n.Load() != 64 {
+		t.Errorf("Weighted after recovered panic covered %d of 64 items", n.Load())
 	}
 }
 
@@ -65,14 +60,15 @@ func TestExecutorPanicRecovered(t *testing.T) {
 // recovered and dropped).
 func TestExecutorPanicAllWorkers(t *testing.T) {
 	leakcheck.Begin(t)
-	ex := NewExecutor(4)
+	ex := NewExecutor()
 	defer ex.Close()
-	_, err := ex.Static(64, 4, func(w, lo, hi int) { panic(w) })
+	zero := make([]int64, 64)
+	_, err := ex.Weighted(zero, 4, func(w, lo, hi int) { panic(w) })
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("region error = %v, want *PanicError", err)
 	}
-	if _, err := ex.Static(64, 4, func(w, lo, hi int) {}); err != nil {
+	if _, err := ex.Weighted(zero, 4, func(w, lo, hi int) {}); err != nil {
 		t.Fatalf("region after all-worker panic: %v", err)
 	}
 }
@@ -99,10 +95,10 @@ func TestExecutorWorkerStallFault(t *testing.T) {
 	leakcheck.Begin(t)
 	in := faults.New(7, faults.Rule{Point: faults.WorkerStall, Key: faults.KeyAny, Count: 2})
 	defer faults.Activate(in)()
-	ex := NewExecutor(4)
+	ex := NewExecutor()
 	defer ex.Close()
 	var n atomic.Int64
-	if _, err := ex.Static(64, 4, func(w, lo, hi int) { n.Add(int64(hi - lo)) }); err != nil {
+	if _, err := ex.Weighted(make([]int64, 64), 4, func(w, lo, hi int) { n.Add(int64(hi - lo)) }); err != nil {
 		t.Fatal(err)
 	}
 	if n.Load() != 64 {
@@ -117,8 +113,8 @@ func TestExecutorWorkerStallFault(t *testing.T) {
 // worker exactly once and leaks nothing.
 func TestExecutorCloseIdempotentLeakFree(t *testing.T) {
 	leakcheck.Begin(t)
-	ex := NewExecutor(4)
-	if _, err := ex.Static(16, 4, func(w, lo, hi int) {}); err != nil {
+	ex := NewExecutor()
+	if _, err := ex.Weighted(make([]int64, 16), 4, func(w, lo, hi int) {}); err != nil {
 		t.Fatal(err)
 	}
 	ex.Close()

@@ -1,11 +1,10 @@
 // Package sched provides the column scheduling of the paper's
-// parallel SpKAdd (§III-A) as regions of a resident Executor. Column
-// regions run Weighted: contiguous ranges partitioned by per-column
+// parallel SpKAdd (§III-A) as regions of a resident Executor. Every
+// region runs Weighted: contiguous ranges partitioned by per-column
 // nonzero counts (the paper balances the symbolic phase by input nnz
 // per column and the addition phase by output nnz per column), with
-// idle workers stealing from the most-loaded peer. Static equal blocks
-// serve uniform work that has no weights. This file holds the
-// partitioning arithmetic.
+// idle workers stealing from the most-loaded peer; all-zero weights
+// give equal blocks. This file holds the partitioning arithmetic.
 //
 // Every region invokes the body with a worker id so callers can keep
 // per-worker (thread-private) data structures, and never runs the body
@@ -30,25 +29,20 @@ func Span(n, t, w int) (lo, hi int) {
 	return w * n / t, (w + 1) * n / t
 }
 
-// PartitionByWeight returns t+1 boundaries over [0, len(weights)) such
-// that each part carries roughly total/t weight. Boundaries are found
-// by binary search on the prefix-sum array, mirroring the paper's
-// binary-search row partitioning. When every weight is zero (or
-// negative) the prefix sum carries no balance information and the
-// boundaries fall back to the Span arithmetic — previously every
-// binary search landed on index 0 and the last worker owned all of
-// [0, n) alone.
-func PartitionByWeight(weights []int64, t int) []int {
-	_, bounds := PartitionByWeightInto(weights, t, nil, nil)
-	return bounds
-}
-
-// PartitionByWeightInto is PartitionByWeight with caller-provided
-// scratch: prefix and bounds are reused when large enough (pass the
-// returned slices back in to make repeated partitioning
-// allocation-free) and reallocated otherwise. The returned bounds
-// slice has length t+1; the returned prefix slice holds the
-// weight prefix sums the boundaries were derived from.
+// PartitionByWeightInto returns t+1 boundaries over [0, len(weights))
+// such that each part carries roughly total/t weight. Boundaries are
+// found by binary search on the prefix-sum array, mirroring the
+// paper's binary-search row partitioning. When every weight is zero
+// (or negative) the prefix sum carries no balance information and the
+// boundaries fall back to the Span arithmetic rather than every binary
+// search landing on index 0, which would leave the last part owning
+// all of [0, n).
+//
+// prefix and bounds are caller-provided scratch, reused when large
+// enough (pass the returned slices back in to make repeated
+// partitioning allocation-free) and reallocated otherwise. The
+// returned bounds slice has length t+1; the returned prefix slice
+// holds the weight prefix sums the boundaries were derived from.
 func PartitionByWeightInto(weights []int64, t int, prefix []int64, bounds []int) ([]int64, []int) {
 	n := len(weights)
 	prefix = grow(prefix, n+1)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -32,7 +33,7 @@ func TestPartitionByWeightBalance(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		weights[i] = 10
 	}
-	b := PartitionByWeight(weights, 4)
+	_, b := PartitionByWeightInto(weights, 4, nil, nil)
 	if b[0] != 0 || b[4] != 101 {
 		t.Fatalf("bounds %v must span the range", b)
 	}
@@ -53,7 +54,7 @@ func TestPartitionByWeightMonotone(t *testing.T) {
 			s = s*6364136223846793005 + 1442695040888963407
 			weights[i] = int64(s % 100)
 		}
-		b := PartitionByWeight(weights, 7)
+		_, b := PartitionByWeightInto(weights, 7, nil, nil)
 		for i := 1; i < len(b); i++ {
 			if b[i] < b[i-1] {
 				return false
@@ -69,7 +70,7 @@ func TestPartitionByWeightMonotone(t *testing.T) {
 func TestWeightedClampsWorkersToN(t *testing.T) {
 	// More workers than indices: only worker ids below n may run, and
 	// stealing must not hand an index to a worker the clamp left out.
-	ex := NewElasticExecutor()
+	ex := NewExecutor()
 	defer ex.Close()
 	for _, n := range []int{1, 2, 3} {
 		var mu sync.Mutex
@@ -98,13 +99,13 @@ func TestWeightedZeroWeightsFallsBackToSpan(t *testing.T) {
 	// partitioner, and the region for exactly-once coverage.
 	const n, th = 12, 4
 	weights := make([]int64, n)
-	bounds := PartitionByWeight(weights, th)
+	_, bounds := PartitionByWeightInto(weights, th, nil, nil)
 	for w := 0; w < th; w++ {
 		if lo, hi := Span(n, th, w); bounds[w] != lo || bounds[w+1] != hi {
 			t.Errorf("part %d is [%d, %d), want Span [%d, %d)", w, bounds[w], bounds[w+1], lo, hi)
 		}
 	}
-	ex := NewElasticExecutor()
+	ex := NewExecutor()
 	defer ex.Close()
 	var rec chunkRecorder
 	if _, err := ex.Weighted(weights, th, rec.body); err != nil {
@@ -116,29 +117,27 @@ func TestWeightedZeroWeightsFallsBackToSpan(t *testing.T) {
 func TestPartitionByWeightIntoReusesScratch(t *testing.T) {
 	weights := []int64{5, 1, 1, 1, 8, 1, 1, 1}
 	prefix, bounds := PartitionByWeightInto(weights, 4, nil, nil)
-	want := PartitionByWeight(weights, 4)
-	for i := range want {
-		if bounds[i] != want[i] {
-			t.Fatalf("Into bounds %v differ from wrapper %v", bounds[:len(want)], want)
-		}
-	}
+	want := slices.Clone(bounds)
 	allocs := testing.AllocsPerRun(20, func() {
 		prefix, bounds = PartitionByWeightInto(weights, 4, prefix, bounds)
 	})
 	if allocs != 0 {
 		t.Errorf("PartitionByWeightInto with adequate scratch allocates %.1f times, want 0", allocs)
 	}
+	if !slices.Equal(bounds, want) {
+		t.Errorf("bounds with reused scratch %v differ from fresh %v", bounds, want)
+	}
 }
 
 func TestWorkerIDsDistinct(t *testing.T) {
 	// Each concurrent worker must receive a distinct id so callers can
 	// index per-worker state safely.
-	ex := NewElasticExecutor()
+	ex := NewExecutor()
 	defer ex.Close()
 	var mu sync.Mutex
 	inUse := map[int]bool{}
 	ok := true
-	ex.Static(64, 8, func(w, lo, hi int) {
+	ex.Weighted(make([]int64, 64), 8, func(w, lo, hi int) {
 		mu.Lock()
 		if inUse[w] {
 			ok = false

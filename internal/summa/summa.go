@@ -21,7 +21,6 @@ import (
 
 	"spkadd/internal/core"
 	"spkadd/internal/matrix"
-	"spkadd/internal/sched"
 )
 
 // Config describes one simulated SUMMA run.
@@ -142,20 +141,16 @@ func Run(a, b *matrix.CSC, cfg Config) (*matrix.CSC, Report, error) {
 	// multiplies and reduction in turn, so the g*g*g products and g*g
 	// SpKAdds share their scratch structures across stages (a real
 	// rank would likewise keep its scratch resident across SUMMA
-	// iterations), and one resident executor runs all of their regions
-	// — the whole process loop spawns no per-phase goroutines. Output
-	// recycling stays off: each product and each reduced block is
-	// retained. In concurrent mode the processes draw pooled
-	// workspaces (each with its own resident executor) through
-	// core.Mul and core.Add instead; sharing one executor there would
-	// serialize the concurrent processes' phases.
+	// iterations), and the workspace's resident executor runs all of
+	// their regions — the whole process loop spawns no per-phase
+	// goroutines. Output recycling stays off: each product and each
+	// reduced block is retained. In concurrent mode the processes draw
+	// pooled workspaces (each with its own resident executor) through
+	// core.Mul and core.Add instead.
 	mul, add := core.Mul[matrix.Value], core.Add[matrix.Value]
+	var ws *core.Workspace
 	if cfg.Sequential {
-		ws := core.NewWorkspace(false)
-		ex := sched.NewExecutor(cfg.Threads)
-		defer ex.Close()
-		mulOpt.Executor = ex
-		addOpt.Executor = ex
+		ws = core.NewWorkspace(false)
 		mul, add = ws.Mul, ws.Add
 	}
 
@@ -210,6 +205,10 @@ func Run(a, b *matrix.CSC, cfg Config) (*matrix.CSC, Report, error) {
 				results[i][j] = process(i, j, ca, cb)
 			}
 		}
+		// Closed here rather than deferred: a deferred Close keeps the
+		// workspace and its staging reachable through the assembly
+		// below, which raises the GC heap goal and the run's peak RSS.
+		ws.Close()
 	} else {
 		var wg sync.WaitGroup
 		for i := 0; i < g; i++ {

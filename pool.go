@@ -51,11 +51,8 @@ type Pool = core.Pool
 // min(GOMAXPROCS, cols)), total reduction budget in bytes (divided
 // among shards; <=0 means 256MB), the retry policy for failed
 // reductions (MaxRetries, RetryBackoff), and the Options each
-// per-shard reduction runs with. Internally parallel reductions each run on
-// their shard workspace's resident Executor; set Add.Executor to
-// place every shard's reductions under one caller-wide worker budget
-// instead (regions on a shared Executor serialize, trading reduction
-// throughput for a hard concurrency cap).
+// per-shard reduction runs with. Internally parallel reductions each
+// run on their shard workspace's resident executor.
 type PoolOptions = core.PoolOptions
 
 // NewPool returns a sharded accumulation pool for rows x cols

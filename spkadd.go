@@ -8,7 +8,6 @@ import (
 	"spkadd/internal/generate"
 	"spkadd/internal/matrix"
 	"spkadd/internal/ops"
-	"spkadd/internal/sched"
 	"spkadd/internal/summa"
 )
 
@@ -171,23 +170,6 @@ func AnyFor[T Number]() *MonoidOf[T] { return ops.AnyFor[T]() }
 // CountFor returns T's occurrence-frequency monoid, nil for bool.
 func CountFor[T Number]() *MonoidOf[T] { return ops.CountFor[T]() }
 
-// Executor is a resident worker pool: persistent goroutines parked
-// between parallel phases, plus reusable partitioning scratch. A
-// multi-worker phase runs on it as contiguous column ranges weighted
-// by nonzeros, idle workers stealing from the most-loaded peer. Every
-// Adder, Accumulator and Pool already keeps one resident in its
-// workspace; create one explicitly (and set Options.Executor) to
-// share a single worker budget across many of them — concurrent
-// callers then take turns on the same workers instead of each parking
-// a GOMAXPROCS-sized set. Close releases the workers; an unreachable
-// executor is cleaned up by the runtime.
-type Executor = sched.Executor
-
-// NewExecutor returns a resident executor with a fixed worker budget
-// of t (t < 1 means GOMAXPROCS): no parallel phase run on it uses
-// more than t workers, whatever Threads its caller requests.
-func NewExecutor(t int) *Executor { return sched.NewExecutor(t) }
-
 // Fault-tolerance types: how failures inside the streaming stack are
 // reported instead of killing the process. See DESIGN.md §11.
 type (
@@ -314,9 +296,8 @@ func ReadMatrixMarket(r io.Reader) (*Matrix, error) { return matrix.ReadMatrixMa
 // WriteMatrixMarket writes m in MatrixMarket coordinate format.
 func WriteMatrixMarket(w io.Writer, m *Matrix) error { return matrix.WriteMatrixMarket(w, m) }
 
-// MulOptions configure Multiply: Threads, SortOutput (ascending rows
-// within each product column) and Executor (a shared worker pool, as
-// in Options).
+// MulOptions configure Multiply: Threads and SortOutput (ascending
+// rows within each product column).
 type MulOptions = core.MulOptions
 
 // Multiply computes the sparse product A*B, the local multiply of the
@@ -368,10 +349,6 @@ func NewAccumulator(rows, cols int, budgetBytes int64, opt Options) *Accumulator
 func NewAccumulatorOf[T Number](rows, cols int, budgetBytes int64, opt OptionsOf[T]) *AccumulatorOf[T] {
 	return core.NewAccumulatorOf[T](rows, cols, budgetBytes, opt)
 }
-
-// DCSC is a doubly compressed sparse column matrix for hypersparse
-// blocks; convert with Matrix.ToDCSC and DCSC.ToCSC.
-type DCSC = matrix.DCSC
 
 // AddScaled computes the weighted sum B = Σ coeffs[i]·A_i (e.g.
 // gradient averaging with coeffs = 1/k). Supported by the k-way
