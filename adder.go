@@ -105,7 +105,8 @@ func (ad *AdderOf[T]) release() { ad.busy.Store(false) }
 // note records a finished call's error, poisoning the Adder when it
 // carries a recovered panic: the workspace's scratch — and possibly
 // the resident output buffers — are mid-kernel garbage, so it is
-// quarantined rather than reused. Called while busy is held.
+// quarantined rather than reused, and closed so its executor's parked
+// workers exit now rather than at GC time. Called while busy is held.
 func (ad *AdderOf[T]) note(err error) {
 	if err == nil {
 		return
@@ -116,6 +117,7 @@ func (ad *AdderOf[T]) note(err error) {
 	var pe *PanicError
 	if errors.As(err, &pe) {
 		ad.err = err
+		ad.ws.Close()
 		ad.ws = nil
 	}
 }

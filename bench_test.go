@@ -167,24 +167,12 @@ func BenchmarkFig6Summa(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_, _, err := spkadd.RunSumma(a, bb, spkadd.SummaConfig{
-					Grid: 8, SpKAdd: v.alg, SortIntermediates: v.sort, Sequential: true,
+					Grid: 8, SpKAdd: v.alg, SortIntermediates: v.sort,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkAblationLoadFactor quantifies the hash-table load-factor
-// choice (DESIGN.md §2: the paper packs tables to ~1.0, this library
-// defaults to 0.5).
-func BenchmarkAblationLoadFactor(b *testing.B) {
-	as := generate.ERCollection(32, generate.Opts{Rows: benchRows, Cols: 32, NNZPerCol: 256, Seed: 11})
-	for _, lf := range []float64{0.25, 0.5, 0.75, 0.95} {
-		b.Run(fmt.Sprintf("lf=%.2f", lf), func(b *testing.B) {
-			addLoop(b, as, spkadd.Options{Algorithm: spkadd.Hash, LoadFactor: lf})
 		})
 	}
 }

@@ -3,7 +3,11 @@ package spkadd_test
 import (
 	"context"
 	"errors"
+	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
+	"time"
 
 	"spkadd"
 	"spkadd/internal/faults"
@@ -48,6 +52,48 @@ func TestChaosAdderPoisonedByPanic(t *testing.T) {
 	if _, err := spkadd.Add(as, opt); err != nil {
 		t.Errorf("package-level Add after an Adder's poisoning: %v", err)
 	}
+}
+
+// TestChaosPoisonedAdderClosesExecutor: poisoning an Adder closes
+// its workspace's executor at once. With the GC off, a dropped but
+// unclosed executor keeps its parked worker until a collection runs
+// its cleanup, so the worker count falls only if the poisoning path
+// calls Close.
+func TestChaosPoisonedAdderClosesExecutor(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	as := adderTestInputs(4, 200, 8, 6, 83)
+	ad := spkadd.NewAdder()
+	opt := spkadd.Options{Algorithm: spkadd.Hash, Threads: 2}
+	if _, err := ad.Add(as, opt); err != nil {
+		t.Fatal(err)
+	}
+	warmed := parkedWorkers()
+	if warmed < 1 {
+		t.Fatalf("a warmed Threads 2 Adder parks %d workers, want at least 1", warmed)
+	}
+
+	in := faults.New(23, faults.Rule{Point: faults.PanicInKernel, Key: 0, Count: 1})
+	deactivate := faults.Activate(in)
+	_, err := ad.Add(as, opt)
+	deactivate()
+	var pe *spkadd.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Add over a panicking kernel = %v, want *spkadd.PanicError", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for parkedWorkers() >= warmed {
+		if time.Now().After(deadline) {
+			t.Fatalf("poisoned Adder: %d parked workers remain, want fewer than %d", parkedWorkers(), warmed)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// parkedWorkers counts the goroutines running a resident executor's
+// worker loop.
+func parkedWorkers() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "sched.(*execState).workerLoop")
 }
 
 // TestChaosAddContextCanceled: the public context entry points reject

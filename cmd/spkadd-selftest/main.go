@@ -61,7 +61,6 @@ func main() {
 					Algorithm:    alg,
 					SortedOutput: true,
 					Threads:      rng.Intn(4) + 1,
-					LoadFactor:   []float64{0, 0.5, 0.9}[rng.Intn(3)],
 				}
 				if rng.Intn(3) == 0 {
 					opt.MaxTableEntries = rng.Intn(64) + 1

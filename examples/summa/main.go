@@ -47,7 +47,6 @@ func main() {
 	var refNNZ int
 	fmt.Printf("%-30s %14s %14s %8s\n", "variant", "local multiply", "SpKAdd", "cf")
 	for i, v := range variants {
-		v.cfg.Sequential = true // undistorted phase timing
 		c, rep, err := spkadd.RunSumma(a, b, v.cfg)
 		if err != nil {
 			log.Fatalf("%s: %v", v.name, err)

@@ -17,7 +17,6 @@ import (
 
 	"spkadd/internal/core"
 	"spkadd/internal/matrix"
-	"spkadd/internal/stats"
 )
 
 // Config controls harness execution.
@@ -33,8 +32,9 @@ type Config struct {
 	// Scale divides the default workload sizes: 1 = harness default
 	// (already scaled from the paper), 2 = half that, etc. <1 means 1.
 	Scale int
-	// CacheBytes models the last-level cache for the sliding hash and
-	// the Table V cache simulation; <=0 means 32MB (Skylake-like).
+	// CacheBytes is the last-level cache budget M the experiments pass
+	// to SlidingHash and Auto; <=0 means 32MB (Skylake-like). Fig 4's
+	// cells cap their tables instead, and Table V models its own cache.
 	CacheBytes int64
 }
 
@@ -114,9 +114,4 @@ func log2(k int) float64 {
 // fmtDur renders a duration in seconds with paper-style precision.
 func fmtDur(d time.Duration) string {
 	return fmt.Sprintf("%.4f", d.Seconds())
-}
-
-// minOf runs fn reps times and returns the minimum duration.
-func minOf(reps int, fn func()) time.Duration {
-	return stats.Time(reps, fn).Min()
 }

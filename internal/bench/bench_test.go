@@ -112,7 +112,7 @@ func TestTuneAndAblationSmoke(t *testing.T) {
 	if err := Run("ablation", cfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"load factor", "sorted"} {
+	for _, want := range []string{"sorted"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("ablation output missing %q", want)
 		}

@@ -42,23 +42,13 @@ func Tune(cfg Config) error {
 	return nil
 }
 
-// Ablation prints the design-choice comparisons DESIGN.md calls out:
-// hash-table load factor and the cost of sorted output for the hash
-// algorithm.
+// Ablation prints the design-choice comparison DESIGN.md calls out:
+// the cost of sorted output for the hash algorithm.
 func Ablation(cfg Config) error {
 	m := 1 << 17 / cfg.scale()
 	er := generate.ERCollection(32, generate.Opts{Rows: m, Cols: 32, NNZPerCol: 256, Seed: 52})
 
-	fmt.Fprintln(cfg.Out, "Ablation 1: hash-table load factor (ER d=256 k=32)")
-	for _, lf := range []float64{0.25, 0.5, 0.75, 0.95} {
-		dur, _, err := timeAdd(er, core.Options{Algorithm: core.Hash, Threads: cfg.Threads, LoadFactor: lf}, cfg.reps()+2)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(cfg.Out, "  lf=%.2f  %s s\n", lf, fmtDur(dur))
-	}
-
-	fmt.Fprintln(cfg.Out, "Ablation 2: sorted vs unsorted hash output (ER d=256 k=32)")
+	fmt.Fprintln(cfg.Out, "Ablation: sorted vs unsorted hash output (ER d=256 k=32)")
 	for _, sorted := range []bool{false, true} {
 		dur, _, err := timeAdd(er, core.Options{Algorithm: core.Hash, Threads: cfg.Threads, SortedOutput: sorted}, cfg.reps()+2)
 		if err != nil {

@@ -12,14 +12,11 @@ import (
 // size caps.
 type fig4Case struct {
 	label string
-	cache int64 // modelled LLC for the partition formula ("machine")
 	gen   func(cfg Config) []*matrix.CSC
 }
 
 func fig4Cases(cfg Config) []fig4Case {
 	m := 1 << 18 / cfg.scale()
-	skylake := int64(32 << 20)
-	epyc := int64(8 << 20)
 	erSmall := func(cfg Config) []*matrix.CSC {
 		return generate.ERCollection(128, generate.Opts{Rows: m, Cols: 32, NNZPerCol: 64, Seed: 21})
 	}
@@ -33,12 +30,10 @@ func fig4Cases(cfg Config) []fig4Case {
 		return generate.ClusteredCollection(64, generate.Opts{Rows: m, Cols: 32, NNZPerCol: 240, Seed: 24}, 22)
 	}
 	return []fig4Case{
-		{label: "(a) ER d=64 k=128 cf~1 [Skylake]", cache: skylake, gen: erSmall},
-		{label: "(b) ER d=1024 k=128 cf~1.1 [Skylake]", cache: skylake, gen: erBig},
-		{label: "(c) RMAT d=512 k=128 cf~1.25 [Skylake]", cache: skylake, gen: rmat},
-		{label: "(d) Eukarya-like d=240 k=64 cf~22 [Skylake]", cache: skylake, gen: eukarya},
-		{label: "(e) ER d=1024 k=128 [EPYC 8MB]", cache: epyc, gen: erBig},
-		{label: "(f) RMAT d=512 k=128 [EPYC 8MB]", cache: epyc, gen: rmat},
+		{label: "(a) ER d=64 k=128 cf~1", gen: erSmall},
+		{label: "(b) ER d=1024 k=128 cf~1.1", gen: erBig},
+		{label: "(c) RMAT d=512 k=128 cf~1.25", gen: rmat},
+		{label: "(d) Eukarya-like d=240 k=64 cf~22", gen: eukarya},
 	}
 }
 
@@ -68,7 +63,6 @@ func Fig4(cfg Config) error {
 			opt := core.Options{
 				Algorithm:       core.SlidingHash,
 				Threads:         cfg.Threads,
-				CacheBytes:      c.cache,
 				MaxTableEntries: size,
 			}
 			dur, pt, err := timeAdd(as, opt, cfg.reps())

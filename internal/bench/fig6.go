@@ -49,7 +49,7 @@ func Fig6(cfg Config) error {
 			for r := 0; r < cfg.reps(); r++ {
 				_, rep, err := summa.Run(a, b, summa.Config{
 					Grid: w.grid, SpKAdd: v.alg, SortIntermediates: v.sort,
-					Threads: cfg.Threads, Sequential: true,
+					Threads: cfg.Threads,
 				})
 				if err != nil {
 					return fmt.Errorf("%s %s: %w", w.label, v.name, err)

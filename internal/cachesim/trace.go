@@ -24,13 +24,17 @@ const (
 	entryBytes   = 12 // bytes per streamed (rowid, value) entry
 )
 
+// The modelled last-level cache is 16-way set-associative with 64-byte
+// lines.
+const (
+	llcWays     = 16
+	llcLineSize = 64
+)
+
 // TraceConfig describes the modelled machine and kernel variant.
 type TraceConfig struct {
-	// CacheBytes is the total last-level cache M. Ways/LineSize
-	// default to 16-way, 64-byte lines.
+	// CacheBytes is the total last-level cache M.
 	CacheBytes int64
-	Ways       int
-	LineSize   int
 	// Threads is T in the sliding partition formula: T thread-private
 	// tables share the LLC, so a single traced thread sees M/T bytes
 	// of effective capacity.
@@ -38,14 +42,6 @@ type TraceConfig struct {
 	// Sliding selects the sliding-hash kernel (Algorithms 7-8);
 	// otherwise the plain hash kernel (Algorithms 5-6) is traced.
 	Sliding bool
-	// LoadFactor matches the hash-table sizing of the real kernels.
-	LoadFactor float64
-	// MaxTableEntries caps sliding tables explicitly (Fig 4 sweeps).
-	MaxTableEntries int
-}
-
-func (c TraceConfig) loadFactor() float64 {
-	return hashtab.ClampLoadFactor(c.LoadFactor)
 }
 
 func (c TraceConfig) threads() int {
@@ -71,19 +67,8 @@ func (r Result) TotalMisses() int64 { return r.SymbolicMisses + r.NumericMisses 
 // last-level miss counts. The traced thread sees CacheBytes/Threads of
 // effective capacity, modelling T threads sharing the LLC.
 func TraceSpKAdd(as []*matrix.CSC, cfg TraceConfig) Result {
-	ways := cfg.Ways
-	if ways < 1 {
-		ways = 16
-	}
-	line := cfg.LineSize
-	if line < 1 {
-		line = 64
-	}
-	effective := cfg.CacheBytes / int64(cfg.threads())
-	if effective < int64(line) {
-		effective = int64(line)
-	}
-	cache := New(effective, ways, line)
+	effective := max(cfg.CacheBytes/int64(cfg.threads()), llcLineSize)
+	cache := New(effective, llcWays, llcLineSize)
 
 	var res Result
 	n := as[0].Cols
@@ -105,7 +90,7 @@ func TraceSpKAdd(as []*matrix.CSC, cfg TraceConfig) Result {
 		}
 		parts := 1
 		if cfg.Sliding {
-			parts = hashtab.SlidingParts(inz, symbolicSlot, cfg.threads(), cfg.CacheBytes, cfg.MaxTableEntries)
+			parts = hashtab.SlidingParts(inz, symbolicSlot, cfg.threads(), cfg.CacheBytes, 0)
 		}
 		for part := 0; part < parts; part++ {
 			r1 := matrix.Index(part * m / parts)
@@ -117,7 +102,7 @@ func TraceSpKAdd(as []*matrix.CSC, cfg TraceConfig) Result {
 			if partInz == 0 {
 				continue
 			}
-			tab.grow(hashtab.SizeFor(partInz, cfg.loadFactor()))
+			tab.grow(hashtab.SizeFor(partInz))
 			for i, a := range as {
 				rows, _ := a.ColRange(j, r1, r2)
 				base := inputAddr(i, a, j)
@@ -141,7 +126,7 @@ func TraceSpKAdd(as []*matrix.CSC, cfg TraceConfig) Result {
 		}
 		parts := 1
 		if cfg.Sliding {
-			parts = hashtab.SlidingParts(onz, addSlot, cfg.threads(), cfg.CacheBytes, cfg.MaxTableEntries)
+			parts = hashtab.SlidingParts(onz, addSlot, cfg.threads(), cfg.CacheBytes, 0)
 		}
 		for part := 0; part < parts; part++ {
 			r1 := matrix.Index(part * m / parts)
@@ -160,7 +145,7 @@ func TraceSpKAdd(as []*matrix.CSC, cfg TraceConfig) Result {
 			if parts == 1 {
 				growN = onz
 			}
-			tab.grow(hashtab.SizeFor(growN, cfg.loadFactor()))
+			tab.grow(hashtab.SizeFor(growN))
 			written := 0
 			for i, a := range as {
 				rows, _ := a.ColRange(j, r1, r2)
@@ -195,7 +180,7 @@ func distinctRows(as []*matrix.CSC, j int, tab *traceTable) int {
 	if inz == 0 {
 		return 0
 	}
-	tab.grow(hashtab.SizeFor(inz, 0.5))
+	tab.grow(hashtab.SizeFor(inz))
 	n := 0
 	for _, a := range as {
 		for _, r := range a.ColRows(j) {

@@ -40,15 +40,23 @@ func Add[T matrix.Number](as []*matrix.CSCOf[T], opt OptionsOf[T]) (*matrix.CSCO
 func AddTimed[T matrix.Number](as []*matrix.CSCOf[T], opt OptionsOf[T]) (*matrix.CSCOf[T], PhaseTimings, error) {
 	ws := wsPoolFor[T]().Get().(*WorkspaceOf[T])
 	b, pt, err := ws.AddTimed(as, opt)
-	// Put only when the workspace is known clean: if a kernel panicked
-	// (a caller mutating inputs mid-call, an invariant check firing) —
-	// surfaced as a *PanicError now that parallel regions recover — the
-	// workspace holds half-accumulated state and pooling it would feed
-	// that to an unrelated future caller as silent corruption.
-	if !isPanicErr(err) {
-		wsPoolFor[T]().Put(ws)
-	}
+	releasePooled(ws, err)
 	return b, pt, err
+}
+
+// releasePooled ends a pooled call: it puts the workspace back in T's
+// pool only when it is known clean. If a kernel panicked (a caller
+// mutating inputs mid-call, an invariant check firing), surfaced as a
+// *PanicError, the workspace holds half-accumulated state, and pooling
+// it would feed that to an unrelated future caller as silent
+// corruption. It is closed instead, so its executor's parked workers
+// exit now rather than at GC time.
+func releasePooled[T matrix.Number](ws *WorkspaceOf[T], err error) {
+	if isPanicErr(err) {
+		ws.Close()
+		return
+	}
+	wsPoolFor[T]().Put(ws)
 }
 
 // AddContext is Add with cooperative cancellation: the engines check
@@ -57,9 +65,7 @@ func AddTimed[T matrix.Number](as []*matrix.CSCOf[T], opt OptionsOf[T]) (*matrix
 func AddContext[T matrix.Number](ctx context.Context, as []*matrix.CSCOf[T], opt OptionsOf[T]) (*matrix.CSCOf[T], error) {
 	ws := wsPoolFor[T]().Get().(*WorkspaceOf[T])
 	b, err := ws.AddContext(ctx, as, opt)
-	if !isPanicErr(err) {
-		wsPoolFor[T]().Put(ws)
-	}
+	releasePooled(ws, err)
 	return b, err
 }
 
@@ -71,9 +77,7 @@ func AddContext[T matrix.Number](ctx context.Context, as []*matrix.CSCOf[T], opt
 func AddScaled[T matrix.Number](as []*matrix.CSCOf[T], coeffs []T, opt OptionsOf[T]) (*matrix.CSCOf[T], error) {
 	ws := wsPoolFor[T]().Get().(*WorkspaceOf[T])
 	b, err := ws.AddScaled(as, coeffs, opt)
-	if !isPanicErr(err) { // see AddTimed
-		wsPoolFor[T]().Put(ws)
-	}
+	releasePooled(ws, err)
 	return b, err
 }
 

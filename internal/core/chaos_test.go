@@ -656,6 +656,23 @@ func TestChaosAccumulatorPanicClosesExecutor(t *testing.T) {
 	}
 }
 
+// TestChaosPooledPanicClosesExecutor: a pooled call that panicked
+// closes its workspace instead of pooling it, so the executor's parked
+// workers exit at once rather than when GC runs its cleanup.
+func TestChaosPooledPanicClosesExecutor(t *testing.T) {
+	ws := NewWorkspace(false)
+	if _, err := ws.Add(erInputs(4, 200, 8, 6, 84), Options{Algorithm: Hash, Threads: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if ws.ownEx == nil {
+		t.Fatal("a Threads: 2 call left no resident executor")
+	}
+	releasePooled(ws, sched.NewPanicError("injected", 0))
+	if ws.ownEx != nil {
+		t.Error("a panicked pooled workspace still owns its executor; its workers stay parked until GC")
+	}
+}
+
 // TestChaosAddContextPreCanceled: the lowest-level context entry point
 // rejects an already-canceled context before doing any work.
 func TestChaosAddContextPreCanceled(t *testing.T) {

@@ -98,7 +98,7 @@ func TestSymbolicVariantsAgree(t *testing.T) {
 			as[i] = coo.ToCSC()
 		}
 		want := matrix.ReferenceAdd(as)
-		w := newWorkerStateOf[matrix.Value](k, 0.5)
+		w := newWorkerStateOf[matrix.Value](k)
 		for j := 0; j < cols; j++ {
 			inz := 0
 			for _, a := range as {
@@ -120,27 +120,6 @@ func TestSymbolicVariantsAgree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLoadFactorExtremes(t *testing.T) {
-	as := erInputs(8, 500, 16, 20, 42)
-	want := matrix.ReferenceAdd(as)
-	for _, lf := range []float64{0.1, 0.5, 0.99, 1.0} {
-		got, err := Add(as, Options{Algorithm: Hash, LoadFactor: lf, SortedOutput: true})
-		if err != nil {
-			t.Fatalf("lf=%v: %v", lf, err)
-		}
-		if !got.Equal(want) {
-			t.Errorf("lf=%v: wrong result", lf)
-		}
-	}
-	// Out-of-range load factors fall back to the default.
-	for _, lf := range []float64{-1, 0, 1.5} {
-		got, err := Add(as, Options{Algorithm: Hash, LoadFactor: lf})
-		if err != nil || got.NNZ() != want.NNZ() {
-			t.Errorf("lf=%v: err=%v", lf, err)
-		}
 	}
 }
 

@@ -30,23 +30,17 @@ type workerStateOf[T matrix.Number] struct {
 	// kit binds the instantiation's Plus fast-path loops (nil for
 	// bool, whose calls are always monoid-generic; see kitFor).
 	kit    *numKit[T]
-	lf     float64
 	tabHW  int            // key count the numeric table's window was sized for
 	sorter rowSorterOf[T] // every sorted emit's row sorter (rowsort.go)
 }
 
-func newWorkerStateOf[T matrix.Number](k int, lf float64) *workerStateOf[T] {
-	return &workerStateOf[T]{lf: lf, pos: make([]int64, k), kit: kitFor[T]()}
+func newWorkerStateOf[T matrix.Number](k int) *workerStateOf[T] {
+	return &workerStateOf[T]{pos: make([]int64, k), kit: kitFor[T]()}
 }
 
 // prepare adapts a workspace-resident worker to a new call's input
-// count and load factor. A load-factor change invalidates the
-// high-water mark so the next table request re-derives its window.
-func (w *workerStateOf[T]) prepare(k int, lf float64) {
-	if lf != w.lf {
-		w.lf = lf
-		w.tabHW = 0
-	}
+// count.
+func (w *workerStateOf[T]) prepare(k int) {
 	if cap(w.pos) < k {
 		w.pos = make([]int64, k)
 	}
@@ -68,9 +62,9 @@ func (w *workerStateOf[T]) hashTable(n int) *hashtab.TableOf[T] {
 // silently void that in-cache guarantee.
 func (w *workerStateOf[T]) hashTableSized(n int) *hashtab.TableOf[T] {
 	if w.table == nil {
-		w.table = hashtab.NewTableOf[T](n, w.lf)
+		w.table = hashtab.NewTableOf[T](n)
 	} else {
-		w.table.Grow(n, w.lf)
+		w.table.Grow(n)
 	}
 	w.tabHW = n
 	return w.table
@@ -79,9 +73,9 @@ func (w *workerStateOf[T]) hashTableSized(n int) *hashtab.TableOf[T] {
 // symTableSized is hashTableSized for the symbolic table.
 func (w *workerStateOf[T]) symTableSized(n int) *hashtab.Symbolic {
 	if w.sym == nil {
-		w.sym = hashtab.NewSymbolic(n, w.lf)
+		w.sym = hashtab.NewSymbolic(n)
 	} else {
-		w.sym.Grow(n, w.lf)
+		w.sym.Grow(n)
 	}
 	return w.sym
 }

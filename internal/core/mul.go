@@ -22,9 +22,7 @@ type MulOptions struct {
 func Mul[T matrix.Number](a, b *matrix.CSCOf[T], opt MulOptions) (*matrix.CSCOf[T], error) {
 	ws := wsPoolFor[T]().Get().(*WorkspaceOf[T])
 	c, err := ws.Mul(a, b, opt)
-	if !isPanicErr(err) { // see AddTimed
-		wsPoolFor[T]().Put(ws)
-	}
+	releasePooled(ws, err)
 	return c, err
 }
 

@@ -17,7 +17,6 @@ import (
 	"time"
 	"unsafe"
 
-	"spkadd/internal/hashtab"
 	"spkadd/internal/matrix"
 	"spkadd/internal/ops"
 	"spkadd/internal/sched"
@@ -164,13 +163,6 @@ type OptionsOf[T matrix.Number] struct {
 	// workers, used by SlidingHash and Auto. <=0 means
 	// DefaultCacheBytes.
 	CacheBytes int64
-	// LoadFactor bounds hash-table occupancy. The valid range is
-	// (0, 1]; <=0 means 0.5 and values above 1 are clamped to 1.0
-	// (tables are power-of-two sized, so even at 1.0 they keep at
-	// least one empty slot and probing terminates). Lower values buy
-	// O(1) expected probing at the cost of memory; see the load-factor
-	// ablation.
-	LoadFactor float64
 	// Monoid selects the combine operation folded over colliding
 	// entries: nil (or ops.PlusFor[T]()) means T's addition, the
 	// paper's operation, served by specialized inlined kernels; any
@@ -205,10 +197,6 @@ func (o OptionsOf[T]) cacheBytes() int64 {
 		return DefaultCacheBytes
 	}
 	return o.CacheBytes
-}
-
-func (o OptionsOf[T]) loadFactor() float64 {
-	return hashtab.ClampLoadFactor(o.LoadFactor)
 }
 
 // entryBytesOf is the in-memory footprint of one stored (row, value)

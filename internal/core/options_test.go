@@ -9,43 +9,6 @@ import (
 	"spkadd/internal/sched"
 )
 
-func TestLoadFactorClamp(t *testing.T) {
-	for _, tc := range []struct {
-		in   float64
-		want float64
-	}{
-		{0, 0.5},  // unset: default
-		{-3, 0.5}, // nonsense: default
-		{0.25, 0.25},
-		{0.9, 0.9},
-		{1, 1},
-		{1.0001, 1}, // above the valid range: clamp, don't reset
-		{9, 1},      // the typo'd-0.9 case from the issue
-	} {
-		if got := (Options{LoadFactor: tc.in}).loadFactor(); got != tc.want {
-			t.Errorf("loadFactor(%v) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}
-
-// TestLoadFactorFullTables proves the clamped 1.0 load factor is
-// actually usable: results stay correct when tables are packed to
-// capacity, on both engines — Hash's single pass and SlidingHash's
-// symbolic and numeric tables.
-func TestLoadFactorFullTables(t *testing.T) {
-	as := erInputs(6, 300, 16, 10, 71)
-	want := matrix.ReferenceAdd(as)
-	for _, alg := range []Algorithm{Hash, SlidingHash} {
-		got, err := Add(as, Options{Algorithm: alg, LoadFactor: 9, SortedOutput: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Errorf("%v: LoadFactor 9 (clamped to 1.0) gave a wrong sum", alg)
-		}
-	}
-}
-
 // TestValidateRejectsUnknownEnums: an Algorithm value outside its
 // constants has no driver behind it and must fail validation —
 // one-shot, through a reused workspace at two threads, and on the

@@ -12,9 +12,9 @@ import (
 // for every entry into the engines: package Add/AddTimed/AddScaled,
 // Workspace (hence the public Adder), Accumulator reductions and Pool
 // shard reductions all funnel through Options.validate, so the
-// coefficient, monoid and sortedness checks — and the
-// LoadFactor/CacheBytes clamps applied via the Options accessors —
-// cannot drift between entry points.
+// coefficient, monoid and sortedness checks — and the CacheBytes
+// default applied via the Options accessor — cannot drift between
+// entry points.
 
 // ErrCoeffsRequirePlus is returned when AddScaled coefficients are
 // combined with a non-Plus monoid: coeffs·A distributes over "+" but

@@ -427,15 +427,15 @@ func maxWeight(bound []int64) int64 {
 // worker returns worker w's private state, creating it on first use
 // (worker ids handed out by sched are distinct among concurrently
 // running goroutines, so this is race-free) and adapting a reused one
-// to this call's k and load factor.
+// to this call's k.
 func (ws *WorkspaceOf[T]) worker(w int) *workerStateOf[T] {
 	s := ws.workers[w]
 	if s == nil {
-		s = newWorkerStateOf[T](len(ws.as), ws.opt.loadFactor())
+		s = newWorkerStateOf[T](len(ws.as))
 		ws.workers[w] = s
 		return s
 	}
-	s.prepare(len(ws.as), ws.opt.loadFactor())
+	s.prepare(len(ws.as))
 	return s
 }
 

@@ -41,38 +41,13 @@ import "spkadd/internal/matrix"
 // consecutive row indices well under the power-of-two mask.
 const hashMul uint32 = 2654435761
 
-// DefaultLoadFactor bounds table occupancy. The paper sizes tables as
-// "a power of two greater than nnz"; we keep the power-of-two sizing
-// but reserve headroom so linear probing stays O(1) in expectation.
-const DefaultLoadFactor = 0.5
-
-// ClampLoadFactor normalizes a caller-given load factor to the valid
-// range (0, 1]: non-positive values (unset) become DefaultLoadFactor,
-// values above 1 clamp to 1.0 — a caller asking for 0.9 and one
-// typo'ing 9.0 should get adjacent tables, not wildly different ones.
-// Every load-factor knob in the library (core, cachesim) normalizes
-// through this one function so table sizing never diverges between
-// the real kernels and the simulator.
-func ClampLoadFactor(lf float64) float64 {
-	switch {
-	case lf <= 0:
-		return DefaultLoadFactor
-	case lf > 1:
-		return 1
-	default:
-		return lf
-	}
-}
-
-// SizeFor returns the table capacity (a power of two) used for n keys
-// at the given load factor (normalized by ClampLoadFactor; at 1.0 the
-// +1 below keeps at least one empty slot, so probing still terminates
-// at a fully packed table).
-func SizeFor(n int, loadFactor float64) int {
-	loadFactor = ClampLoadFactor(loadFactor)
-	need := int(float64(n)/loadFactor) + 1
+// SizeFor returns the table capacity for n keys: the smallest power
+// of two above 2n. The paper sizes tables as "a power of two greater
+// than nnz"; the factor 2 caps the load at one half, so linear
+// probing stays O(1) in expectation.
+func SizeFor(n int) int {
 	p := 1
-	for p < need {
+	for p <= 2*n {
 		p <<= 1
 	}
 	return p
@@ -116,9 +91,9 @@ type TableOf[T matrix.Number] struct {
 }
 
 // NewTableOf returns a table over T with capacity for at least n keys.
-func NewTableOf[T matrix.Number](n int, loadFactor float64) *TableOf[T] {
+func NewTableOf[T matrix.Number](n int) *TableOf[T] {
 	t := &TableOf[T]{}
-	t.Grow(n, loadFactor)
+	t.Grow(n)
 	return t
 }
 
@@ -142,8 +117,8 @@ func (t *TableOf[T]) Reset() {
 
 // Grow clears the table and sets the active probe window to hold at
 // least n keys, enlarging storage only when needed.
-func (t *TableOf[T]) Grow(n int, loadFactor float64) {
-	size := SizeFor(n, loadFactor)
+func (t *TableOf[T]) Grow(n int) {
+	size := SizeFor(n)
 	if size > len(t.keys) {
 		t.keys = make([]matrix.Index, size)
 		t.vals = make([]T, size)
@@ -252,9 +227,9 @@ type Symbolic struct {
 }
 
 // NewSymbolic returns a symbolic table with capacity for n keys.
-func NewSymbolic(n int, loadFactor float64) *Symbolic {
+func NewSymbolic(n int) *Symbolic {
 	s := &Symbolic{}
-	s.Grow(n, loadFactor)
+	s.Grow(n)
 	return s
 }
 
@@ -277,8 +252,8 @@ func (s *Symbolic) Reset() {
 }
 
 // Grow clears the table and sets the active window for n keys.
-func (s *Symbolic) Grow(n int, loadFactor float64) {
-	size := SizeFor(n, loadFactor)
+func (s *Symbolic) Grow(n int) {
+	size := SizeFor(n)
 	if size > len(s.keys) {
 		s.keys = make([]matrix.Index, size)
 		s.stamps = make([]uint32, size)

@@ -13,30 +13,22 @@ import (
 func TestSizeFor(t *testing.T) {
 	cases := []struct {
 		n    int
-		lf   float64
 		want int
 	}{
-		{0, 0.5, 1},
-		{1, 0.5, 4},
-		{3, 0.5, 8},
-		{100, 0.5, 256},
-		{100, 1.0, 128},
-		{100, 0, 256},  // default load factor
-		{100, 9, 128},  // above the valid range: clamp to 1.0, not the default
-		{100, -1, 256}, // nonsense: default
+		{0, 1},
+		{1, 4},
+		{3, 8},
+		{100, 256},
 	}
 	for _, c := range cases {
-		if got := SizeFor(c.n, c.lf); got != c.want {
-			t.Errorf("SizeFor(%d, %v) = %d, want %d", c.n, c.lf, got, c.want)
-		}
-		if got := SizeFor(c.n, c.lf); got&(got-1) != 0 {
-			t.Errorf("SizeFor(%d, %v) = %d not a power of two", c.n, c.lf, got)
+		if got := SizeFor(c.n); got != c.want {
+			t.Errorf("SizeFor(%d) = %d, want %d", c.n, got, c.want)
 		}
 	}
 }
 
 func TestTableAccumulates(t *testing.T) {
-	tab := NewTableOf[matrix.Value](10, 0.5)
+	tab := NewTableOf[matrix.Value](10)
 	Accum(tab, 5, 1.5)
 	Accum(tab, 7, 2)
 	Accum(tab, 5, 3)
@@ -55,11 +47,15 @@ func TestTableAccumulates(t *testing.T) {
 }
 
 func TestTableCollisionsResolve(t *testing.T) {
-	// Force collisions with a tiny table at load factor 1.
-	tab := NewTableOf[matrix.Value](4, 1.0)
-	keys := []matrix.Index{0, 4, 8, 12} // likely collide under mask
+	// Multiples of 16 all hash to slot 0 of the 16-slot table a 4-key
+	// table gets, so every insert after the first probes past it.
+	tab := NewTableOf[matrix.Value](4)
+	keys := []matrix.Index{0, 16, 32, 48}
 	for i, k := range keys {
 		Accum(tab, k, float64(i+1))
+	}
+	if tab.Cap() != 16 {
+		t.Fatalf("Cap = %d, want 16", tab.Cap())
 	}
 	for i, k := range keys {
 		if v, ok := tab.Get(k); !ok || v != float64(i+1) {
@@ -69,7 +65,7 @@ func TestTableCollisionsResolve(t *testing.T) {
 }
 
 func TestAppendEntriesRoundTrip(t *testing.T) {
-	tab := NewTableOf[matrix.Value](64, 0.5)
+	tab := NewTableOf[matrix.Value](64)
 	want := map[matrix.Index]matrix.Value{}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
@@ -117,13 +113,13 @@ func TestAppendEntriesInsertionOrder(t *testing.T) {
 		prepare func(*TableOf[matrix.Value])
 		storage int // len(keys) the case must leave behind
 	}{
-		{"narrowed", func(tab *TableOf[matrix.Value]) { tab.Grow(64, 0.5) }, SizeFor(stale, 0.5)},
-		{"reallocated", func(tab *TableOf[matrix.Value]) { tab.Grow(4*stale, 0.5) }, SizeFor(4*stale, 0.5)},
-		{"wraparound", func(tab *TableOf[matrix.Value]) { tab.epoch = math.MaxUint32; tab.Reset() }, SizeFor(stale, 0.5)},
+		{"narrowed", func(tab *TableOf[matrix.Value]) { tab.Grow(64) }, SizeFor(stale)},
+		{"reallocated", func(tab *TableOf[matrix.Value]) { tab.Grow(4 * stale) }, SizeFor(4 * stale)},
+		{"wraparound", func(tab *TableOf[matrix.Value]) { tab.epoch = math.MaxUint32; tab.Reset() }, SizeFor(stale)},
 	}
 	for _, in := range inserts {
 		for _, c := range cases {
-			tab := NewTableOf[matrix.Value](stale, 0.5)
+			tab := NewTableOf[matrix.Value](stale)
 			for r := 0; r < stale; r++ {
 				Accum(tab, matrix.Index(3*r), 1)
 			}
@@ -157,7 +153,7 @@ func TestAppendEntriesInsertionOrder(t *testing.T) {
 }
 
 func TestTableResetAndGrow(t *testing.T) {
-	tab := NewTableOf[matrix.Value](8, 0.5)
+	tab := NewTableOf[matrix.Value](8)
 	Accum(tab, 1, 1)
 	tab.Reset()
 	if tab.Len() != 0 {
@@ -166,11 +162,11 @@ func TestTableResetAndGrow(t *testing.T) {
 	if _, ok := tab.Get(1); ok {
 		t.Error("entry survived Reset")
 	}
-	tab.Grow(4, 0.5)
-	if tab.Cap() != SizeFor(4, 0.5) {
-		t.Errorf("Grow must narrow the active window: cap=%d want %d", tab.Cap(), SizeFor(4, 0.5))
+	tab.Grow(4)
+	if tab.Cap() != SizeFor(4) {
+		t.Errorf("Grow must narrow the active window: cap=%d want %d", tab.Cap(), SizeFor(4))
 	}
-	tab.Grow(10_000, 0.5)
+	tab.Grow(10_000)
 	if tab.Cap() < 20_000 {
 		t.Errorf("Grow(10000) cap = %d", tab.Cap())
 	}
@@ -181,7 +177,7 @@ func TestTableResetAndGrow(t *testing.T) {
 }
 
 func TestSymbolicCountsDistinct(t *testing.T) {
-	s := NewSymbolic(100, 0.5)
+	s := NewSymbolic(100)
 	seen := map[matrix.Index]bool{}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
@@ -201,12 +197,12 @@ func TestQuickTableMatchesMap(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(300) + 1
-		tab := NewTableOf[matrix.Value](n/4+1, 0.5) // deliberately small: exercise Grow? no, collision paths
+		tab := NewTableOf[matrix.Value](n/4 + 1) // deliberately small: exercise Grow? no, collision paths
 		want := map[matrix.Index]matrix.Value{}
 		for i := 0; i < n; i++ {
 			r := matrix.Index(rng.Intn(64))
 			v := float64(rng.Intn(20) - 10)
-			tab.Grow(len(want)+1+i, 0) // keep capacity ahead of inserts
+			tab.Grow(len(want) + 1 + i) // keep capacity ahead of inserts
 			// Grow clears; rebuild from the map to mimic steady state.
 			tab.Reset()
 			for kr, kv := range want {
@@ -231,7 +227,7 @@ func TestQuickTableMatchesMap(t *testing.T) {
 }
 
 func TestProbeCounterMonotone(t *testing.T) {
-	tab := NewTableOf[matrix.Value](16, 0.5)
+	tab := NewTableOf[matrix.Value](16)
 	Accum(tab, 1, 1)
 	if tab.Probes < 1 {
 		t.Error("probe counter not advancing")
@@ -248,7 +244,7 @@ func TestProbeCounterMonotone(t *testing.T) {
 func TestAddWithMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	plus := func(a, b matrix.Value) matrix.Value { return a + b }
-	tab, ref := NewTableOf[matrix.Value](64, 0.5), NewTableOf[matrix.Value](64, 0.5)
+	tab, ref := NewTableOf[matrix.Value](64), NewTableOf[matrix.Value](64)
 	for i := 0; i < 500; i++ {
 		r := matrix.Index(rng.Intn(100))
 		v := matrix.Value(rng.NormFloat64())
@@ -266,7 +262,7 @@ func TestAddWithMatchesAdd(t *testing.T) {
 		}
 	}
 
-	mn := NewTableOf[matrix.Value](8, 0.5)
+	mn := NewTableOf[matrix.Value](8)
 	mn.AddWith(3, 5, func(a, b matrix.Value) matrix.Value { return min(a, b) })
 	mn.AddWith(3, 2, func(a, b matrix.Value) matrix.Value { return min(a, b) })
 	mn.AddWith(3, 9, func(a, b matrix.Value) matrix.Value { return min(a, b) })

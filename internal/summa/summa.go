@@ -1,22 +1,23 @@
 // Package summa simulates the distributed-memory sparse SUMMA
-// algorithm of §IV-E (Fig 5) in-process: a g x g grid of "processes"
-// (goroutines) each owning one block of the two operands, g broadcast
-// stages delivering operand blocks along grid rows and columns, a
-// local hash SpGEMM per stage, and a final SpKAdd over the g
-// intermediate products per process — the exact computation whose two
-// kernels (Local Multiply and SpKAdd) Fig 6 reports.
+// algorithm of §IV-E (Fig 5) in-process: a g x g grid of "processes",
+// each owning one block of the two operands, runs one process after
+// another. A process runs g stages, each a local hash SpGEMM of the
+// stage's A and B blocks (the blocks the stage's broadcasts along its
+// grid row and column would deliver), and then one SpKAdd over its g
+// intermediate products — the exact computation whose two kernels
+// (Local Multiply and SpKAdd) Fig 6 reports.
 //
 // The paper runs on 4096-16384 MPI processes on Cori; this simulation
 // preserves the computational structure (who multiplies what, how many
-// intermediates the SpKAdd reduces, sorted vs unsorted intermediates)
-// while communication is modelled by channels and excluded from the
-// timings, matching Fig 6's computation-only accounting.
+// intermediates the SpKAdd reduces, sorted vs unsorted intermediates).
+// No message is sent: a process reads its stage blocks directly, and
+// the broadcast traffic is only counted (Report.CommVolumeBytes), in
+// line with Fig 6's computation-only accounting.
 package summa
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"spkadd/internal/core"
@@ -40,10 +41,10 @@ type Config struct {
 	// Threads is the thread count inside each process (the paper uses
 	// 8 threads per process); <1 means GOMAXPROCS.
 	Threads int
-	// Sequential runs processes one after another instead of as
-	// concurrent goroutines. Concurrent mode exercises the real
-	// dataflow; sequential mode gives undistorted per-phase timings
-	// on oversubscribed hosts and is what the benchmark harness uses.
+	// Sequential is ignored: processes always run one after another,
+	// which keeps each phase's timing undistorted.
+	//
+	// Deprecated: Run has one schedule; leave the field unset.
 	Sequential bool
 }
 
@@ -111,139 +112,67 @@ func Run(a, b *matrix.CSC, cfg Config) (*matrix.CSC, Report, error) {
 		}
 	}
 
-	type result struct {
-		block   *matrix.CSC
-		mulTime time.Duration
-		addTime time.Duration
-		interNZ int64
-		err     error
-	}
-	results := make([][]result, g)
-	for i := range results {
-		results[i] = make([]result, g)
-	}
-
 	// Broadcast volume: block (i,s) of A travels to the g-1 other
 	// processes in grid row i; block (s,j) of B to grid column j.
-	var commVolume int64
 	for i := 0; i < g; i++ {
 		for s := 0; s < g; s++ {
-			commVolume += int64(g-1) * blockBytes(aBlocks[i][s])
-			commVolume += int64(g-1) * blockBytes(bBlocks[i][s])
+			rep.CommVolumeBytes += int64(g-1) * blockBytes(aBlocks[i][s])
+			rep.CommVolumeBytes += int64(g-1) * blockBytes(bBlocks[i][s])
 		}
 	}
-	rep.CommVolumeBytes = commVolume
 
 	mulOpt := core.MulOptions{Threads: cfg.Threads, SortOutput: cfg.SortIntermediates}
 	addOpt := core.Options{Algorithm: cfg.SpKAdd, Threads: cfg.Threads, SortedOutput: true}
 
-	// In sequential mode one workspace serves every process's
-	// multiplies and reduction in turn, so the g*g*g products and g*g
-	// SpKAdds share their scratch structures across stages (a real
-	// rank would likewise keep its scratch resident across SUMMA
-	// iterations), and the workspace's resident executor runs all of
-	// their regions — the whole process loop spawns no per-phase
-	// goroutines. Output recycling stays off: each product and each
-	// reduced block is retained. In concurrent mode the processes draw
-	// pooled workspaces (each with its own resident executor) through
-	// core.Mul and core.Add instead.
-	mul, add := core.Mul[matrix.Value], core.Add[matrix.Value]
-	var ws *core.Workspace
-	if cfg.Sequential {
-		ws = core.NewWorkspace(false)
-		mul, add = ws.Mul, ws.Add
-	}
-
-	process := func(i, j int, recvA <-chan *matrix.CSC, recvB <-chan *matrix.CSC) result {
-		var res result
-		partials := make([]*matrix.CSC, 0, g)
-		for s := 0; s < g; s++ {
-			// "Receive" the stage-s operand blocks. In concurrent
-			// mode these arrive over channels from the owners; the
-			// transfer is communication and stays outside the timers.
-			blkA := <-recvA
-			blkB := <-recvB
-			start := time.Now()
-			p, err := mul(blkA, blkB, mulOpt)
-			res.mulTime += time.Since(start)
-			if err != nil {
-				res.err = err
-				return res
-			}
-			partials = append(partials, p)
-			res.interNZ += int64(p.NNZ())
-		}
-		start := time.Now()
-		sum, err := add(partials, addOpt)
-		res.addTime = time.Since(start)
-		if err != nil {
-			res.err = err
-			return res
-		}
-		res.block = sum
-		return res
-	}
-
-	// Broadcast channels: one per (process, operand). Owners feed
-	// every stage in order.
-	feed := func(i, j int) (<-chan *matrix.CSC, <-chan *matrix.CSC) {
-		ca := make(chan *matrix.CSC, g)
-		cb := make(chan *matrix.CSC, g)
-		for s := 0; s < g; s++ {
-			ca <- aBlocks[i][s] // broadcast along grid row i
-			cb <- bBlocks[s][j] // broadcast along grid column j
-		}
-		close(ca)
-		close(cb)
-		return ca, cb
-	}
-
-	if cfg.Sequential {
-		for i := 0; i < g; i++ {
-			for j := 0; j < g; j++ {
-				ca, cb := feed(i, j)
-				results[i][j] = process(i, j, ca, cb)
-			}
-		}
-		// Closed here rather than deferred: a deferred Close keeps the
-		// workspace and its staging reachable through the assembly
-		// below, which raises the GC heap goal and the run's peak RSS.
-		ws.Close()
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < g; i++ {
-			for j := 0; j < g; j++ {
-				wg.Add(1)
-				go func(i, j int) {
-					defer wg.Done()
-					ca, cb := feed(i, j)
-					results[i][j] = process(i, j, ca, cb)
-				}(i, j)
-			}
-		}
-		wg.Wait()
-	}
-
+	// One workspace serves every process's multiplies and reduction in
+	// turn, so the g*g*g products and g*g SpKAdds share their scratch
+	// structures across stages (a real rank would likewise keep its
+	// scratch resident across SUMMA iterations), and the workspace's
+	// resident executor runs all of their regions — the whole process
+	// loop spawns no per-phase goroutines. Output recycling stays off:
+	// each product and each reduced block is retained.
+	ws := core.NewWorkspace(false)
 	blocks := make([][]*matrix.CSC, g)
+	partials := make([]*matrix.CSC, 0, g)
 	for i := 0; i < g; i++ {
 		blocks[i] = make([]*matrix.CSC, g)
 		for j := 0; j < g; j++ {
-			res := &results[i][j]
-			if res.err != nil {
-				return nil, rep, fmt.Errorf("summa: process (%d,%d): %w", i, j, res.err)
+			var mulTime time.Duration
+			for s := 0; s < g; s++ {
+				// Stage s: A(:,s) arrives along grid row i and B(s,:)
+				// along grid column j.
+				start := time.Now()
+				p, err := ws.Mul(aBlocks[i][s], bBlocks[s][j], mulOpt)
+				mulTime += time.Since(start)
+				if err != nil {
+					ws.Close()
+					return nil, rep, fmt.Errorf("summa: process (%d,%d): %w", i, j, err)
+				}
+				partials = append(partials, p)
+				rep.IntermediateNNZ += int64(p.NNZ())
 			}
-			blocks[i][j] = res.block
-			rep.LocalMultiplySum += res.mulTime
-			rep.SpKAddSum += res.addTime
-			if res.mulTime > rep.LocalMultiplyMax {
-				rep.LocalMultiplyMax = res.mulTime
+			start := time.Now()
+			sum, err := ws.Add(partials, addOpt)
+			addTime := time.Since(start)
+			// Dropping the products lets them be collected once the
+			// process is done, as they would be on a real rank.
+			clear(partials)
+			partials = partials[:0]
+			if err != nil {
+				ws.Close()
+				return nil, rep, fmt.Errorf("summa: process (%d,%d): %w", i, j, err)
 			}
-			if res.addTime > rep.SpKAddMax {
-				rep.SpKAddMax = res.addTime
-			}
-			rep.IntermediateNNZ += res.interNZ
+			blocks[i][j] = sum
+			rep.LocalMultiplySum += mulTime
+			rep.SpKAddSum += addTime
+			rep.LocalMultiplyMax = max(rep.LocalMultiplyMax, mulTime)
+			rep.SpKAddMax = max(rep.SpKAddMax, addTime)
 		}
 	}
+	// Closed here rather than deferred: a deferred Close keeps the
+	// workspace and its staging reachable through the assembly below,
+	// which raises the GC heap goal and the run's peak RSS.
+	ws.Close()
 
 	c := assemble(blocks, a.Rows, b.Cols)
 	if c.NNZ() > 0 {

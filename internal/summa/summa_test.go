@@ -16,35 +16,30 @@ func TestSummaMatchesSerial(t *testing.T) {
 	b := generate.ProteinLike(120, 10, 6, 2)
 	want := matrix.ReferenceMul(a, b)
 	for _, g := range []int{1, 2, 3, 4} {
-		for _, seq := range []bool{true, false} {
-			got, rep, err := Run(a, b, Config{
-				Grid: g, SpKAdd: core.Hash, SortIntermediates: false, Sequential: seq,
-			})
-			if err != nil {
-				t.Fatalf("g=%d seq=%v: %v", g, seq, err)
-			}
-			if err := got.Validate(); err != nil {
-				t.Fatalf("g=%d: invalid output: %v", g, err)
-			}
-			// EqualTol compares sorted copies, so sortedness needs its
-			// own check.
-			if !got.IsColumnSorted() {
-				t.Errorf("g=%d seq=%v: product columns are not sorted", g, seq)
-			}
-			if !got.EqualTol(want, 1e-9) {
-				t.Errorf("g=%d seq=%v: SUMMA product differs from serial reference", g, seq)
-			}
-			if g > 1 && rep.IntermediateNNZ < int64(got.NNZ()) {
-				t.Errorf("g=%d: intermediate nnz %d below output nnz %d", g, rep.IntermediateNNZ, got.NNZ())
-			}
+		got, rep, err := Run(a, b, Config{Grid: g, SpKAdd: core.Hash, SortIntermediates: false})
+		if err != nil {
+			t.Fatalf("g=%d: %v", g, err)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("g=%d: invalid output: %v", g, err)
+		}
+		// EqualTol compares sorted copies, so sortedness needs its
+		// own check.
+		if !got.IsColumnSorted() {
+			t.Errorf("g=%d: product columns are not sorted", g)
+		}
+		if !got.EqualTol(want, 1e-9) {
+			t.Errorf("g=%d: SUMMA product differs from serial reference", g)
+		}
+		if g > 1 && rep.IntermediateNNZ < int64(got.NNZ()) {
+			t.Errorf("g=%d: intermediate nnz %d below output nnz %d", g, rep.IntermediateNNZ, got.NNZ())
 		}
 	}
 }
 
-// TestSummaSequentialMatchesConcurrent: one shared workspace and
-// executor (sequential) and pooled workspaces (concurrent) must give
-// the same product, array for array.
-func TestSummaSequentialMatchesConcurrent(t *testing.T) {
+// TestSummaThreadCountParity: the thread count inside a process must
+// not change the product, array for array.
+func TestSummaThreadCountParity(t *testing.T) {
 	// Uniform operands with random values: most product entries sum
 	// partials of several stages, so a change of summation order shows
 	// in their bits.
@@ -58,21 +53,23 @@ func TestSummaSequentialMatchesConcurrent(t *testing.T) {
 	}
 	for _, cfg := range []Config{
 		{Grid: 3, SpKAdd: core.Hash},
-		{Grid: 3, SpKAdd: core.Hash, SortIntermediates: true, Threads: 2},
-		{Grid: 4, SpKAdd: core.Heap, SortIntermediates: true, Threads: 3},
+		{Grid: 3, SpKAdd: core.Hash, SortIntermediates: true},
+		{Grid: 4, SpKAdd: core.Heap, SortIntermediates: true},
 	} {
-		cfg.Sequential = true
-		seq, _, err := Run(a, b, cfg)
+		cfg.Threads = 1
+		want, _, err := Run(a, b, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Sequential = false
-		conc, _, err := Run(a, b, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(seq.ColPtr, conc.ColPtr) || !slices.Equal(seq.RowIdx, conc.RowIdx) || !slices.Equal(seq.Val, conc.Val) {
-			t.Errorf("%+v: sequential and concurrent products differ", cfg)
+		for _, threads := range []int{2, 3} {
+			cfg.Threads = threads
+			got, _, err := Run(a, b, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(want.ColPtr, got.ColPtr) || !slices.Equal(want.RowIdx, got.RowIdx) || !slices.Equal(want.Val, got.Val) {
+				t.Errorf("%+v: product differs from the Threads 1 product", cfg)
+			}
 		}
 	}
 }
@@ -82,7 +79,7 @@ func TestSummaHeapNeedsSortedIntermediates(t *testing.T) {
 	b := generate.ProteinLike(80, 8, 5, 4)
 	want := matrix.ReferenceMul(a, b)
 
-	got, _, err := Run(a, b, Config{Grid: 2, SpKAdd: core.Heap, SortIntermediates: true, Sequential: true})
+	got, _, err := Run(a, b, Config{Grid: 2, SpKAdd: core.Heap, SortIntermediates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +88,7 @@ func TestSummaHeapNeedsSortedIntermediates(t *testing.T) {
 	}
 
 	// Heap on unsorted intermediates must surface the sorted-input error.
-	if _, _, err := Run(a, b, Config{Grid: 2, SpKAdd: core.Heap, SortIntermediates: false, Sequential: true}); err == nil {
+	if _, _, err := Run(a, b, Config{Grid: 2, SpKAdd: core.Heap, SortIntermediates: false}); err == nil {
 		t.Error("heap SpKAdd accepted unsorted intermediates")
 	}
 }
@@ -107,7 +104,6 @@ func TestSummaAllVariants(t *testing.T) {
 		{Grid: 2, SpKAdd: core.Hash, SortIntermediates: false},
 	}
 	for _, cfg := range cases {
-		cfg.Sequential = true
 		got, rep, err := Run(a, b, cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
@@ -149,7 +145,7 @@ func TestSummaRectangular(t *testing.T) {
 	a := generate.ER(generate.Opts{Rows: 53, Cols: 37, NNZPerCol: 5, Seed: 7})
 	b := generate.ER(generate.Opts{Rows: 37, Cols: 41, NNZPerCol: 4, Seed: 8})
 	want := matrix.ReferenceMul(a, b)
-	got, _, err := Run(a, b, Config{Grid: 3, SpKAdd: core.Hash, Sequential: true})
+	got, _, err := Run(a, b, Config{Grid: 3, SpKAdd: core.Hash})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,18 +157,18 @@ func TestSummaRectangular(t *testing.T) {
 func TestCommVolumeAccounting(t *testing.T) {
 	a := generate.ER(generate.Opts{Rows: 64, Cols: 64, NNZPerCol: 4, Seed: 9})
 	b := generate.ER(generate.Opts{Rows: 64, Cols: 64, NNZPerCol: 4, Seed: 10})
-	_, rep1, err := Run(a, b, Config{Grid: 1, SpKAdd: core.Hash, Sequential: true})
+	_, rep1, err := Run(a, b, Config{Grid: 1, SpKAdd: core.Hash})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep1.CommVolumeBytes != 0 {
 		t.Errorf("single process should broadcast nothing, got %d bytes", rep1.CommVolumeBytes)
 	}
-	_, rep2, err := Run(a, b, Config{Grid: 2, SpKAdd: core.Hash, Sequential: true})
+	_, rep2, err := Run(a, b, Config{Grid: 2, SpKAdd: core.Hash})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rep4, err := Run(a, b, Config{Grid: 4, SpKAdd: core.Hash, Sequential: true})
+	_, rep4, err := Run(a, b, Config{Grid: 4, SpKAdd: core.Hash})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,9 +72,7 @@ func TestPublicMultiplyAndSumma(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaSumma, rep, err := spkadd.RunSumma(a, b, spkadd.SummaConfig{
-		Grid: 2, SpKAdd: spkadd.Hash, Sequential: true,
-	})
+	viaSumma, rep, err := spkadd.RunSumma(a, b, spkadd.SummaConfig{Grid: 2, SpKAdd: spkadd.Hash})
 	if err != nil {
 		t.Fatal(err)
 	}
