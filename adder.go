@@ -105,9 +105,9 @@ func (ad *AdderOf[T]) release() { ad.busy.Store(false) }
 // note records a finished call's error, poisoning the Adder when it
 // carries a recovered panic: the workspace's scratch — and possibly
 // the resident output buffers — are mid-kernel garbage, so it is
-// quarantined rather than reused, and closed so its executor's parked
-// workers exit now rather than at GC time. Called while busy is held.
-func (ad *AdderOf[T]) note(err error) {
+// quarantined rather than reused, which closes it and counts the panic
+// in the call's stats st. Called while busy is held.
+func (ad *AdderOf[T]) note(err error, st *OpStats) {
 	if err == nil {
 		return
 	}
@@ -117,7 +117,7 @@ func (ad *AdderOf[T]) note(err error) {
 	var pe *PanicError
 	if errors.As(err, &pe) {
 		ad.err = err
-		ad.ws.Close()
+		ad.ws.Quarantine(st)
 		ad.ws = nil
 	}
 }
@@ -133,7 +133,7 @@ func (ad *AdderOf[T]) Add(as []*MatrixOf[T], opt OptionsOf[T]) (*MatrixOf[T], er
 	}
 	defer ad.release()
 	b, err := ws.Add(as, opt)
-	ad.note(err)
+	ad.note(err, opt.Stats)
 	return b, err
 }
 
@@ -149,7 +149,7 @@ func (ad *AdderOf[T]) AddContext(ctx context.Context, as []*MatrixOf[T], opt Opt
 	}
 	defer ad.release()
 	b, err := ws.AddContext(ctx, as, opt)
-	ad.note(err)
+	ad.note(err, opt.Stats)
 	return b, err
 }
 
@@ -162,7 +162,7 @@ func (ad *AdderOf[T]) AddTimed(as []*MatrixOf[T], opt OptionsOf[T]) (*MatrixOf[T
 	}
 	defer ad.release()
 	b, pt, err := ws.AddTimed(as, opt)
-	ad.note(err)
+	ad.note(err, opt.Stats)
 	return b, pt, err
 }
 
@@ -176,6 +176,6 @@ func (ad *AdderOf[T]) AddScaled(as []*MatrixOf[T], coeffs []T, opt OptionsOf[T])
 	}
 	defer ad.release()
 	b, err := ws.AddScaled(as, coeffs, opt)
-	ad.note(err)
+	ad.note(err, opt.Stats)
 	return b, err
 }

@@ -31,7 +31,8 @@ func TestChaosAdderPoisonedByPanic(t *testing.T) {
 
 	as := adderTestInputs(4, 200, 8, 6, 81)
 	ad := spkadd.NewAdder()
-	opt := spkadd.Options{Algorithm: spkadd.Hash, Threads: 1}
+	stats := &spkadd.OpStats{}
+	opt := spkadd.Options{Algorithm: spkadd.Hash, Threads: 1, Stats: stats}
 	_, err := ad.Add(as, opt)
 	var pe *spkadd.PanicError
 	if !errors.As(err, &pe) {
@@ -39,6 +40,9 @@ func TestChaosAdderPoisonedByPanic(t *testing.T) {
 	}
 	if _, ok := pe.Value.(faults.InjectedPanic); !ok {
 		t.Errorf("panic value = %v, want the injected panic", pe.Value)
+	}
+	if n := stats.PanicsRecovered.Load(); n != 1 {
+		t.Errorf("PanicsRecovered = %d, want 1", n)
 	}
 
 	deactivate()

@@ -207,8 +207,12 @@
 // client.
 //
 // Matrices are in compressed sparse column (CSC) form with 32-bit
-// indices and generic values (float64 by default — see "Value types");
-// everything applies symmetrically to CSR (transpose the
-// interpretation). Inputs may have unsorted columns for the SPA, Hash
-// and SlidingHash algorithms.
+// indices and generic values (float64 by default — see "Value types").
+// Inputs may have unsorted columns for the SPA, Hash and SlidingHash
+// algorithms. Every algorithm applies unchanged to compressed sparse
+// row (CSR) data (§II-A of the paper): a CSR matrix's RowPtr, ColIdx
+// and Val arrays are the CSC arrays of its transpose, so pass them as
+// a Matrix's ColPtr, RowIdx and Val with Rows and Cols swapped, and
+// read the sum back the same way: Σ Aᵢᵀ = (Σ Aᵢ)ᵀ, and no input is
+// copied.
 package spkadd

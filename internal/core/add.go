@@ -40,7 +40,7 @@ func Add[T matrix.Number](as []*matrix.CSCOf[T], opt OptionsOf[T]) (*matrix.CSCO
 func AddTimed[T matrix.Number](as []*matrix.CSCOf[T], opt OptionsOf[T]) (*matrix.CSCOf[T], PhaseTimings, error) {
 	ws := wsPoolFor[T]().Get().(*WorkspaceOf[T])
 	b, pt, err := ws.AddTimed(as, opt)
-	releasePooled(ws, err)
+	releasePooled(ws, err, opt.Stats)
 	return b, pt, err
 }
 
@@ -49,11 +49,11 @@ func AddTimed[T matrix.Number](as []*matrix.CSCOf[T], opt OptionsOf[T]) (*matrix
 // mutating inputs mid-call, an invariant check firing), surfaced as a
 // *PanicError, the workspace holds half-accumulated state, and pooling
 // it would feed that to an unrelated future caller as silent
-// corruption. It is closed instead, so its executor's parked workers
-// exit now rather than at GC time.
-func releasePooled[T matrix.Number](ws *WorkspaceOf[T], err error) {
+// corruption. It is quarantined instead, and the panic counted in the
+// call's stats st (nil for none).
+func releasePooled[T matrix.Number](ws *WorkspaceOf[T], err error, st *OpStats) {
 	if isPanicErr(err) {
-		ws.Close()
+		ws.Quarantine(st)
 		return
 	}
 	wsPoolFor[T]().Put(ws)
@@ -65,7 +65,7 @@ func releasePooled[T matrix.Number](ws *WorkspaceOf[T], err error) {
 func AddContext[T matrix.Number](ctx context.Context, as []*matrix.CSCOf[T], opt OptionsOf[T]) (*matrix.CSCOf[T], error) {
 	ws := wsPoolFor[T]().Get().(*WorkspaceOf[T])
 	b, err := ws.AddContext(ctx, as, opt)
-	releasePooled(ws, err)
+	releasePooled(ws, err, opt.Stats)
 	return b, err
 }
 
@@ -77,7 +77,7 @@ func AddContext[T matrix.Number](ctx context.Context, as []*matrix.CSCOf[T], opt
 func AddScaled[T matrix.Number](as []*matrix.CSCOf[T], coeffs []T, opt OptionsOf[T]) (*matrix.CSCOf[T], error) {
 	ws := wsPoolFor[T]().Get().(*WorkspaceOf[T])
 	b, err := ws.AddScaled(as, coeffs, opt)
-	releasePooled(ws, err)
+	releasePooled(ws, err, opt.Stats)
 	return b, err
 }
 
@@ -215,13 +215,13 @@ func (ws *WorkspaceOf[T]) addKWay() (*matrix.CSCOf[T], PhaseTimings, error) {
 }
 
 // symBody is the symbolic phase body: one worker sizing the columns of
-// [lo, hi) with its thread-private tables.
+// [lo, hi) with its thread-private table.
 func (ws *WorkspaceOf[T]) symBody(w, lo, hi int) {
 	s := ws.worker(w)
 	for j := lo; j < hi; j++ {
 		ws.counts[j] = int64(slidingSymbolicCol(s, ws.as, j, int(ws.weights[j]), ws.t, ws.cache, ws.opt.MaxTableEntries, ws.sortedIn))
 	}
-	s.flushStats(ws.opt.Stats)
+	s.flushStats(ws.opt.Stats, true)
 }
 
 // numBody is the numeric phase body: fill the exactly-sized output
@@ -234,5 +234,5 @@ func (ws *WorkspaceOf[T]) numBody(w, lo, hi int) {
 		outVals := b.Val[b.ColPtr[j]:b.ColPtr[j+1]]
 		slidingHashAddCol(s, ws.as, j, outRows, outVals, ws.opt.SortedOutput, ws.t, ws.cache, ws.opt.MaxTableEntries, ws.sortedIn, ws.coeffs, ws.monP)
 	}
-	s.flushStats(ws.opt.Stats)
+	s.flushStats(ws.opt.Stats, false)
 }

@@ -667,9 +667,27 @@ func TestChaosPooledPanicClosesExecutor(t *testing.T) {
 	if ws.ownEx == nil {
 		t.Fatal("a Threads: 2 call left no resident executor")
 	}
-	releasePooled(ws, sched.NewPanicError("injected", 0))
+	releasePooled(ws, sched.NewPanicError("injected", 0), nil)
 	if ws.ownEx != nil {
 		t.Error("a panicked pooled workspace still owns its executor; its workers stay parked until GC")
+	}
+}
+
+// TestChaosPooledAddPanicCounted: a pooled Add whose kernel panics
+// counts the recovered panic in the call's stats, as the Accumulator
+// and the Pool shards do when they drop a panicked workspace.
+func TestChaosPooledAddPanicCounted(t *testing.T) {
+	leakcheck.Begin(t)
+	in := faults.New(19, faults.Rule{Point: faults.PanicInKernel, Key: 0, Count: 1})
+	defer faults.Activate(in)()
+
+	stats := &OpStats{}
+	_, err := Add(erInputs(4, 200, 8, 6, 85), Options{Algorithm: Hash, Threads: 1, Stats: stats})
+	if !isPanicErr(err) {
+		t.Fatalf("pooled Add over a panicking kernel = %v, want *PanicError", err)
+	}
+	if n := stats.PanicsRecovered.Load(); n != 1 {
+		t.Errorf("PanicsRecovered = %d, want 1", n)
 	}
 }
 

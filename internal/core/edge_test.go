@@ -123,6 +123,26 @@ func TestSymbolicVariantsAgree(t *testing.T) {
 	}
 }
 
+// TestSymbolicSizingMovesHighWater: SlidingHash's symbolic phase
+// counts in the worker's one hash table, so sizing a part for a small
+// table cap must move the high-water mark with the window. A stale
+// mark would let the next band-checked request (Hash's, or a Mul on a
+// resident workspace) reuse the part's tiny window for as many keys
+// as the old mark, more than the window can hold.
+func TestSymbolicSizingMovesHighWater(t *testing.T) {
+	as := erInputs(4, 1000, 1, 50, 91)
+	inz := 0
+	for _, a := range as {
+		inz += a.ColNNZ(0)
+	}
+	w := newWorkerStateOf[matrix.Value](len(as))
+	w.hashTable(1000)
+	slidingSymbolicCol(w, as, 0, inz, 1, DefaultCacheBytes, 8, allColumnsSorted(as))
+	if got, want := w.hashTable(400).Cap(), hashtab.SizeFor(400); got < want {
+		t.Errorf("hashTable(400) after a symbolic part capped at 8 entries: window %d, want >= %d", got, want)
+	}
+}
+
 func TestManyMatrices(t *testing.T) {
 	// k = 300: beyond any grid the paper tests; exercises heap depth
 	// and per-matrix cursor reuse.

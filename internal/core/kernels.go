@@ -13,24 +13,24 @@ import (
 // reuses it across all columns the thread processes (§III-A) — and,
 // living in a Workspace, across every call the workspace serves.
 //
-// tabHW is a high-water mark: the key count the numeric hash table's
-// current probe window was last sized for. Consecutive columns of
-// similar size skip the redundant Grow (and its SizeFor re-derivation)
-// entirely — a Reset (epoch bump) suffices while the requested size
-// stays within [hw/4, hw], the band in which the window is at most 4x
-// oversized, preserving the narrow-window cache guarantee hashtab's
-// Grow exists to provide. The symbolic table has no mark: only
-// SlidingHash uses it, and always sizes it exactly.
+// tabHW is a high-water mark: the key count the hash table's current
+// probe window was last sized for. Consecutive columns of similar size
+// skip the redundant Grow (and its SizeFor re-derivation) entirely — a
+// Reset (epoch bump) suffices while the requested size stays within
+// [hw/4, hw], the band in which the window is at most 4x oversized,
+// preserving the narrow-window cache guarantee hashtab's Grow exists
+// to provide. The one table serves both of SlidingHash's phases, which
+// size it exactly through hashTableSized, so the mark always names the
+// window the table has.
 type workerStateOf[T matrix.Number] struct {
 	table *hashtab.TableOf[T]
-	sym   *hashtab.Symbolic
 	heap  *kheap.HeapOf[T]
 	acc   *spa.SPAOf[T]
 	pos   []int64 // per-matrix cursors for the heap kernel
 	// kit binds the instantiation's Plus fast-path loops (nil for
 	// bool, whose calls are always monoid-generic; see kitFor).
 	kit    *numKit[T]
-	tabHW  int            // key count the numeric table's window was sized for
+	tabHW  int            // key count the table's window was sized for
 	sorter rowSorterOf[T] // every sorted emit's row sorter (rowsort.go)
 }
 
@@ -56,10 +56,12 @@ func (w *workerStateOf[T]) hashTable(n int) *hashtab.TableOf[T] {
 }
 
 // hashTableSized always (re-)derives the probe window for exactly n
-// keys. The sliding-hash kernels use it directly: their per-part
-// tables are sized to fit a cache budget (or the Fig 4 MaxTableEntries
-// cap), and the high-water band's up-to-4x-oversized window would
-// silently void that in-cache guarantee.
+// keys. The sliding-hash kernels use it directly, in both phases:
+// their per-part tables are sized to fit a cache budget (or the Fig 4
+// MaxTableEntries cap), and the high-water band's up-to-4x-oversized
+// window would silently void that in-cache guarantee. It moves the
+// mark with the window, so a later band check never reuses a window
+// sized for one small part.
 func (w *workerStateOf[T]) hashTableSized(n int) *hashtab.TableOf[T] {
 	if w.table == nil {
 		w.table = hashtab.NewTableOf[T](n)
@@ -68,16 +70,6 @@ func (w *workerStateOf[T]) hashTableSized(n int) *hashtab.TableOf[T] {
 	}
 	w.tabHW = n
 	return w.table
-}
-
-// symTableSized is hashTableSized for the symbolic table.
-func (w *workerStateOf[T]) symTableSized(n int) *hashtab.Symbolic {
-	if w.sym == nil {
-		w.sym = hashtab.NewSymbolic(n)
-	} else {
-		w.sym.Grow(n)
-	}
-	return w.sym
 }
 
 func (w *workerStateOf[T]) kheap(k int) *kheap.HeapOf[T] {
@@ -100,16 +92,15 @@ func (w *workerStateOf[T]) spa(m int) *spa.SPAOf[T] {
 }
 
 // flushStats adds the worker's structure counters into s and resets
-// them so repeated phases don't double count. The reset happens even
-// when s is nil: a resident or pooled worker serves Stats-less calls
-// too, and their counts must not leak into a later call's Stats.
-func (w *workerStateOf[T]) flushStats(s *OpStats) {
-	var probes, symProbes, heapOps, touches int64
+// them so repeated phases don't double count; sym says the region was
+// a symbolic one, whose hash probes also count as SymProbes. The reset
+// happens even when s is nil: a resident or pooled worker serves
+// Stats-less calls too, and their counts must not leak into a later
+// call's Stats.
+func (w *workerStateOf[T]) flushStats(s *OpStats, sym bool) {
+	var probes, heapOps, touches int64
 	if w.table != nil {
 		probes, w.table.Probes = w.table.Probes, 0
-	}
-	if w.sym != nil {
-		symProbes, w.sym.Probes = w.sym.Probes, 0
 	}
 	if w.heap != nil {
 		heapOps, w.heap.Ops = w.heap.Ops, 0
@@ -120,8 +111,10 @@ func (w *workerStateOf[T]) flushStats(s *OpStats) {
 	if s == nil {
 		return
 	}
-	s.HashProbes.Add(probes + symProbes)
-	s.SymProbes.Add(symProbes)
+	s.HashProbes.Add(probes)
+	if sym {
+		s.SymProbes.Add(probes)
+	}
 	s.HeapOps.Add(heapOps)
 	s.SPATouches.Add(touches)
 }
@@ -264,8 +257,9 @@ func coeff[T matrix.Arith](coeffs []T, i int) T {
 // --- SlidingHash's symbolic kernel: nnz(B(:,j)) ---
 //
 // The symbolic phase never touches values, so it is generic over
-// every element type with no Arith split: one shared index-only
-// hashtab.Symbolic serves all instantiations.
+// every element type with no Arith split: it counts in the worker's
+// one hash table with TableOf.Insert, which writes keys and stamps
+// only.
 
 // slidingSymbolicCol is Algorithm 7: when the symbolic table would
 // spill out of cache, count over row ranges [r1, r2), one in-cache
@@ -283,7 +277,7 @@ func slidingSymbolicCol[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf
 	// would silently void that.
 	parts := hashtab.SlidingParts(inz, BytesPerSymbolicEntry, threads, cacheBytes, maxEntries)
 	if parts == 1 {
-		tab := w.symTableSized(inz)
+		tab := w.hashTableSized(inz)
 		for _, a := range as {
 			for _, r := range a.ColRows(j) {
 				tab.Insert(r)
@@ -303,7 +297,7 @@ func slidingSymbolicCol[T matrix.Number](w *workerStateOf[T], as []*matrix.CSCOf
 		if partInz == 0 {
 			continue
 		}
-		tab := w.symTableSized(partInz)
+		tab := w.hashTableSized(partInz)
 		for _, a := range as {
 			forEachRowInRange(a, j, r1, r2, sortedIn, func(r matrix.Index) {
 				tab.Insert(r)

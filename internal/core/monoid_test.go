@@ -254,25 +254,36 @@ func shuffledCopy(a *matrix.CSC) *matrix.CSC {
 	return b
 }
 
-// TestMonoidStats: the resolved monoid is observable through OpStats
-// like the resolved engine.
-func TestMonoidStats(t *testing.T) {
+// TestValidateResolvesPlus: validate resolves a nil Monoid and T's
+// canonical Plus to the inlined "+=" fast path, and Count to the
+// generic combine path carrying Count, for the paper's float64 and
+// for float32.
+func TestValidateResolvesPlus(t *testing.T) {
 	as := erInputs(3, 100, 6, 4, 176)
-	var st OpStats
-	if _, ok := st.MonoidUsed(); ok {
-		t.Error("MonoidUsed reported a monoid before any dispatch")
-	}
-	if _, err := Add(as, Options{Stats: &st}); err != nil {
-		t.Fatal(err)
-	}
-	if m, ok := st.MonoidUsed(); !ok || m != ops.Plus {
-		t.Errorf("MonoidUsed = %v,%v want Plus (nil resolves to Plus)", m, ok)
-	}
-	if _, err := Add(as, Options{Monoid: ops.Count, Stats: &st}); err != nil {
-		t.Fatal(err)
-	}
-	if m, ok := st.MonoidUsed(); !ok || m != ops.Count {
-		t.Errorf("MonoidUsed = %v,%v want Count", m, ok)
+	t.Run("float64", func(t *testing.T) { testValidateResolvesPlus(t, as) })
+	t.Run("float32", func(t *testing.T) { testValidateResolvesPlus(t, convertAll[float32](as)) })
+}
+
+func testValidateResolvesPlus[T matrix.Arith](t *testing.T, as []*matrix.CSCOf[T]) {
+	for _, c := range []struct {
+		name    string
+		m       *ops.MonoidOf[T]
+		generic bool
+	}{
+		{"nil", nil, false},
+		{"Plus", ops.PlusFor[T](), false},
+		{"Count", ops.CountFor[T](), true},
+	} {
+		p, err := OptionsOf[T]{Monoid: c.m}.validate(as, nil, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if p.generic != c.generic {
+			t.Errorf("%s: generic = %v, want %v", c.name, p.generic, c.generic)
+		}
+		if c.generic && p.mon.def != c.m {
+			t.Errorf("%s: generic plan carries %v, want %v", c.name, p.mon.def, c.m)
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ type MulOptions struct {
 func Mul[T matrix.Number](a, b *matrix.CSCOf[T], opt MulOptions) (*matrix.CSCOf[T], error) {
 	ws := wsPoolFor[T]().Get().(*WorkspaceOf[T])
 	c, err := ws.Mul(a, b, opt)
-	releasePooled(ws, err)
+	releasePooled(ws, err, nil)
 	return c, err
 }
 
@@ -79,7 +79,7 @@ func (ws *WorkspaceOf[T]) mulBody(w, lo, hi int) {
 		outVals := ws.stVals[ws.ubPtr[j]:ws.ubPtr[j+1]]
 		ws.counts[j] = int64(emitStaged(s, tab, outRows, outVals, ws.opt.SortedOutput))
 	}
-	s.flushStats(ws.opt.Stats)
+	s.flushStats(ws.opt.Stats, false)
 }
 
 // mulAccumPlus is Mul's Plus accumulation loop: column j of A·B as the

@@ -131,8 +131,9 @@ func (p Phases) String() string {
 }
 
 const (
-	// BytesPerSymbolicEntry is b in Algorithm 7: a symbolic hash-table
-	// slot holds one 32-bit row index.
+	// BytesPerSymbolicEntry is b in Algorithm 7: the symbolic count
+	// stores one 32-bit row index per slot (TableOf.Insert writes no
+	// value).
 	BytesPerSymbolicEntry = 4
 	// BytesPerAddEntry is b in Algorithm 8 for the default float64
 	// element type: an addition-phase slot holds a 32-bit row index and
@@ -235,12 +236,6 @@ type OpStats struct {
 	// SlidingHash and the 2-way baselines. Stored as engine+1 so the
 	// zero value means "no addition dispatched yet".
 	engineUsed atomic.Int64 //spkadd:atomic
-	// monoidUsed records the resolved combine monoid of the most
-	// recent dispatched addition (read via MonoidUsed), like
-	// engineUsed: a nil Options.Monoid resolves to ops.Plus, and this
-	// is where that resolution — and the fast-path/generic-path split
-	// it implies — becomes observable.
-	monoidUsed atomic.Pointer[ops.Monoid] //spkadd:atomic
 	// Steals counts range suffixes a weighted region moved from a busy
 	// worker to an idle one, across all recorded regions.
 	Steals atomic.Int64 //spkadd:atomic
@@ -255,7 +250,9 @@ type OpStats struct {
 	SchedMeanWeight atomic.Int64 //spkadd:atomic
 	// Fault-tolerance counters. PanicsRecovered counts panics caught at
 	// a recovery boundary (executor region, shard reducer, accumulator
-	// flush) and converted to errors; Retries counts reduction attempts
+	// flush) and converted to errors, once per workspace the panic made
+	// its owner quarantine — a pooled call's, an Adder's, an
+	// Accumulator's or a Pool shard's; Retries counts reduction attempts
 	// beyond the first made by the pool's bounded-retry machinery;
 	// FaultsInjected counts faults the internal/faults harness fired
 	// into code observed by these stats — zero in production, where no
@@ -304,27 +301,6 @@ func (s *OpStats) LoadImbalance() float64 {
 
 // RecordEngine notes the engine a dispatched addition resolved to.
 func (s *OpStats) RecordEngine(p Phases) { s.engineUsed.Store(int64(p) + 1) }
-
-// RecordMonoid notes the combine monoid a dispatched addition
-// resolved to (ops.Plus for a nil request).
-func (s *OpStats) RecordMonoid(m *ops.Monoid) {
-	if m == nil {
-		m = ops.Plus
-	}
-	s.monoidUsed.Store(m)
-}
-
-// MonoidUsed returns the combine monoid the most recent addition
-// observed by these stats actually ran, and whether any addition has
-// been dispatched (single-matrix copies dispatch no monoid, like
-// EngineUsed's engine).
-func (s *OpStats) MonoidUsed() (*ops.Monoid, bool) {
-	m := s.monoidUsed.Load()
-	if m == nil {
-		return nil, false
-	}
-	return m, true
-}
 
 // EngineUsed returns the execution engine the most recent addition
 // observed by these stats ran, and whether any addition has been

@@ -208,27 +208,6 @@ func TestPhasesAccumulatorParity(t *testing.T) {
 	}
 }
 
-func TestPhasesAddCSRParity(t *testing.T) {
-	a := generate.ER(generate.Opts{Rows: 300, Cols: 40, NNZPerCol: 8, Seed: 78}).ToCSR()
-	b := generate.ER(generate.Opts{Rows: 300, Cols: 40, NNZPerCol: 8, Seed: 79}).ToCSR()
-	want, err := AddCSR([]*matrix.CSR{a, b}, Options{Algorithm: SlidingHash, SortedOutput: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := AddCSR([]*matrix.CSR{a, b}, Options{Algorithm: Hash, SortedOutput: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rows != want.Rows || got.Cols != want.Cols || len(got.ColIdx) != len(want.ColIdx) {
-		t.Fatal("shape/nnz mismatch")
-	}
-	for i := range got.ColIdx {
-		if got.ColIdx[i] != want.ColIdx[i] || got.Val[i] != want.Val[i] {
-			t.Fatalf("CSR entry %d differs", i)
-		}
-	}
-}
-
 func TestPhasesSortedOutputBitIdentical(t *testing.T) {
 	// With sorted output every algorithm must agree bit for bit with
 	// the two-phase hash, partitioned or not: per-row accumulation

@@ -187,7 +187,7 @@ func (ws *WorkspaceOf[T]) ubBody(w, lo, hi int) {
 		outVals := ws.stVals[ws.ubPtr[j]:ws.ubPtr[j+1]]
 		ws.counts[j] = int64(emitColInto(s, ws.as, j, inz, ws.alg, ws.opt.SortedOutput, ws.coeffs, ws.monP, outRows, outVals))
 	}
-	s.flushStats(ws.opt.Stats)
+	s.flushStats(ws.opt.Stats, false)
 }
 
 // compactBody copies the filled staging prefix of columns [lo, hi)

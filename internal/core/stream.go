@@ -138,20 +138,14 @@ func (st *streamOf[T]) clearBatch() {
 	st.batch = st.batch[:0]
 }
 
-// quarantine retires the workspace a panicking reduction interrupted:
-// its scratch is mid-kernel garbage, so it is never reused, and its
-// executor's parked workers are released now rather than at GC time.
-// The running sum stays valid — a failed reduction never writes the
-// buffer holding it — and is never handed to a new workspace as a
-// write target.
+// quarantine retires the workspace a panicking reduction interrupted
+// (reduce created it before running anything that can panic) through
+// WorkspaceOf.Quarantine, so it is never reused. The running sum stays
+// valid — a failed reduction never writes the buffer holding it — and
+// is never handed to a new workspace as a write target.
 func (st *streamOf[T]) quarantine() {
-	if st.ws != nil {
-		st.ws.Close()
-		st.ws = nil
-	}
-	if st.opt.Stats != nil {
-		st.opt.Stats.PanicsRecovered.Add(1)
-	}
+	st.ws.Quarantine(st.opt.Stats)
+	st.ws = nil
 }
 
 // Accumulator implements the batched SpKAdd the paper proposes for

@@ -85,15 +85,6 @@ type planOf[T matrix.Number] struct {
 	mon     monoidStateOf[T]
 }
 
-// monoid returns the resolved monoid definition (T's Plus on the fast
-// path), for stats recording.
-func (p *planOf[T]) monoid() *ops.MonoidOf[T] {
-	if !p.generic {
-		return ops.PlusFor[T]()
-	}
-	return p.mon.def
-}
-
 // validate checks one addition call — inputs, coefficients, options —
 // and resolves it to a plan. coeffs is nil for unscaled additions.
 // premapped counts leading inputs already in the monoid's result

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"spkadd/internal/matrix"
-	"spkadd/internal/ops"
 	"spkadd/internal/sched"
 )
 
@@ -231,9 +230,6 @@ func (ws *WorkspaceOf[T]) AddScaled(as []*matrix.CSCOf[T], coeffs []T, opt Optio
 // k-way algorithms run on the workspace engines.
 func (ws *WorkspaceOf[T]) addDispatch(ctx context.Context, as []*matrix.CSCOf[T], p planOf[T], opt OptionsOf[T], coeffs []T) (*matrix.CSCOf[T], PhaseTimings, error) {
 	var pt PhaseTimings
-	if opt.Stats != nil {
-		opt.Stats.RecordMonoid(ops.Describe(p.monoid()))
-	}
 	switch p.alg {
 	case TwoWayIncremental, TwoWayTree, MapIncremental, MapTree:
 		// The 2-way baselines' native pairwise drivers read inputs like
@@ -347,6 +343,19 @@ func (ws *WorkspaceOf[T]) Close() {
 	}
 }
 
+// Quarantine retires a workspace whose call panicked: its scratch is
+// mid-kernel garbage, so its owner drops it instead of reusing it.
+// Quarantine closes it, so its executor's parked workers exit now
+// rather than at GC time, and counts the recovered panic in st (nil:
+// no stats). Every owner drops a panicked workspace through it: the
+// pooled one-shot calls, the Adder, the Accumulator and Pool shards.
+func (ws *WorkspaceOf[T]) Quarantine(st *OpStats) {
+	ws.Close()
+	if st != nil {
+		st.PanicsRecovered.Add(1)
+	}
+}
+
 // end drops the references to caller data so a pooled or idle
 // workspace does not pin input matrices (scratch stays resident —
 // that is the point). The per-call Options are dropped whole, Stats
@@ -389,11 +398,7 @@ func (ws *WorkspaceOf[T]) reserveWorkers(bound []int64, rows int, sym bool) {
 			if maxW == 0 {
 				continue
 			}
-			if sym {
-				s.symTableSized(int(maxW))
-			} else {
-				s.hashTableSized(int(maxW))
-			}
+			s.hashTableSized(int(maxW))
 		case SPA:
 			s.spa(rows).Reserve(min(int(maxW), rows))
 		case Heap:

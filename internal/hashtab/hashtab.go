@@ -3,10 +3,11 @@
 // (Algorithm 6): power-of-two sized tables with the multiplicative
 // masking hash HASH(r) = (a*r) & (2^q - 1) and linear probing.
 //
-// Two variants are provided: TableOf stores (row, value) pairs and
-// accumulates values on duplicate insert (the numeric addition phase);
-// Symbolic stores row indices only and counts distinct keys (the
-// symbolic phase, 4 bytes per entry regardless of value type).
+// One type serves both phases: TableOf stores (row, value) pairs and
+// accumulates values on duplicate insert (the numeric addition phase),
+// and its Insert counts distinct keys while writing only the key and
+// the stamp (the symbolic phase, 4 bytes of index per entry whatever
+// the value type).
 //
 // The value axis is generic over matrix.Number. The "+" fast path is
 // the free function Accum, constrained to matrix.Arith so its `+=` is
@@ -23,8 +24,8 @@
 // table — that would silently destroy the cache behaviour the sliding
 // hash algorithm is built around.
 //
-// Emitting a column must not cost O(capacity) either: the numeric
-// table records each occupied slot in insertion order, so
+// Emitting a column must not cost O(capacity) either: Accum and
+// AddWith record each occupied slot in insertion order, so
 // AppendEntries gathers its Len entries without scanning the window,
 // and unsorted output comes out in first-insertion order whatever
 // window the caller sized.
@@ -72,8 +73,9 @@ func SlidingParts(nnz int, bytesPerEntry int64, threads int, cacheBytes int64, m
 	return max(parts, 1)
 }
 
-// TableOf is the numeric-phase hash table holding (row, value) entries
-// of element type T.
+// TableOf is the hash table of both phases: it holds (row, value)
+// entries of element type T for the numeric phase, and its Insert
+// counts keys for the symbolic phase.
 type TableOf[T matrix.Number] struct {
 	keys   []matrix.Index
 	vals   []T
@@ -184,6 +186,30 @@ func (t *TableOf[T]) AddWith(r matrix.Index, v T, combine func(a, b T) T) {
 	}
 }
 
+// Insert records r without a value and reports whether r was new
+// (lines 7-12 of Algorithm 6: the nonzero counter increments on first
+// sight only), so Len counts the distinct keys inserted. It is the
+// symbolic phase's count: it writes only the key and the stamp, the
+// same memory traffic as an index-only table. Values and the slot
+// list are left stale, so neither Get and AppendEntries nor Accum and
+// AddWith are valid on the table until the next Grow or Reset.
+func (t *TableOf[T]) Insert(r matrix.Index) bool {
+	h := (hashMul * uint32(r)) & t.mask
+	for {
+		t.Probes++
+		if t.stamps[h] != t.epoch { // empty slot
+			t.stamps[h] = t.epoch
+			t.keys[h] = r
+			t.n++
+			return true
+		}
+		if t.keys[h] == r {
+			return false
+		}
+		h = (h + 1) & t.mask // linear probing
+	}
+}
+
 // Get returns the accumulated value for r and whether r is present.
 func (t *TableOf[T]) Get(r matrix.Index) (T, bool) {
 	h := (hashMul * uint32(r)) & t.mask
@@ -210,74 +236,4 @@ func (t *TableOf[T]) AppendEntries(rows []matrix.Index, vals []T) ([]matrix.Inde
 		vals = append(vals, t.vals[h])
 	}
 	return rows, vals
-}
-
-// Symbolic is the index-only table of Algorithm 6, used to count the
-// distinct row indices of an output column before allocation. It holds
-// no values at all, so it needs no type parameter: one symbolic table
-// serves every instantiation of the numeric kernels.
-type Symbolic struct {
-	keys   []matrix.Index
-	stamps []uint32
-	epoch  uint32
-	mask   uint32
-	n      int
-
-	Probes int64
-}
-
-// NewSymbolic returns a symbolic table with capacity for n keys.
-func NewSymbolic(n int) *Symbolic {
-	s := &Symbolic{}
-	s.Grow(n)
-	return s
-}
-
-// Cap returns the active window size.
-func (s *Symbolic) Cap() int { return int(s.mask) + 1 }
-
-// Len returns the number of distinct keys inserted.
-func (s *Symbolic) Len() int { return s.n }
-
-// Reset clears the table for reuse in O(1).
-func (s *Symbolic) Reset() {
-	s.n = 0
-	s.epoch++
-	if s.epoch == 0 {
-		for i := range s.stamps {
-			s.stamps[i] = 0
-		}
-		s.epoch = 1
-	}
-}
-
-// Grow clears the table and sets the active window for n keys.
-func (s *Symbolic) Grow(n int) {
-	size := SizeFor(n)
-	if size > len(s.keys) {
-		s.keys = make([]matrix.Index, size)
-		s.stamps = make([]uint32, size)
-		s.epoch = 0
-	}
-	s.mask = uint32(size - 1)
-	s.Reset()
-}
-
-// Insert records r; it returns true when r was new (lines 7-12 of
-// Algorithm 6: the nonzero counter increments on first sight only).
-func (s *Symbolic) Insert(r matrix.Index) bool {
-	h := (hashMul * uint32(r)) & s.mask
-	for {
-		s.Probes++
-		if s.stamps[h] != s.epoch {
-			s.stamps[h] = s.epoch
-			s.keys[h] = r
-			s.n++
-			return true
-		}
-		if s.keys[h] == r {
-			return false
-		}
-		h = (h + 1) & s.mask
-	}
 }

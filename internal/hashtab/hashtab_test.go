@@ -177,7 +177,7 @@ func TestTableResetAndGrow(t *testing.T) {
 }
 
 func TestSymbolicCountsDistinct(t *testing.T) {
-	s := NewSymbolic(100)
+	s := NewTableOf[matrix.Value](100)
 	seen := map[matrix.Index]bool{}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
@@ -190,6 +190,15 @@ func TestSymbolicCountsDistinct(t *testing.T) {
 	}
 	if s.Len() != len(seen) {
 		t.Errorf("Len = %d, want %d", s.Len(), len(seen))
+	}
+	// A Reset after counting leaves a table the numeric phase can
+	// fill and emit: the stale slot list is not read.
+	s.Reset()
+	Accum(s, 7, 2)
+	Accum(s, 7, 3)
+	rows, vals := s.AppendEntries(nil, nil)
+	if len(rows) != 1 || rows[0] != 7 || vals[0] != 5 {
+		t.Errorf("after Reset: entries %v %v, want [7] [5]", rows, vals)
 	}
 }
 

@@ -234,35 +234,6 @@ func (a *CSCOf[T]) colRange(j int, r1, r2 Index) (lo, hi int) {
 	return lo, hi
 }
 
-// Scale multiplies every stored value by s, in place (bool: AND).
-func (a *CSCOf[T]) Scale(s T) *CSCOf[T] {
-	for p := range a.Val {
-		a.Val[p] = MulVal(a.Val[p], s)
-	}
-	return a
-}
-
-// DropZeros removes explicitly stored zeros (bool: stored false),
-// preserving entry order.
-func (a *CSCOf[T]) DropZeros() *CSCOf[T] {
-	out := 0
-	newPtr := make([]int64, a.Cols+1)
-	for j := 0; j < a.Cols; j++ {
-		for p := int(a.ColPtr[j]); p < int(a.ColPtr[j+1]); p++ {
-			if !IsZero(a.Val[p]) {
-				a.RowIdx[out] = a.RowIdx[p]
-				a.Val[out] = a.Val[p]
-				out++
-			}
-		}
-		newPtr[j+1] = int64(out)
-	}
-	a.ColPtr = newPtr
-	a.RowIdx = a.RowIdx[:out]
-	a.Val = a.Val[:out]
-	return a
-}
-
 // Triples returns all stored entries in column-major order.
 func (a *CSCOf[T]) Triples() []TripleOf[T] {
 	ts := make([]TripleOf[T], 0, a.NNZ())

@@ -107,30 +107,6 @@ func TestSortColumnsMergesDuplicates(t *testing.T) {
 	}
 }
 
-func TestTransposeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := randomCOO(rng, 17, 9, 60).ToCSC()
-	tt := a.Transpose().Transpose()
-	if !a.Equal(tt) {
-		t.Error("double transpose differs from original")
-	}
-	tr := a.Transpose()
-	for _, tri := range a.Triples() {
-		if got := tr.At(int(tri.Col), int(tri.Row)); got != tri.Val {
-			t.Fatalf("transpose At(%d,%d) = %v, want %v", tri.Col, tri.Row, got, tri.Val)
-		}
-	}
-}
-
-func TestCSRConversionRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randomCOO(rng, 23, 11, 80).ToCSC()
-	back := a.ToCSR().ToCSC()
-	if !a.Equal(back) {
-		t.Error("CSC -> CSR -> CSC changed the matrix")
-	}
-}
-
 func TestColRange(t *testing.T) {
 	a := FromTriples(10, 1, []Triple{{1, 0, 1}, {3, 0, 2}, {5, 0, 3}, {9, 0, 4}})
 	rows, vals := a.ColRange(0, 3, 9)
@@ -203,21 +179,6 @@ func TestEqualIgnoresColumnOrder(t *testing.T) {
 	}
 }
 
-func TestDropZerosAndScale(t *testing.T) {
-	a := FromTriples(3, 2, []Triple{{0, 0, 2}, {1, 0, 0}, {2, 1, -4}})
-	a.DropZeros()
-	if a.NNZ() != 2 {
-		t.Fatalf("nnz after DropZeros = %d, want 2", a.NNZ())
-	}
-	a.Scale(0.5)
-	if got := a.At(0, 0); got != 1 {
-		t.Errorf("At(0,0) after scale = %v, want 1", got)
-	}
-	if got := a.At(2, 1); got != -2 {
-		t.Errorf("At(2,1) after scale = %v, want -2", got)
-	}
-}
-
 func TestQuickCOOToCSCPreservesSums(t *testing.T) {
 	// Property: for random COO inputs, the CSC conversion preserves the
 	// per-position sum of duplicates.
@@ -247,18 +208,6 @@ func TestQuickCOOToCSCPreservesSums(t *testing.T) {
 	}
 }
 
-func TestQuickTransposeInvolution(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rows, cols := rng.Intn(20)+1, rng.Intn(20)+1
-		a := randomCOO(rng, rows, cols, rng.Intn(150)).ToCSC()
-		return a.Equal(a.Transpose().Transpose())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestEmptyMatrices(t *testing.T) {
 	e := NewCSC(0, 0, 0)
 	if err := e.Validate(); err != nil {
@@ -270,19 +219,6 @@ func TestEmptyMatrices(t *testing.T) {
 	}
 	if !e2.IsColumnSorted() {
 		t.Error("empty columns should count as sorted")
-	}
-	tr := e2.Transpose()
-	if tr.Rows != 3 || tr.Cols != 5 || tr.NNZ() != 0 {
-		t.Errorf("transpose of empty = %v", tr)
-	}
-}
-
-func TestNextPow2(t *testing.T) {
-	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1023: 1024, 1024: 1024, 1025: 2048}
-	for in, want := range cases {
-		if got := nextPow2(in); got != want {
-			t.Errorf("nextPow2(%d) = %d, want %d", in, got, want)
-		}
 	}
 }
 

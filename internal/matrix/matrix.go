@@ -1,7 +1,7 @@
 // Package matrix provides the sparse matrix formats used throughout the
-// SpKAdd library: compressed sparse column (CSC, the primary format of
-// the paper), compressed sparse row (CSR), coordinate (COO), and a small
-// dense matrix used as a trivially-correct reference in tests.
+// SpKAdd library: compressed sparse column (CSC, the paper's format),
+// coordinate (COO) for assembly, and a small dense matrix used as a
+// trivially-correct reference in tests.
 //
 // All matrices store 32-bit row/column indices. The value axis is a
 // type parameter constrained by Number (float32, float64, int32,
@@ -48,9 +48,9 @@ type TripleOf[T Number] struct {
 // Triple is the float64 coordinate entry.
 type Triple = TripleOf[Value]
 
-// EntryOf is a (row, value) pair within one column (or (col, value)
-// within one row for CSR). Columns of CSC matrices are logically lists
-// of entries, matching the (rowid, val) tuples of the paper's Figure 1.
+// EntryOf is a (row, value) pair within one column. Columns of CSC
+// matrices are logically lists of entries, matching the (rowid, val)
+// tuples of the paper's Figure 1.
 type EntryOf[T Number] struct {
 	Row Index
 	Val T
@@ -59,17 +59,8 @@ type EntryOf[T Number] struct {
 // Entry is the float64 column entry.
 type Entry = EntryOf[Value]
 
-// nextPow2 returns the smallest power of two >= n, with a minimum of 1.
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // The scalar helpers below give the non-hot generic code (reference
-// implementations, duplicate folding in SortColumns, Scale, tolerance
+// implementations, duplicate folding in SortColumns, tolerance
 // comparison) one place that knows how "+", "*", zero and float
 // conversion behave per element type. bool treats + as OR, * as AND
 // and zero as false — the semiring convention of boolean matrix

@@ -300,25 +300,3 @@ func CountFor[T matrix.Number]() *MonoidOf[T] {
 	}
 	return nil
 }
-
-// Describe maps a monoid over any T to its float64 counterpart for
-// reporting surfaces (OpStats.MonoidUsed predates the generic value
-// axis and stays *Monoid). The float64 instantiation passes through
-// unchanged — pointer identity preserved — and canonical instances of
-// other instantiations map to the float64 built-in of the same name.
-// A user-defined monoid over a non-float64 T has no float64
-// counterpart; it reports as a name-only descriptor.
-func Describe[T matrix.Number](m *MonoidOf[T]) *Monoid {
-	if m == nil {
-		return nil
-	}
-	if f, ok := any(m).(*Monoid); ok {
-		return f
-	}
-	for _, b := range Builtins {
-		if b.Name == m.Name {
-			return b
-		}
-	}
-	return &Monoid{Name: m.Name, Combine: func(a, b matrix.Value) matrix.Value { return a }}
-}

@@ -17,8 +17,6 @@ import (
 type (
 	// Matrix is a CSC sparse matrix.
 	Matrix = matrix.CSC
-	// CSR is a compressed-sparse-row matrix.
-	CSR = matrix.CSR
 	// COO is a coordinate-format matrix, convenient for assembly.
 	COO = matrix.COO
 	// Triple is one (row, col, value) entry.
@@ -42,8 +40,6 @@ type Number = matrix.Number
 type (
 	// MatrixOf is a CSC sparse matrix over any supported element type.
 	MatrixOf[T Number] = matrix.CSCOf[T]
-	// CSROf is a compressed-sparse-row matrix over T.
-	CSROf[T Number] = matrix.CSROf[T]
 	// COOOf is a coordinate-format matrix over T.
 	COOOf[T Number] = matrix.COOOf[T]
 	// TripleOf is one (row, col, value) entry over T.
@@ -325,12 +321,6 @@ type SummaReport = summa.Report
 // operands with unsorted columns ErrUnsortedInput.
 func RunSumma(a, b *Matrix, cfg SummaConfig) (*Matrix, SummaReport, error) {
 	return summa.Run(a, b, cfg)
-}
-
-// AddCSR computes the sum of CSR matrices through zero-copy transposed
-// views (§II-A of the paper: the algorithms apply unchanged to CSR).
-func AddCSR[T Number](as []*CSROf[T], opt OptionsOf[T]) (*CSROf[T], error) {
-	return core.AddCSR(as, opt)
 }
 
 // Accumulator performs streaming/batched SpKAdd under a memory budget
