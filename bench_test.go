@@ -10,8 +10,10 @@ package spkadd_test
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"spkadd/internal/faults"
 
@@ -390,6 +392,55 @@ func BenchmarkAdderReuseSched(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkWorkspaceSpread times the same call on fresh workspaces and
+// reports how far apart they run. Each iteration builds 8 fresh Adders
+// over inputs shaped like the kadd-rmat benchmark workload's (R-MAT,
+// 2^17 x 256, d = 32): 128 of them for SPA, 16 for Heap and
+// SlidingHash. Each Adder runs 2 warm-up calls at Threads 2 and then 7
+// timed ones, and the benchmark reports the slowest Adder's median
+// over the fastest's as max/min. Where two workers' kernel state can
+// share a cache line, the sharing is fixed by where a workspace's
+// worker states land, so max/min near 2 means one speed per workspace
+// and two speeds in all (DESIGN.md §4). It is a benchmark, not a test,
+// because timing tests flake.
+func BenchmarkWorkspaceSpread(b *testing.B) {
+	const adders, warm, timed = 8, 2, 7
+	in := generate.RMATCollection(128, generate.Opts{Rows: 1 << 17, Cols: 256, NNZPerCol: 32, Seed: 1}, generate.Graph500)
+	for _, c := range []struct {
+		name string
+		alg  spkadd.Algorithm
+		k    int
+	}{
+		{"SPA", spkadd.SPA, 128},
+		{"Heap", spkadd.Heap, 16},
+		{"SlidingHash", spkadd.SlidingHash, 16},
+	} {
+		as, opt := in[:c.k], spkadd.Options{Algorithm: c.alg, Threads: 2}
+		b.Run(c.name, func(b *testing.B) {
+			var spread float64
+			for i := 0; i < b.N; i++ {
+				medians := make([]time.Duration, adders)
+				for a := range medians {
+					ad := spkadd.NewAdder()
+					times := make([]time.Duration, warm+timed)
+					for r := range times {
+						start := time.Now()
+						if _, err := ad.Add(as, opt); err != nil {
+							b.Fatal(err)
+						}
+						times[r] = time.Since(start)
+					}
+					times = times[warm:]
+					slices.Sort(times)
+					medians[a] = times[timed/2]
+				}
+				spread = float64(slices.Max(medians)) / float64(slices.Min(medians))
+			}
+			b.ReportMetric(spread, "max/min")
 		})
 	}
 }

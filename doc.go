@@ -158,7 +158,8 @@
 // Validation failures are sentinel errors matched with errors.Is:
 // ErrNoInputs (empty collection), ErrDimMismatch (inputs disagree on
 // shape), ErrUnsortedInput (Heap or the 2-way baselines fed unsorted
-// columns), ErrCoeffsRequirePlus (AddScaled with a non-Plus monoid),
+// columns; an Accumulator or Pool under them refuses such a matrix at
+// Push), ErrCoeffsRequirePlus (AddScaled with a non-Plus monoid),
 // ErrMonoidUnsupported (a non-Plus monoid on a 2-way baseline), and
 // the misuse sentinels ErrAdderInUse, ErrAccumulatorInUse and
 // ErrPoolClosed (a push after Close, or a second Close).

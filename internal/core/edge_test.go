@@ -98,7 +98,7 @@ func TestSymbolicVariantsAgree(t *testing.T) {
 			as[i] = coo.ToCSC()
 		}
 		want := matrix.ReferenceAdd(as)
-		w := newWorkerStateOf[matrix.Value](k)
+		w := &workerStateOf[matrix.Value]{}
 		for j := 0; j < cols; j++ {
 			inz := 0
 			for _, a := range as {
@@ -135,7 +135,7 @@ func TestSymbolicSizingMovesHighWater(t *testing.T) {
 	for _, a := range as {
 		inz += a.ColNNZ(0)
 	}
-	w := newWorkerStateOf[matrix.Value](len(as))
+	w := &workerStateOf[matrix.Value]{}
 	w.hashTable(1000)
 	slidingSymbolicCol(w, as, 0, inz, 1, DefaultCacheBytes, 8, allColumnsSorted(as))
 	if got, want := w.hashTable(400).Cap(), hashtab.SizeFor(400); got < want {

@@ -13,6 +13,15 @@ import (
 // reuses it across all columns the thread processes (§III-A) — and,
 // living in a Workspace, across every call the workspace serves.
 //
+// A workspace holds its workers by value in one slice, and the table,
+// heap and SPA are fields: each works from its zero value once its
+// Grow has run, which the accessors below call before handing it out.
+// The leading pad keeps the headers the kernels write per entry (the
+// work counters, the SPA's index list) a cache line clear of whatever
+// precedes them in memory, the previous worker's fields included, so
+// two workers never write one line (TestWorkerStateLayout). The
+// fields after them are cold.
+//
 // tabHW is a high-water mark: the key count the hash table's current
 // probe window was last sized for. Consecutive columns of similar size
 // skip the redundant Grow (and its SizeFor re-derivation) entirely — a
@@ -23,10 +32,11 @@ import (
 // size it exactly through hashTableSized, so the mark always names the
 // window the table has.
 type workerStateOf[T matrix.Number] struct {
-	table *hashtab.TableOf[T]
-	heap  *kheap.HeapOf[T]
-	acc   *spa.SPAOf[T]
-	pos   []int64 // per-matrix cursors for the heap kernel
+	_     [64]byte
+	table hashtab.TableOf[T]
+	heap  kheap.HeapOf[T]
+	acc   spa.SPAOf[T]
+	pos   []int64 // per-matrix cursors of the heap merges, sized by kheap
 	// kit binds the instantiation's Plus fast-path loops (nil for
 	// bool, whose calls are always monoid-generic; see kitFor).
 	kit    *numKit[T]
@@ -34,23 +44,10 @@ type workerStateOf[T matrix.Number] struct {
 	sorter rowSorterOf[T] // every sorted emit's row sorter (rowsort.go)
 }
 
-func newWorkerStateOf[T matrix.Number](k int) *workerStateOf[T] {
-	return &workerStateOf[T]{pos: make([]int64, k), kit: kitFor[T]()}
-}
-
-// prepare adapts a workspace-resident worker to a new call's input
-// count.
-func (w *workerStateOf[T]) prepare(k int) {
-	if cap(w.pos) < k {
-		w.pos = make([]int64, k)
-	}
-	w.pos = w.pos[:k]
-}
-
 func (w *workerStateOf[T]) hashTable(n int) *hashtab.TableOf[T] {
-	if n <= w.tabHW && n >= w.tabHW>>2 && w.table != nil {
+	if n <= w.tabHW && n >= w.tabHW>>2 {
 		w.table.Reset()
-		return w.table
+		return &w.table
 	}
 	return w.hashTableSized(n)
 }
@@ -63,32 +60,22 @@ func (w *workerStateOf[T]) hashTable(n int) *hashtab.TableOf[T] {
 // mark with the window, so a later band check never reuses a window
 // sized for one small part.
 func (w *workerStateOf[T]) hashTableSized(n int) *hashtab.TableOf[T] {
-	if w.table == nil {
-		w.table = hashtab.NewTableOf[T](n)
-	} else {
-		w.table.Grow(n)
-	}
+	w.table.Grow(n)
 	w.tabHW = n
-	return w.table
+	return &w.table
 }
 
+// kheap readies the heap and the heap merges' cursors for k inputs.
 func (w *workerStateOf[T]) kheap(k int) *kheap.HeapOf[T] {
-	if w.heap == nil {
-		w.heap = kheap.NewOf[T](k)
-		return w.heap
-	}
 	w.heap.Reset()
 	w.heap.Grow(k)
-	return w.heap
+	w.pos = grow(w.pos, k)
+	return &w.heap
 }
 
 func (w *workerStateOf[T]) spa(m int) *spa.SPAOf[T] {
-	if w.acc == nil {
-		w.acc = spa.NewOf[T](m)
-		return w.acc
-	}
 	w.acc.Grow(m)
-	return w.acc
+	return &w.acc
 }
 
 // flushStats adds the worker's structure counters into s and resets
@@ -98,16 +85,8 @@ func (w *workerStateOf[T]) spa(m int) *spa.SPAOf[T] {
 // Stats-less calls too, and their counts must not leak into a later
 // call's Stats.
 func (w *workerStateOf[T]) flushStats(s *OpStats, sym bool) {
-	var probes, heapOps, touches int64
-	if w.table != nil {
-		probes, w.table.Probes = w.table.Probes, 0
-	}
-	if w.heap != nil {
-		heapOps, w.heap.Ops = w.heap.Ops, 0
-	}
-	if w.acc != nil {
-		touches, w.acc.Touches = w.acc.Touches, 0
-	}
+	probes, heapOps, touches := w.table.Probes, w.heap.Ops, w.acc.Touches
+	w.table.Probes, w.heap.Ops, w.acc.Touches = 0, 0, 0
 	if s == nil {
 		return
 	}
@@ -128,7 +107,7 @@ func (w *workerStateOf[T]) flushStats(s *OpStats, sym bool) {
 // constraint split: the fast-path loops are free functions constrained
 // to matrix.Arith (so each instantiation inlines hashtab.Accum /
 // spa.Accum to a branch-once "+=" loop), collected into a per-type
-// numKit bound once at worker construction. A [T Number] kernel
+// numKit bound once per workspace. A [T Number] kernel
 // crosses into [T Arith] code through one indirect call per column —
 // never per element — and bool, the only Number outside Arith, gets a
 // nil kit that validation guarantees is never consulted (a bool call
@@ -175,7 +154,7 @@ var (
 
 // kitFor returns T's Plus fast-path kit, nil for bool (validation
 // never lets a bool call reach a Plus path). The type switch runs once
-// per worker construction, not per call.
+// per workspace construction, not per call.
 func kitFor[T matrix.Number]() *numKit[T] {
 	var z T
 	switch any(z).(type) {

@@ -304,8 +304,9 @@ func (p *PoolOf[T]) Shards() int { return len(p.shards) }
 // establishing its cut, or when a shard's queue has hit its
 // high-water mark (2x the shard's budget share) — backpressure for
 // producers outrunning the reducers. Reduction errors are deferred to
-// Sum and Close; Push itself only fails on dimension mismatch or a
-// closed pool.
+// Sum and Close; Push itself only fails on dimension mismatch, on an
+// unsorted matrix under an algorithm that needs sorted input
+// (ErrUnsortedInput), or on a closed pool.
 func (p *PoolOf[T]) Push(a *matrix.CSCOf[T]) error {
 	return p.PushContext(context.Background(), a)
 }
@@ -326,6 +327,9 @@ func (p *PoolOf[T]) PushContext(ctx context.Context, a *matrix.CSCOf[T]) error {
 	if a.Rows != p.rows || a.Cols != p.cols {
 		return fmt.Errorf("%w: pushed %dx%d, pool is %dx%d",
 			ErrDimMismatch, a.Rows, a.Cols, p.rows, p.cols)
+	}
+	if err := admit(a, p.shards[0].opt.Algorithm); err != nil {
+		return err
 	}
 	if err := faults.ErrOn(faults.FailedPush, p.faultZone); err != nil {
 		if st := p.shards[0].opt.Stats; st != nil {

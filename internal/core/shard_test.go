@@ -149,29 +149,39 @@ func TestPoolClosed(t *testing.T) {
 	}
 }
 
-func TestPoolStickyReductionError(t *testing.T) {
-	// Heap requires sorted inputs; an unsorted delta makes the shard
-	// reduction fail, and the error must surface at Sum and Close
-	// instead of being swallowed by the asynchronous reducer.
-	unsorted := matrix.NewCSC(8, 4, 2)
-	unsorted.RowIdx = append(unsorted.RowIdx, 5, 2)
-	unsorted.Val = append(unsorted.Val, 1, 1)
+// unsortedDelta is an 8x4 matrix whose first column holds rows 5 and
+// 2, in that order: Heap and the 2-way baselines reject it.
+func unsortedDelta() *matrix.CSC {
+	u := matrix.NewCSC(8, 4, 2)
+	u.RowIdx = append(u.RowIdx, 5, 2)
+	u.Val = append(u.Val, 1, 1)
 	for j := 1; j <= 4; j++ {
-		unsorted.ColPtr[j] = 2
+		u.ColPtr[j] = 2
 	}
+	return u
+}
+
+// TestPoolRefusesUnsortedUnderHeap: Heap needs sorted input, so a Heap
+// pool refuses an unsorted push at the door. Queued, it would fail the
+// shard's reduction and drop the good pushes batched with it.
+func TestPoolRefusesUnsortedUnderHeap(t *testing.T) {
 	sorted := erInputs(1, 8, 4, 2, 63)[0]
 	p := NewPool(8, 4, PoolOptions{Shards: 1, Add: Options{Algorithm: Heap}})
 	if err := p.Push(sorted); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Push(unsorted); err != nil {
-		t.Fatal(err)
+	if err := p.Push(unsortedDelta()); !errors.Is(err, ErrUnsortedInput) {
+		t.Errorf("Push(unsorted) = %v, want ErrUnsortedInput", err)
 	}
-	if _, err := p.Sum(); !errors.Is(err, ErrUnsortedInput) {
-		t.Errorf("Sum after failed reduction: %v, want ErrUnsortedInput", err)
+	got, err := p.Sum()
+	if err != nil {
+		t.Fatalf("Sum after a refused push: %v", err)
 	}
-	if err := p.Close(); !errors.Is(err, ErrUnsortedInput) {
-		t.Errorf("Close after failed reduction: %v, want ErrUnsortedInput", err)
+	if !got.Equal(sorted) {
+		t.Error("Sum differs from the one accepted push")
+	}
+	if err := p.Close(); err != nil {
+		t.Errorf("Close after a refused push: %v", err)
 	}
 }
 

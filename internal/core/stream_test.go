@@ -41,6 +41,37 @@ func TestAccumulatorMatchesOneShot(t *testing.T) {
 	}
 }
 
+// TestAccumulatorRefusesUnsortedUnderHeap: a Heap accumulator refuses
+// an unsorted push. Buffered, it would fail every later reduction.
+// Under a 1-byte budget each push reduces what is pending, so the
+// pushes after the refused one reduce right away.
+func TestAccumulatorRefusesUnsortedUnderHeap(t *testing.T) {
+	good := erInputs(3, 8, 4, 2, 64)
+	ac := NewAccumulator(8, 4, 1, Options{Algorithm: Heap})
+	if err := ac.Push(good[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := ac.Push(unsortedDelta()); !errors.Is(err, ErrUnsortedInput) {
+		t.Fatalf("Push(unsorted) = %v, want ErrUnsortedInput", err)
+	}
+	for _, a := range good[1:] {
+		if err := ac.Push(a); err != nil {
+			t.Fatalf("Push after a refused push: %v", err)
+		}
+	}
+	got, err := ac.Sum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Add(good, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Error("Sum differs from Add of the accepted pushes")
+	}
+}
+
 func TestAccumulatorBatching(t *testing.T) {
 	// A budget of sum + ~4 matrices should produce ~k/4 reductions,
 	// far fewer than k (which is what pairwise incremental would do).

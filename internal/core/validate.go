@@ -152,13 +152,13 @@ func (o OptionsOf[T]) validate(as []*matrix.CSCOf[T], coeffs []T, premapped int)
 	// the merge-based algorithms reject unsorted input, and SlidingHash
 	// passes it to its kernels, which then bound each row window by
 	// binary search. Hash, SPA and the map baselines accept any order.
-	switch alg {
-	case TwoWayIncremental, TwoWayTree, Heap:
+	switch {
+	case alg.needsSortedInput():
 		if !allColumnsSorted(as) {
 			return p, unsortedErr(alg)
 		}
 		p.sortedIn = true
-	case SlidingHash:
+	case alg == SlidingHash:
 		p.sortedIn = allColumnsSorted(as)
 	}
 	if kWay := alg == Heap || alg == SPA || alg == Hash || alg == SlidingHash; !kWay {
@@ -179,4 +179,21 @@ func (o OptionsOf[T]) validate(as []*matrix.CSCOf[T], coeffs []T, premapped int)
 			ErrMonoidUnsupported, p.mon.def.Name, alg)
 	}
 	return p, nil
+}
+
+// needsSortedInput reports whether alg merges columns in row order and
+// so rejects inputs with unsorted columns.
+func (alg Algorithm) needsSortedInput() bool {
+	return alg == TwoWayIncremental || alg == TwoWayTree || alg == Heap
+}
+
+// admit is the push-time check of the Accumulator and the Pool: a
+// matrix that every reduction under alg would reject is refused before
+// it is queued, where it would fail each batch it joined. The O(nnz)
+// sortedness scan runs only for the algorithms that need sorted input.
+func admit[T matrix.Number](a *matrix.CSCOf[T], alg Algorithm) error {
+	if alg.needsSortedInput() && !a.IsColumnSorted() {
+		return unsortedErr(alg)
+	}
+	return nil
 }

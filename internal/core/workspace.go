@@ -43,7 +43,7 @@ type WorkspaceOf[T matrix.Number] struct {
 	recycleOut bool
 
 	// Scratch reused across calls.
-	workers []*workerStateOf[T]
+	workers []workerStateOf[T]
 	weights []int64 // per-column Σ_i nnz(A_i(:,j)), or Mul's flops
 	counts  []int64 // per-column output nnz
 	ubPtr   []int64 // single-pass engine's staging column pointers
@@ -313,8 +313,11 @@ func (ws *WorkspaceOf[T]) begin(as []*matrix.CSCOf[T], p planOf[T], opt OptionsO
 	ws.t = sched.Threads(opt.Threads)
 	ws.cache = opt.cacheBytes()
 	if ws.t > len(ws.workers) {
-		workers := make([]*workerStateOf[T], ws.t)
+		workers := make([]workerStateOf[T], ws.t)
 		copy(workers, ws.workers)
+		for i := len(ws.workers); i < ws.t; i++ {
+			workers[i].kit = ws.kit
+		}
 		ws.workers = workers
 	}
 }
@@ -375,8 +378,8 @@ func (ws *WorkspaceOf[T]) runCols(weights []int64, body func(worker, lo, hi int)
 	return runColsOn(ws.executorFor(ws.t), ws.t, weights, ws.opt.Stats, body)
 }
 
-// reserveWorkers pre-creates every worker's thread-private scratch
-// and reserves its hash-table or SPA index storage (and, for a sorted
+// reserveWorkers grows every worker's thread-private structures and
+// reserves its hash-table or SPA index storage (and, for a sorted
 // numeric phase, its row sorter) for the phase's largest per-column
 // bound in an output of rows rows, whenever the call runs more than
 // one worker. A weighted region steals, so the same call may hand any
@@ -429,19 +432,11 @@ func maxWeight(bound []int64) int64 {
 	return m
 }
 
-// worker returns worker w's private state, creating it on first use
-// (worker ids handed out by sched are distinct among concurrently
-// running goroutines, so this is race-free) and adapting a reused one
-// to this call's k.
+// worker returns worker w's private state. Worker ids handed out by
+// sched are distinct among concurrently running goroutines, so no two
+// of them share a state.
 func (ws *WorkspaceOf[T]) worker(w int) *workerStateOf[T] {
-	s := ws.workers[w]
-	if s == nil {
-		s = newWorkerStateOf[T](len(ws.as))
-		ws.workers[w] = s
-		return s
-	}
-	s.prepare(len(ws.as))
-	return s
+	return &ws.workers[w]
 }
 
 // colScratch sizes and zeroes the per-column weight and count arrays.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"spkadd/internal/generate"
 	"spkadd/internal/matrix"
@@ -228,4 +229,39 @@ func TestAccumulatorRecycledSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdentical(t, got2, want2, "accumulator extended")
+}
+
+// TestWorkerStateLayout pins the pad that gives each worker's table,
+// heap and SPA headers, which the kernels write per entry, cache lines
+// of their own. A workspace holds its workers back to back in one
+// slice, so each header must start at least a line into its element:
+// then the line below it holds only the pad, whatever precedes the
+// element (the previous worker's fields, or for worker 0 whatever
+// object the allocator put before the slice) and whatever fields the
+// struct gains. Headers that two workers write on one line make SPA
+// and Heap run at one of two speeds (BenchmarkWorkspaceSpread).
+func TestWorkerStateLayout(t *testing.T) {
+	checkWorkerStateLayout[float64](t, "float64")
+	checkWorkerStateLayout[float32](t, "float32")
+	checkWorkerStateLayout[int32](t, "int32")
+	checkWorkerStateLayout[int64](t, "int64")
+	checkWorkerStateLayout[bool](t, "bool")
+}
+
+func checkWorkerStateLayout[T matrix.Number](t *testing.T, name string) {
+	t.Helper()
+	const line = 64
+	var w workerStateOf[T]
+	for _, f := range []struct {
+		field string
+		off   uintptr
+	}{
+		{"table", unsafe.Offsetof(w.table)},
+		{"heap", unsafe.Offsetof(w.heap)},
+		{"acc", unsafe.Offsetof(w.acc)},
+	} {
+		if f.off < line {
+			t.Errorf("workerStateOf[%s].%s at offset %d, want >= %d", name, f.field, f.off, line)
+		}
+	}
 }

@@ -75,7 +75,8 @@ func SlidingParts(nnz int, bytesPerEntry int64, threads int, cacheBytes int64, m
 
 // TableOf is the hash table of both phases: it holds (row, value)
 // entries of element type T for the numeric phase, and its Insert
-// counts keys for the symbolic phase.
+// counts keys for the symbolic phase. The zero value is an empty table
+// that works once Grow has been called.
 type TableOf[T matrix.Number] struct {
 	keys   []matrix.Index
 	vals   []T
@@ -90,13 +91,6 @@ type TableOf[T matrix.Number] struct {
 	// accumulate across the many columns it processes; callers zero it
 	// explicitly when flushing.
 	Probes int64
-}
-
-// NewTableOf returns a table over T with capacity for at least n keys.
-func NewTableOf[T matrix.Number](n int) *TableOf[T] {
-	t := &TableOf[T]{}
-	t.Grow(n)
-	return t
 }
 
 // Cap returns the active window size (a power of two).

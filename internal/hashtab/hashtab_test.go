@@ -28,7 +28,8 @@ func TestSizeFor(t *testing.T) {
 }
 
 func TestTableAccumulates(t *testing.T) {
-	tab := NewTableOf[matrix.Value](10)
+	tab := &TableOf[matrix.Value]{}
+	tab.Grow(10)
 	Accum(tab, 5, 1.5)
 	Accum(tab, 7, 2)
 	Accum(tab, 5, 3)
@@ -49,7 +50,8 @@ func TestTableAccumulates(t *testing.T) {
 func TestTableCollisionsResolve(t *testing.T) {
 	// Multiples of 16 all hash to slot 0 of the 16-slot table a 4-key
 	// table gets, so every insert after the first probes past it.
-	tab := NewTableOf[matrix.Value](4)
+	tab := &TableOf[matrix.Value]{}
+	tab.Grow(4)
 	keys := []matrix.Index{0, 16, 32, 48}
 	for i, k := range keys {
 		Accum(tab, k, float64(i+1))
@@ -65,7 +67,8 @@ func TestTableCollisionsResolve(t *testing.T) {
 }
 
 func TestAppendEntriesRoundTrip(t *testing.T) {
-	tab := NewTableOf[matrix.Value](64)
+	tab := &TableOf[matrix.Value]{}
+	tab.Grow(64)
 	want := map[matrix.Index]matrix.Value{}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
@@ -119,7 +122,8 @@ func TestAppendEntriesInsertionOrder(t *testing.T) {
 	}
 	for _, in := range inserts {
 		for _, c := range cases {
-			tab := NewTableOf[matrix.Value](stale)
+			tab := &TableOf[matrix.Value]{}
+			tab.Grow(stale)
 			for r := 0; r < stale; r++ {
 				Accum(tab, matrix.Index(3*r), 1)
 			}
@@ -153,7 +157,8 @@ func TestAppendEntriesInsertionOrder(t *testing.T) {
 }
 
 func TestTableResetAndGrow(t *testing.T) {
-	tab := NewTableOf[matrix.Value](8)
+	tab := &TableOf[matrix.Value]{}
+	tab.Grow(8)
 	Accum(tab, 1, 1)
 	tab.Reset()
 	if tab.Len() != 0 {
@@ -177,7 +182,8 @@ func TestTableResetAndGrow(t *testing.T) {
 }
 
 func TestSymbolicCountsDistinct(t *testing.T) {
-	s := NewTableOf[matrix.Value](100)
+	s := &TableOf[matrix.Value]{}
+	s.Grow(100)
 	seen := map[matrix.Index]bool{}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
@@ -206,7 +212,8 @@ func TestQuickTableMatchesMap(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(300) + 1
-		tab := NewTableOf[matrix.Value](n/4 + 1) // deliberately small: exercise Grow? no, collision paths
+		tab := &TableOf[matrix.Value]{}
+		tab.Grow(n/4 + 1)
 		want := map[matrix.Index]matrix.Value{}
 		for i := 0; i < n; i++ {
 			r := matrix.Index(rng.Intn(64))
@@ -236,7 +243,8 @@ func TestQuickTableMatchesMap(t *testing.T) {
 }
 
 func TestProbeCounterMonotone(t *testing.T) {
-	tab := NewTableOf[matrix.Value](16)
+	tab := &TableOf[matrix.Value]{}
+	tab.Grow(16)
 	Accum(tab, 1, 1)
 	if tab.Probes < 1 {
 		t.Error("probe counter not advancing")
@@ -253,7 +261,9 @@ func TestProbeCounterMonotone(t *testing.T) {
 func TestAddWithMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	plus := func(a, b matrix.Value) matrix.Value { return a + b }
-	tab, ref := NewTableOf[matrix.Value](64), NewTableOf[matrix.Value](64)
+	tab, ref := &TableOf[matrix.Value]{}, &TableOf[matrix.Value]{}
+	tab.Grow(64)
+	ref.Grow(64)
 	for i := 0; i < 500; i++ {
 		r := matrix.Index(rng.Intn(100))
 		v := matrix.Value(rng.NormFloat64())
@@ -271,7 +281,8 @@ func TestAddWithMatchesAdd(t *testing.T) {
 		}
 	}
 
-	mn := NewTableOf[matrix.Value](8)
+	mn := &TableOf[matrix.Value]{}
+	mn.Grow(8)
 	mn.AddWith(3, 5, func(a, b matrix.Value) matrix.Value { return min(a, b) })
 	mn.AddWith(3, 2, func(a, b matrix.Value) matrix.Value { return min(a, b) })
 	mn.AddWith(3, 9, func(a, b matrix.Value) matrix.Value { return min(a, b) })

@@ -9,7 +9,7 @@
 // matches the paper's O(k) memory claim exactly. The value axis is
 // generic over matrix.Number — the heap never combines values, only
 // carries them, so every element type (including bool) uses the same
-// code; Heap/Tuple alias the float64 instantiation.
+// code; Tuple aliases the float64 instantiation.
 package kheap
 
 import "spkadd/internal/matrix"
@@ -30,25 +30,13 @@ type Tuple = TupleOf[matrix.Value]
 // merge: the driver folds colliding values in the order the heap
 // yields them, and the Mat tie-break makes that order — hence the bit
 // pattern of any floating-point combine — identical across runs and
-// engines.
+// engines. The zero value is an empty heap; Grow(k) sizes it for k
+// tuples, so the merge loop never reallocates.
 type HeapOf[T matrix.Number] struct {
 	a []TupleOf[T]
 
 	// Ops counts sift operations for the Table I work tests.
 	Ops int64
-}
-
-// Heap is the float64 k-way merge heap.
-type Heap = HeapOf[matrix.Value]
-
-// New returns a float64 heap with capacity k.
-func New(k int) *Heap {
-	return NewOf[matrix.Value](k)
-}
-
-// NewOf returns a heap over T with capacity k.
-func NewOf[T matrix.Number](k int) *HeapOf[T] {
-	return &HeapOf[T]{a: make([]TupleOf[T], 0, k)}
 }
 
 // Len returns the number of elements.

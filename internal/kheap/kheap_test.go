@@ -9,7 +9,8 @@ import (
 )
 
 func TestPopOrdering(t *testing.T) {
-	h := New(8)
+	h := &HeapOf[matrix.Value]{}
+	h.Grow(8)
 	rows := []matrix.Index{5, 1, 9, 3, 3, 0, 7}
 	for i, r := range rows {
 		h.Push(Tuple{Row: r, Mat: int32(i), Val: float64(i)})
@@ -27,7 +28,8 @@ func TestPopOrdering(t *testing.T) {
 }
 
 func TestTieBreakByMatrix(t *testing.T) {
-	h := New(4)
+	h := &HeapOf[matrix.Value]{}
+	h.Grow(4)
 	h.Push(Tuple{Row: 2, Mat: 3})
 	h.Push(Tuple{Row: 2, Mat: 1})
 	h.Push(Tuple{Row: 2, Mat: 2})
@@ -40,7 +42,8 @@ func TestTieBreakByMatrix(t *testing.T) {
 }
 
 func TestReplaceMin(t *testing.T) {
-	h := New(4)
+	h := &HeapOf[matrix.Value]{}
+	h.Grow(4)
 	h.Push(Tuple{Row: 1, Val: 10})
 	h.Push(Tuple{Row: 5, Val: 50})
 	h.Push(Tuple{Row: 3, Val: 30})
@@ -58,7 +61,8 @@ func TestReplaceMin(t *testing.T) {
 }
 
 func TestResetReuse(t *testing.T) {
-	h := New(2)
+	h := &HeapOf[matrix.Value]{}
+	h.Grow(2)
 	h.Push(Tuple{Row: 1})
 	h.Reset()
 	if h.Len() != 0 {
@@ -74,7 +78,8 @@ func TestQuickHeapSort(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(200)
-		h := New(n)
+		h := &HeapOf[matrix.Value]{}
+		h.Grow(n)
 		for i := 0; i < n; i++ {
 			h.Push(Tuple{Row: matrix.Index(rng.Intn(50)), Mat: int32(i)})
 		}
@@ -98,7 +103,9 @@ func TestQuickReplaceMinEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(30) + 1
-		h1, h2 := New(n), New(n)
+		h1, h2 := &HeapOf[matrix.Value]{}, &HeapOf[matrix.Value]{}
+		h1.Grow(n)
+		h2.Grow(n)
 		for i := 0; i < n; i++ {
 			tup := Tuple{Row: matrix.Index(rng.Intn(20)), Mat: int32(i)}
 			h1.Push(tup)

@@ -8,16 +8,15 @@
 //
 // The value axis is generic over matrix.Number: the "+" fast path is
 // the Arith-constrained free function Accum (inlined += per
-// instantiation), the monoid-generic path is the AddWith method, and
-// SPA aliases the float64 instantiation.
+// instantiation), and the monoid-generic path is the AddWith method.
 package spa
 
 import "spkadd/internal/matrix"
 
 // SPAOf is a sparse accumulator over row indices [0, m) with values of
-// element type T. It is not safe for concurrent use; the parallel
-// driver allocates one per worker (the paper's O(T*m) aggregate memory
-// cost, §III-A).
+// element type T. The zero value has no rows; it works once Grow(m)
+// has been called. It is not safe for concurrent use; each worker
+// keeps its own (the paper's O(T*m) aggregate memory cost, §III-A).
 type SPAOf[T matrix.Number] struct {
 	vals   []T
 	stamps []uint32 // slot is valid iff stamps[r] == gen
@@ -26,23 +25,6 @@ type SPAOf[T matrix.Number] struct {
 
 	// Touches counts accumulate operations for the Table I work tests.
 	Touches int64
-}
-
-// SPA is the float64 sparse accumulator.
-type SPA = SPAOf[matrix.Value]
-
-// New returns a float64 SPA for matrices with m rows.
-func New(m int) *SPA {
-	return NewOf[matrix.Value](m)
-}
-
-// NewOf returns a SPA over T for matrices with m rows.
-func NewOf[T matrix.Number](m int) *SPAOf[T] {
-	return &SPAOf[T]{
-		vals:   make([]T, m),
-		stamps: make([]uint32, m),
-		gen:    1,
-	}
 }
 
 // Rows returns the row capacity m.

@@ -9,7 +9,8 @@ import (
 )
 
 func TestAddAndGet(t *testing.T) {
-	s := New(10)
+	s := &SPAOf[matrix.Value]{}
+	s.Grow(10)
 	Accum(s, 3, 1)
 	Accum(s, 7, 2)
 	Accum(s, 3, 4)
@@ -28,7 +29,8 @@ func TestAddAndGet(t *testing.T) {
 // accumulates into the reserved index list without regrowing it.
 func TestReserve(t *testing.T) {
 	const n = 1000
-	s := New(n)
+	s := &SPAOf[matrix.Value]{}
+	s.Grow(n)
 	s.Reserve(n)
 	reserved := cap(s.Indices())
 	if reserved < n {
@@ -43,7 +45,8 @@ func TestReserve(t *testing.T) {
 }
 
 func TestClearIsSparse(t *testing.T) {
-	s := New(1000)
+	s := &SPAOf[matrix.Value]{}
+	s.Grow(1000)
 	Accum(s, 5, 1)
 	Accum(s, 500, 2)
 	s.Clear()
@@ -67,7 +70,8 @@ func TestQuickMatchesMap(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := rng.Intn(200) + 1
-		s := New(m)
+		s := &SPAOf[matrix.Value]{}
+		s.Grow(m)
 		want := map[matrix.Index]matrix.Value{}
 		for i := 0; i < rng.Intn(400); i++ {
 			r := matrix.Index(rng.Intn(m))
@@ -100,7 +104,8 @@ func TestQuickMatchesMap(t *testing.T) {
 // O(1) generation semantics for the generic path too.
 func TestAddWithCombine(t *testing.T) {
 	maxC := func(a, b matrix.Value) matrix.Value { return max(a, b) }
-	s := New(16)
+	s := &SPAOf[matrix.Value]{}
+	s.Grow(16)
 	s.AddWith(4, -3, maxC)
 	s.AddWith(4, 7, maxC)
 	s.AddWith(4, 5, maxC)
