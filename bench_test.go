@@ -361,11 +361,15 @@ func bandInputs() []*spkadd.Matrix {
 // stealing and the scheduling machinery included, which is what the
 // resident executor exists to guarantee. The Band cells add the wide
 // bandInputs, whose long columns sort by bitmap, for every algorithm
-// that calls the row sorter.
+// that calls the row sorter. The Auto cell runs the default options on
+// 8 ER inputs of 2^11 rows, 64 columns and d = 16 (kd = 128, so
+// m/kd = 16), which Auto resolves to SPA; it fails if a warm-up call
+// touched no SPA, so the cell cannot drift back to Hash unnoticed.
 // The CI sched smoke runs it at -cpu 1,4, so the steal loop executes
 // on every change.
 func BenchmarkAdderReuseSched(b *testing.B) {
 	reuse, band := adderReuseInputs(), bandInputs()
+	dense := generate.ERCollection(8, generate.Opts{Rows: 1 << 11, Cols: 64, NNZPerCol: 16, Seed: 33})
 	for _, c := range []struct {
 		name string
 		as   []*spkadd.Matrix
@@ -376,14 +380,21 @@ func BenchmarkAdderReuseSched(b *testing.B) {
 		{"Band/SlidingHash", band, spkadd.SlidingHash},
 		{"Band/Hash", band, spkadd.Hash},
 		{"Band/SPA", band, spkadd.SPA},
+		{"Auto", dense, spkadd.Auto},
 	} {
 		as, opt := c.as, spkadd.Options{Algorithm: c.alg, SortedOutput: true}
 		b.Run(c.name, func(b *testing.B) {
 			ad := spkadd.NewAdder()
+			var st spkadd.OpStats
+			warmOpt := opt
+			warmOpt.Stats = &st
 			for warm := 0; warm < 3; warm++ {
-				if _, err := ad.Add(as, opt); err != nil {
+				if _, err := ad.Add(as, warmOpt); err != nil {
 					b.Fatal(err)
 				}
+			}
+			if c.alg == spkadd.Auto && st.SPATouches.Load() == 0 {
+				b.Fatal("Auto did not resolve to SPA on its warm-up calls")
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

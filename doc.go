@@ -16,10 +16,11 @@
 //	b := spkadd.RandomER(1<<20, 1024, 64, 2)
 //	sum, err := spkadd.Add([]*spkadd.Matrix{a, b}, spkadd.Options{})
 //
-// The zero Options value selects the Auto algorithm (hash or sliding
-// hash, depending on the estimated table footprint versus the
-// last-level cache), GOMAXPROCS worker goroutines, and unsorted output
-// columns.
+// The zero Options value selects the Auto algorithm (sliding hash when
+// the estimated table footprint passes the last-level cache, SPA when
+// its per-worker dense accumulator is small and the columns are dense
+// enough, hash otherwise), GOMAXPROCS worker goroutines, and unsorted
+// output columns.
 //
 // # Choosing an algorithm
 //
@@ -27,8 +28,9 @@
 // patterns; SlidingHash overtakes it when k·d (input nonzeros per
 // column) is large enough that per-thread hash tables spill out of the
 // last-level cache. Heap uses the least memory and needs sorted
-// inputs; SPA is competitive only when output columns are dense and
-// degrades with thread count (it needs O(rows) memory per worker).
+// inputs; SPA beats Hash while its O(rows) accumulator per worker
+// stays in cache and the columns are dense enough, where Auto picks
+// it.
 // TwoWayIncremental and TwoWayTree exist as baselines and for adding
 // very few matrices. See DESIGN.md and EXPERIMENTS.md for measured
 // comparisons.
@@ -160,7 +162,9 @@
 // shape), ErrUnsortedInput (Heap or the 2-way baselines fed unsorted
 // columns; an Accumulator or Pool under them refuses such a matrix at
 // Push), ErrCoeffsRequirePlus (AddScaled with a non-Plus monoid),
-// ErrMonoidUnsupported (a non-Plus monoid on a 2-way baseline), and
+// ErrMonoidUnsupported (a non-Plus monoid on a 2-way baseline; an
+// Accumulator or Pool under options no reduction can run refuses every
+// Push with it), and
 // the misuse sentinels ErrAdderInUse, ErrAccumulatorInUse and
 // ErrPoolClosed (a push after Close, or a second Close).
 //

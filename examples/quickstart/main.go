@@ -29,7 +29,7 @@ func main() {
 		totalIn += as[i].NNZ()
 	}
 
-	// The one-liner: Auto picks hash or sliding hash for you.
+	// The one-liner: Auto picks hash, SPA or sliding hash for you.
 	sum, err := spkadd.Add(as, spkadd.Options{})
 	if err != nil {
 		log.Fatal(err)

@@ -111,7 +111,8 @@ func log2(k int) float64 {
 	return l
 }
 
-// fmtDur renders a duration in seconds with paper-style precision.
+// fmtDur renders a duration in seconds to four significant digits, so
+// sub-millisecond cells keep the precision of second-long ones.
 func fmtDur(d time.Duration) string {
-	return fmt.Sprintf("%.4f", d.Seconds())
+	return fmt.Sprintf("%.4g", d.Seconds())
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"spkadd/internal/core"
 	"spkadd/internal/generate"
@@ -91,8 +92,17 @@ func TestSkipEstimate(t *testing.T) {
 }
 
 func TestFmtDur(t *testing.T) {
-	if got := fmtDur(1234567890); got != "1.2346" {
-		t.Errorf("fmtDur = %q", got)
+	for _, c := range []struct {
+		d    time.Duration
+		want string
+	}{
+		{1234567890, "1.235"},
+		{234567 * time.Nanosecond, "0.0002346"},
+		{212 * time.Microsecond, "0.000212"},
+	} {
+		if got := fmtDur(c.d); got != c.want {
+			t.Errorf("fmtDur(%v) = %q, want %q", c.d, got, c.want)
+		}
 	}
 }
 

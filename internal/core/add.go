@@ -128,13 +128,27 @@ func allColumnsSorted[T matrix.Number](as []*matrix.CSCOf[T]) bool {
 	return true
 }
 
-// autoSelect implements the paper's practical guidance (Fig 2): the
-// hash family wins across shapes and sparsities. It picks SlidingHash
-// once the per-thread symbolic tables, sized by the mean combined
-// input nnz per column (the paper's kd), would spill CacheBytes, or
-// once Hash's single-pass staging buffer would pass
+// The SPA rule of autoSelect. SPA does Hash's O(knd) work with one
+// m-row dense accumulator per worker (rows × entryBytesOf: the values
+// plus a 4-byte stamp), so it wins while that array stays in cache and
+// each column touches enough of it. spaMaxBytes caps the accumulator
+// and spaRowsPerEntry caps m/kd, the rows per mean input entry of a
+// column. BenchmarkAutoSPA sets both (DESIGN.md §2): past 1.5 MiB, or
+// below one input entry per 48 rows, uniform inputs run slower on SPA
+// than on Hash.
+const (
+	spaMaxBytes     = 3 << 19
+	spaRowsPerEntry = 48
+)
+
+// autoSelect implements the paper's practical guidance (Fig 2). It
+// picks SlidingHash once the per-thread symbolic tables, sized by the
+// mean combined input nnz per column (the paper's kd), would spill
+// CacheBytes, or once Hash's single-pass staging buffer would pass
 // upperBoundStagingCap (SlidingHash's two-pass driver stages
-// nothing); plain Hash otherwise. It reads each input's NNZ and the
+// nothing). Otherwise it picks SPA when the worker's dense accumulator
+// fits spaMaxBytes and rows ≤ spaRowsPerEntry·kd, and Hash when
+// either fails. It reads each input's NNZ, the row count and the
 // column count only, O(k).
 //
 //spkadd:noalloc
@@ -147,12 +161,17 @@ func autoSelect[T matrix.Number](as []*matrix.CSCOf[T], opt OptionsOf[T]) Algori
 	for _, a := range as {
 		total += int64(a.NNZ())
 	}
+	kd := total / cols
 	t := int64(sched.Threads(opt.Threads))
-	if total/cols*BytesPerSymbolicEntry*t > opt.cacheBytes() {
+	if kd*BytesPerSymbolicEntry*t > opt.cacheBytes() {
 		return SlidingHash
 	}
 	if total*entryBytesOf[T]() > upperBoundStagingCap {
 		return SlidingHash
+	}
+	rows := int64(as[0].Rows)
+	if rows*entryBytesOf[T]() <= spaMaxBytes && rows <= spaRowsPerEntry*kd {
+		return SPA
 	}
 	return Hash
 }

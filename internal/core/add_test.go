@@ -2,12 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"spkadd/internal/generate"
 	"spkadd/internal/matrix"
+	"spkadd/internal/ops"
 )
 
 // fig1Inputs builds the four single-column matrices of the paper's
@@ -243,23 +245,105 @@ func TestUnsortedOutputStillCorrect(t *testing.T) {
 	}
 }
 
+// headersOf returns inputs of rows × cols holding nnz entries in all,
+// as headers over the shared row array buf. autoSelect reads only Rows,
+// Cols and NNZ, so any shape is priced without being built.
+func headersOf[T matrix.Number](buf []matrix.Index, rows, cols int, nnz int64) []*matrix.CSCOf[T] {
+	var as []*matrix.CSCOf[T]
+	for left := nnz; left > 0 || len(as) == 0; {
+		n := min(left, int64(len(buf)))
+		as = append(as, &matrix.CSCOf[T]{Rows: rows, Cols: cols, RowIdx: buf[:n]})
+		left -= n
+	}
+	return as
+}
+
+// TestAutoSelection pins Auto's decision table: SlidingHash by rules 1
+// and 2, then SPA where the worker's rows × entryBytes accumulator fits
+// spaMaxBytes and rows ≤ spaRowsPerEntry·kd, and Hash otherwise. It
+// covers both edges of the byte cap for every element type, both edges
+// of the density rule, and the benchmark workloads' shapes.
+// TestEstimateSharedAcrossHeuristics checks that validate resolves Auto
+// the same way, and that a DropIdentity monoid keeps SPA.
 func TestAutoSelection(t *testing.T) {
-	as := erInputs(4, 300, 8, 20, 8)
-	// Huge cache: plain hash.
-	if alg := autoSelect(as, Options{CacheBytes: 1 << 30}); alg != Hash {
-		t.Errorf("large cache: auto = %v, want Hash", alg)
+	buf := make([]matrix.Index, 1<<20)
+	autoSPACap[float64](t, buf)
+	autoSPACap[float32](t, buf)
+	autoSPACap[int32](t, buf)
+	autoSPACap[int64](t, buf)
+	autoSPACap[bool](t, buf)
+
+	for _, c := range []struct {
+		name       string
+		rows, cols int
+		nnz        int64
+		opt        Options
+		want       Algorithm
+	}{
+		// Density: one input entry per spaRowsPerEntry rows, then one row more.
+		{"rows = 48·kd", 48 * 1000, 4, 4000, Options{Threads: 1}, SPA},
+		{"rows = 48·kd + 1", 48*1000 + 1, 4, 4000, Options{Threads: 1}, Hash},
+		{"kd rounds down", 48*1000 + 1, 4, 4003, Options{Threads: 1}, Hash},
+		// The benchmark workloads, at default threads and cache.
+		{"kadd-rmat", 1 << 17, 256, 955069, Options{}, SPA},
+		{"kadd-er", 1 << 20, 512, 2097092, Options{}, Hash},
+		{"ingest-http running sum", 1 << 16, 256, 4000 * 256, Options{}, SPA},
+		{"ER 2^17, kd = 2047", 1 << 17, 256, 2047 * 256, Options{}, Hash},
+		// The SlidingHash rules come first, on a shape SPA would take.
+		{"symbolic tables spill", 1 << 10, 4, 1 << 16, Options{Threads: 1, CacheBytes: 1<<16 - 1}, SlidingHash},
+		{"symbolic tables fit", 1 << 10, 4, 1 << 16, Options{Threads: 1, CacheBytes: 1 << 16}, SPA},
+		{"staging past its cap", 1 << 10, 1 << 10, upperBoundStagingCap/entryBytes + 1, Options{Threads: 1}, SlidingHash},
+		{"no columns", 1 << 10, 0, 0, Options{}, Hash},
+	} {
+		as := headersOf[matrix.Value](buf, c.rows, c.cols, c.nnz)
+		if alg := autoSelect(as, c.opt); alg != c.want {
+			t.Errorf("%s: auto = %v, want %v", c.name, alg, c.want)
+		}
 	}
-	// Tiny cache: sliding hash.
-	if alg := autoSelect(as, Options{CacheBytes: 64}); alg != SlidingHash {
-		t.Errorf("tiny cache: auto = %v, want SlidingHash", alg)
+}
+
+// autoSPACap checks both edges of spaMaxBytes for T: the largest row
+// count whose accumulator fits takes SPA and one row more takes Hash,
+// with columns dense enough that the density rule holds on both.
+func autoSPACap[T matrix.Number](t *testing.T, buf []matrix.Index) {
+	t.Helper()
+	var z T
+	fit := int(spaMaxBytes / entryBytesOf[T]())
+	for _, c := range []struct {
+		rows int
+		want Algorithm
+	}{{fit, SPA}, {fit + 1, Hash}} {
+		as := headersOf[T](buf, c.rows, 1, int64(c.rows))
+		if alg := autoSelect(as, OptionsOf[T]{Threads: 1}); alg != c.want {
+			t.Errorf("%T, %d rows: auto = %v, want %v", z, c.rows, alg, c.want)
+		}
 	}
-	// End to end through Auto.
-	got, err := Add(as, Options{Algorithm: Auto, SortedOutput: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(matrix.ReferenceAdd(as)) {
-		t.Error("Auto produced a wrong result")
+}
+
+// TestAutoSPAParity: where Auto resolves to SPA, its unsorted output is
+// bit-identical to explicit Hash's, entry order included, since both
+// emit a column in first-insertion order and fold a row's entries in
+// input order.
+func TestAutoSPAParity(t *testing.T) {
+	for name, as := range map[string][]*matrix.CSC{
+		"ER":   erInputs(8, 1<<11, 64, 16, 91),
+		"RMAT": generate.RMATCollection(16, generate.Opts{Rows: 1 << 12, Cols: 32, NNZPerCol: 16, Seed: 92}, generate.Graph500),
+	} {
+		for _, threads := range []int{1, 2, 4} {
+			var st OpStats
+			got, err := Add(as, Options{Threads: threads, Stats: &st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.SPATouches.Load() == 0 || st.HashProbes.Load() != 0 {
+				t.Fatalf("%s T=%d: Auto did not run SPA (%d touches, %d probes)", name, threads, st.SPATouches.Load(), st.HashProbes.Load())
+			}
+			want, err := Add(as, Options{Algorithm: Hash, Threads: threads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, got, want, fmt.Sprintf("%s T=%d", name, threads))
+		}
 	}
 }
 
@@ -391,5 +475,61 @@ func TestCompressionFactorExtremes(t *testing.T) {
 		if got.NNZ() != base.NNZ() {
 			t.Errorf("%v: nnz=%d, want %d (maximal compression)", alg, got.NNZ(), base.NNZ())
 		}
+	}
+}
+
+// BenchmarkAutoSPA times SPA against Hash in ns per input entry, the
+// evidence for spaMaxBytes and spaRowsPerEntry (DESIGN.md §2). Its grid
+// is m ∈ {2^15, ..., 2^18} rows × kd ∈ {128, ..., 8192} input entries
+// per column × {ER, R-MAT} × {float64, float32}, plus bool under Any at
+// 2^18 rows, whose 1.25 MiB accumulator fits where float32's 2 MiB does
+// not. Each cell adds k = 32 inputs of d = kd/32 entries per column
+// over 2^19/kd columns, about 2^19 entries in all (R-MAT's duplicate
+// draws make its kd a little lower), on a recycling workspace at
+// Threads 2 after two warm-up calls.
+func BenchmarkAutoSPA(b *testing.B) {
+	const k, entries = 32, 1 << 19
+	for _, pattern := range []string{"ER", "RMAT"} {
+		for lg := 15; lg <= 18; lg++ {
+			for _, kd := range []int{128, 512, 1024, 2048, 4096, 8192} {
+				o := generate.Opts{Rows: 1 << lg, Cols: entries / kd, NNZPerCol: kd / k, Seed: uint64(lg<<16 | kd)}
+				as := generate.ERCollection(k, o)
+				if pattern == "RMAT" {
+					as = generate.RMATCollection(k, o, generate.Graph500)
+				}
+				name := fmt.Sprintf("%s/m=2^%d/kd=%d", pattern, lg, kd)
+				autoSPACell(b, name+"/float64", as, nil)
+				autoSPACell(b, name+"/float32", convertAll[float32](as), nil)
+				if lg == 18 {
+					autoSPACell(b, name+"/bool", convertAll[bool](as), ops.AnyFor[bool]())
+				}
+			}
+		}
+	}
+}
+
+func autoSPACell[T matrix.Number](b *testing.B, name string, as []*matrix.CSCOf[T], m *ops.MonoidOf[T]) {
+	var entries int64
+	for _, a := range as {
+		entries += int64(a.NNZ())
+	}
+	for _, alg := range []Algorithm{Hash, SPA} {
+		b.Run(name+"/"+alg.String(), func(b *testing.B) {
+			ws := NewWorkspaceOf[T](true)
+			defer ws.Close()
+			opt := OptionsOf[T]{Algorithm: alg, Threads: 2, Monoid: m}
+			for range 2 {
+				if _, err := ws.Add(as, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ws.Add(as, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*entries), "ns/entry")
+		})
 	}
 }

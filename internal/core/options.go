@@ -26,11 +26,11 @@ import (
 type Algorithm int
 
 const (
-	// Auto picks between Hash and SlidingHash (the paper's guidance in
-	// Fig 2: hash-family algorithms dominate, sliding once tables
-	// spill out of the last-level cache): SlidingHash when the
-	// estimated symbolic tables exceed CacheBytes or Hash's staging
-	// would pass 1 GiB, Hash otherwise.
+	// Auto picks SlidingHash, SPA or Hash (the paper's guidance in
+	// Fig 2): SlidingHash when the estimated symbolic tables exceed
+	// CacheBytes or Hash's staging would pass 1 GiB; SPA when each
+	// worker's m-row accumulator fits in 1.5 MiB and the columns hold
+	// at least one input entry per 48 rows on average; Hash otherwise.
 	Auto Algorithm = iota
 	// TwoWayIncremental adds matrices in pairs, left to right
 	// (Algorithm 1): O(k^2 nd) work on ER inputs.

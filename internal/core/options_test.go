@@ -80,11 +80,13 @@ func TestEngineUsedObservable(t *testing.T) {
 }
 
 // TestEstimateSharedAcrossHeuristics pins the footprint side of Auto's
-// one rule (TestPhasesAutoPolicy pins the staging side): autoSelect
-// flips Hash to SlidingHash exactly where kd 4-byte symbolic slots per
-// thread exceed CacheBytes, for float64 and float32, and validate
-// resolves Auto to that same answer — except that a DropIdentity
-// monoid keeps Hash, the algorithm that can drop entries.
+// SlidingHash rules (TestPhasesAutoPolicy pins the staging side):
+// autoSelect flips to SlidingHash exactly where kd 4-byte symbolic
+// slots per thread exceed CacheBytes, for float64 and float32, and
+// below that answers what the SPA rule does for the shape (SPA or
+// Hash). validate resolves Auto to that same answer, except that a
+// DropIdentity monoid turns SlidingHash into Hash, an algorithm that
+// can drop entries, and keeps SPA, which can too.
 func TestEstimateSharedAcrossHeuristics(t *testing.T) {
 	autoFootprint[float64](t)
 	autoFootprint[float32](t)
@@ -93,10 +95,13 @@ func TestEstimateSharedAcrossHeuristics(t *testing.T) {
 func autoFootprint[T matrix.Number](t *testing.T) {
 	var z T
 	drop := &ops.MonoidOf[T]{Name: "FirstDrop", Combine: func(a, _ T) T { return a }, DropIdentity: true}
-	for _, tc := range []struct{ k, rows, cols, d, threads int }{
-		{4, 300, 8, 20, 1},
-		{8, 100000, 64, 16, 1},
-		{2, 50, 5, 3, 3},
+	for _, tc := range []struct {
+		k, rows, cols, d, threads int
+		fits                      Algorithm
+	}{
+		{4, 300, 8, 20, 1, SPA},
+		{8, 100000, 64, 16, 1, Hash}, // rows > 48·kd
+		{2, 50, 5, 3, 3, SPA},
 	} {
 		as := convertAll[T](erInputs(tc.k, tc.rows, tc.cols, tc.d, 81))
 		var total int64
@@ -105,9 +110,9 @@ func autoFootprint[T matrix.Number](t *testing.T) {
 		}
 		footprint := total / int64(tc.cols) * BytesPerSymbolicEntry * int64(sched.Threads(tc.threads))
 		for _, c := range []struct {
-			cache int64
-			want  Algorithm
-		}{{footprint, Hash}, {footprint - 1, SlidingHash}} {
+			cache      int64
+			want, drop Algorithm
+		}{{footprint, tc.fits, tc.fits}, {footprint - 1, SlidingHash, Hash}} {
 			opt := OptionsOf[T]{Threads: tc.threads, CacheBytes: c.cache}
 			if alg := autoSelect(as, opt); alg != c.want {
 				t.Errorf("%T %+v, cache %d: auto = %v, want %v", z, tc, c.cache, alg, c.want)
@@ -117,8 +122,8 @@ func autoFootprint[T matrix.Number](t *testing.T) {
 				t.Errorf("%T %+v, cache %d: validate resolved %v (%v), want %v", z, tc, c.cache, p.alg, err, c.want)
 			}
 			opt.Monoid = drop
-			if p, err := opt.validate(as, nil, 0); err != nil || p.alg != Hash {
-				t.Errorf("%T %+v, cache %d, DropIdentity: validate resolved %v (%v), want Hash", z, tc, c.cache, p.alg, err)
+			if p, err := opt.validate(as, nil, 0); err != nil || p.alg != c.drop {
+				t.Errorf("%T %+v, cache %d, DropIdentity: validate resolved %v (%v), want %v", z, tc, c.cache, p.alg, err, c.drop)
 			}
 		}
 	}

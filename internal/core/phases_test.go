@@ -245,11 +245,12 @@ func TestPhasesUnsortedHashOrderIdentical(t *testing.T) {
 	requireIdentical(t, got, ref, "unsorted Hash")
 }
 
-// TestPhasesAutoPolicy pins Auto's one rule: Hash, until the symbolic
-// tables would spill CacheBytes or Hash's single-pass staging would
-// pass upperBoundStagingCap; SlidingHash past either. The footprint
-// side is TestEstimateSharedAcrossHeuristics; this is the staging
-// side, plus the resolution seen from outside.
+// TestPhasesAutoPolicy pins Auto's SlidingHash rules: a single-pass
+// algorithm (Hash or SPA), until the symbolic tables would spill
+// CacheBytes or Hash's single-pass staging would pass
+// upperBoundStagingCap; SlidingHash past either. The footprint side is
+// TestEstimateSharedAcrossHeuristics; this is the staging side, plus
+// the resolution seen from outside.
 func TestPhasesAutoPolicy(t *testing.T) {
 	autoPolicyStagingCap[float64](t)
 	autoPolicyStagingCap[float32](t)
@@ -275,24 +276,21 @@ func TestPhasesAutoPolicy(t *testing.T) {
 
 // autoPolicyStagingCap checks that Auto flips from Hash to SlidingHash
 // exactly at upperBoundStagingCap. The cap is in bytes, so the entry
-// count that crosses it depends on T's entry width. autoSelect reads
-// only Cols and NNZ, so the inputs are headers over one shared row
-// array: a gigabyte of staging is priced without being allocated.
+// count that crosses it depends on T's entry width. The inputs are
+// headers (headersOf): a gigabyte of staging is priced without being
+// allocated.
 func autoPolicyStagingCap[T matrix.Number](t *testing.T) {
 	t.Helper()
 	limit := upperBoundStagingCap / entryBytesOf[T]()
-	const cols = 1 << 20 // ~100 entries per column: tables stay in cache
-	rows := make([]matrix.Index, 1<<20)
+	// ~100 entries per column: tables stay in cache, and 2^20 rows keep
+	// the SPA rule off.
+	const cols = 1 << 20
+	buf := make([]matrix.Index, 1<<20)
 	for _, tc := range []struct {
 		total int64
 		want  Algorithm
 	}{{limit - 1, Hash}, {limit, Hash}, {limit + 1, SlidingHash}} {
-		var as []*matrix.CSCOf[T]
-		for left := tc.total; left > 0; {
-			n := min(left, int64(len(rows)))
-			as = append(as, &matrix.CSCOf[T]{Rows: cols, Cols: cols, RowIdx: rows[:n]})
-			left -= n
-		}
+		as := headersOf[T](buf, cols, cols, tc.total)
 		if alg := autoSelect(as, OptionsOf[T]{}); alg != tc.want {
 			var z T
 			t.Errorf("%T staging of %d entries: auto = %v, want %v", z, tc.total, alg, tc.want)

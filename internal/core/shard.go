@@ -306,7 +306,8 @@ func (p *PoolOf[T]) Shards() int { return len(p.shards) }
 // producers outrunning the reducers. Reduction errors are deferred to
 // Sum and Close; Push itself only fails on dimension mismatch, on an
 // unsorted matrix under an algorithm that needs sorted input
-// (ErrUnsortedInput), or on a closed pool.
+// (ErrUnsortedInput), on options no reduction can run (such as
+// ErrMonoidUnsupported), or on a closed pool.
 func (p *PoolOf[T]) Push(a *matrix.CSCOf[T]) error {
 	return p.PushContext(context.Background(), a)
 }
@@ -328,7 +329,7 @@ func (p *PoolOf[T]) PushContext(ctx context.Context, a *matrix.CSCOf[T]) error {
 		return fmt.Errorf("%w: pushed %dx%d, pool is %dx%d",
 			ErrDimMismatch, a.Rows, a.Cols, p.rows, p.cols)
 	}
-	if err := admit(a, p.shards[0].opt.Algorithm); err != nil {
+	if err := admit(a, p.shards[0].opt); err != nil {
 		return err
 	}
 	if err := faults.ErrOn(faults.FailedPush, p.faultZone); err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"spkadd/internal/faults/leakcheck"
 	"spkadd/internal/matrix"
+	"spkadd/internal/ops"
 )
 
 func TestPoolMatchesOneShot(t *testing.T) {
@@ -182,6 +183,82 @@ func TestPoolRefusesUnsortedUnderHeap(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Errorf("Close after a refused push: %v", err)
+	}
+}
+
+// dropPlus is Plus with the DropIdentity output policy.
+var dropPlus = &ops.Monoid{Name: "PlusDrop", Combine: func(a, b matrix.Value) matrix.Value { return a + b }, DropIdentity: true}
+
+// unrunnableOptions are option sets that fail every reduction whatever
+// is pushed, each with the error an Accumulator or Pool push must
+// return for it.
+func unrunnableOptions() []struct {
+	name string
+	opt  Options
+	err  error
+} {
+	return []struct {
+		name string
+		opt  Options
+		err  error
+	}{
+		{"TwoWayTree+Min", Options{Algorithm: TwoWayTree, Monoid: ops.Min}, ErrMonoidUnsupported},
+		{"MapIncremental+Count", Options{Algorithm: MapIncremental, Monoid: ops.Count}, ErrMonoidUnsupported},
+		{"no Combine", Options{Monoid: &ops.Monoid{Name: "broken"}}, ErrMonoidUnsupported},
+		{"SlidingHash+DropIdentity", Options{Algorithm: SlidingHash, Monoid: dropPlus}, ErrMonoidUnsupported},
+		{"Algorithm(99)", Options{Algorithm: Algorithm(99)}, nil}, // any error
+	}
+}
+
+// TestPoolRefusesUnrunnableOptions: options no reduction can run are
+// refused at Push, so nothing is queued to fail the shard at Sum. A
+// bool pool without a monoid is one such case; Auto with a DropIdentity
+// monoid resolves to a single-pass algorithm and is admitted.
+func TestPoolRefusesUnrunnableOptions(t *testing.T) {
+	as := erInputs(3, 8, 4, 2, 66)
+	for _, c := range unrunnableOptions() {
+		p := NewPool(8, 4, PoolOptions{Shards: 1, Add: c.opt})
+		for _, a := range as {
+			if err := p.Push(a); err == nil || (c.err != nil && !errors.Is(err, c.err)) {
+				t.Errorf("%s: Push = %v, want a refusal (%v)", c.name, err, c.err)
+			}
+		}
+		requireIdlePool(t, c.name, p, 0)
+	}
+	b := NewPoolOf[bool](8, 4, PoolOptionsOf[bool]{Shards: 1})
+	if err := b.Push(matrix.Convert[bool](as[0])); !errors.Is(err, ErrMonoidUnsupported) {
+		t.Errorf("bool without a monoid: Push = %v, want ErrMonoidUnsupported", err)
+	}
+	requireIdlePool(t, "bool without a monoid", b, 0)
+
+	p := NewPool(8, 4, PoolOptions{Shards: 1, Add: Options{Monoid: dropPlus}})
+	for _, a := range as {
+		if err := p.Push(a); err != nil {
+			t.Fatalf("Auto+DropIdentity: Push = %v", err)
+		}
+	}
+	want, err := Add(as, Options{Monoid: dropPlus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdlePool(t, "Auto+DropIdentity", p, want.NNZ())
+}
+
+// requireIdlePool checks that p sums to nnz entries with a nil error,
+// that every shard reads healthy, and that Close returns nil.
+func requireIdlePool[T matrix.Number](t *testing.T, name string, p *PoolOf[T], nnz int) {
+	t.Helper()
+	got, err := p.Sum()
+	if err != nil || got.NNZ() != nnz {
+		t.Errorf("%s: Sum = %d entries, %v; want %d, nil", name, got.NNZ(), err, nnz)
+	}
+	for _, h := range p.Health() {
+		if h.State != HealthOK || h.Dropped != 0 {
+			t.Errorf("%s: shard %d reads %v with %d dropped, want healthy", name, h.Shard, h.State, h.Dropped)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Errorf("%s: Close = %v", name, err)
 	}
 }
 

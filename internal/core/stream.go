@@ -224,9 +224,11 @@ func (ac *AccumulatorOf[T]) release() { ac.busy.Store(false) }
 // everything pending — past the budget, or if the pending count hits
 // maxPendingMatrices (so zero-byte pushes still flush eventually). The
 // accumulator keeps a reference to a until the next reduction; callers
-// must not mutate it meanwhile. A matrix no reduction could take, one
-// with unsorted columns under an algorithm that needs sorted input,
-// is refused with ErrUnsortedInput and leaves the state untouched.
+// must not mutate it meanwhile. A push no reduction could take is
+// refused and leaves the state untouched: a matrix with unsorted
+// columns under an algorithm that needs sorted input
+// (ErrUnsortedInput), or any matrix under options no reduction can run
+// (such as ErrMonoidUnsupported).
 //
 // The budget bounds a reduction's input at budget plus one matrix: the
 // matrix that overflows is buffered after the flush it triggers, so it
@@ -253,7 +255,7 @@ func (ac *AccumulatorOf[T]) PushContext(ctx context.Context, a *matrix.CSCOf[T])
 		return fmt.Errorf("%w: pushed %dx%d, accumulator is %dx%d",
 			ErrDimMismatch, a.Rows, a.Cols, ac.rows, ac.cols)
 	}
-	if err := admit(a, ac.opt.Algorithm); err != nil {
+	if err := admit(a, ac.opt); err != nil {
 		return err
 	}
 	bytes := ac.bytesOf(a)

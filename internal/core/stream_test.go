@@ -72,6 +72,50 @@ func TestAccumulatorRefusesUnsortedUnderHeap(t *testing.T) {
 	}
 }
 
+// TestAccumulatorRefusesUnrunnableOptions: options no reduction can
+// run are refused at every Push and leave the state untouched, so Sum
+// returns the empty sum rather than the error. At a 1-byte budget the
+// first push used to be buffered and every later call to fail.
+func TestAccumulatorRefusesUnrunnableOptions(t *testing.T) {
+	as := erInputs(3, 8, 4, 2, 67)
+	for _, c := range unrunnableOptions() {
+		ac := NewAccumulator(8, 4, 1, c.opt)
+		for _, a := range as {
+			if err := ac.Push(a); err == nil || (c.err != nil && !errors.Is(err, c.err)) {
+				t.Errorf("%s: Push = %v, want a refusal (%v)", c.name, err, c.err)
+			}
+		}
+		if got, err := ac.Sum(); err != nil || got.NNZ() != 0 {
+			t.Errorf("%s: Sum = %d entries, %v; want the empty sum", c.name, got.NNZ(), err)
+		}
+	}
+	b := NewAccumulatorOf[bool](8, 4, 1, OptionsOf[bool]{})
+	if err := b.Push(matrix.Convert[bool](as[0])); !errors.Is(err, ErrMonoidUnsupported) {
+		t.Errorf("bool without a monoid: Push = %v, want ErrMonoidUnsupported", err)
+	}
+	if got, err := b.Sum(); err != nil || got.NNZ() != 0 {
+		t.Errorf("bool without a monoid: Sum = %d entries, %v; want the empty sum", got.NNZ(), err)
+	}
+
+	ac := NewAccumulator(8, 4, 1, Options{Monoid: dropPlus})
+	for _, a := range as {
+		if err := ac.Push(a); err != nil {
+			t.Fatalf("Auto+DropIdentity: Push = %v", err)
+		}
+	}
+	got, err := ac.Sum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Add(as, Options{Monoid: dropPlus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Error("Auto+DropIdentity: Sum differs from Add")
+	}
+}
+
 func TestAccumulatorBatching(t *testing.T) {
 	// A budget of sum + ~4 matrices should produce ~k/4 reductions,
 	// far fewer than k (which is what pairwise incremental would do).

@@ -97,26 +97,11 @@ func (o OptionsOf[T]) validate(as []*matrix.CSCOf[T], coeffs []T, premapped int)
 	if err := validateDims(as); err != nil {
 		return p, err
 	}
-	// An unknown algorithm has no driver behind it: it would fall
-	// through every kernel switch and return an empty sum.
-	if _, ok := algoNames[o.Algorithm]; !ok {
-		return p, fmt.Errorf("spkadd: unknown Algorithm %d", int(o.Algorithm))
+	m, err := o.check()
+	if err != nil {
+		return p, err
 	}
-
-	plus := ops.PlusFor[T]()
-	m := o.Monoid
-	if m == nil {
-		// T's canonical Plus — nil for bool, which has no "+": boolean
-		// matrices must name their combine (Any is the usual union).
-		if plus == nil {
-			return p, fmt.Errorf("%w: element type has no default Plus monoid; set Options.Monoid (e.g. ops.AnyFor)", ErrMonoidUnsupported)
-		}
-		m = plus
-	}
-	if m != plus {
-		if !m.Valid() {
-			return p, fmt.Errorf("%w: monoid %q has no Combine", ErrMonoidUnsupported, m.String())
-		}
+	if m != nil {
 		if coeffs != nil {
 			return p, fmt.Errorf("%w: got %s", ErrCoeffsRequirePlus, m.Name)
 		}
@@ -161,24 +146,61 @@ func (o OptionsOf[T]) validate(as []*matrix.CSCOf[T], coeffs []T, premapped int)
 	case alg == SlidingHash:
 		p.sortedIn = allColumnsSorted(as)
 	}
-	if kWay := alg == Heap || alg == SPA || alg == Hash || alg == SlidingHash; !kWay {
-		if coeffs != nil {
-			return p, fmt.Errorf("spkadd: AddScaled supports k-way algorithms only, got %v", alg)
-		}
-		if p.generic {
-			return p, fmt.Errorf("%w: %v supports Plus only (its pairwise driver hardwires \"+\"), got %s",
-				ErrMonoidUnsupported, alg, p.mon.def.Name)
-		}
-	}
-	// DropIdentity needs the single-pass engine, because only it sees
-	// values before the output is sized. The 2-way baselines were
-	// rejected above with every generic monoid; SlidingHash is the one
-	// k-way algorithm on the two-pass driver.
-	if p.mon.drop && alg == SlidingHash {
-		return p, fmt.Errorf("%w: DropIdentity monoid %s needs the single-pass engine, but %v runs two-pass (its symbolic phase sizes the output before values exist)",
-			ErrMonoidUnsupported, p.mon.def.Name, alg)
+	if coeffs != nil && !alg.kWay() {
+		return p, fmt.Errorf("spkadd: AddScaled supports k-way algorithms only, got %v", alg)
 	}
 	return p, nil
+}
+
+// check runs the checks that read the options alone, so it fails
+// whatever matrices a call passes: an unknown Algorithm, a nil Monoid
+// on an element type with no Plus (bool), a monoid without Combine, a
+// non-Plus monoid on a 2-way baseline, and a DropIdentity monoid on an
+// explicit SlidingHash. It returns the monoid to fold with, or nil for
+// T's Plus, the fast path. validate calls it, and admit calls it at
+// every Accumulator and Pool push, so options no reduction can run are
+// refused before anything is queued.
+func (o OptionsOf[T]) check() (*ops.MonoidOf[T], error) {
+	// An unknown algorithm has no driver behind it: it would fall
+	// through every kernel switch and return an empty sum.
+	if _, ok := algoNames[o.Algorithm]; !ok {
+		return nil, fmt.Errorf("spkadd: unknown Algorithm %d", int(o.Algorithm))
+	}
+	plus, m := ops.PlusFor[T](), o.Monoid
+	if m == nil {
+		// T's canonical Plus — nil for bool, which has no "+": boolean
+		// matrices must name their combine (Any is the usual union).
+		if plus == nil {
+			return nil, fmt.Errorf("%w: element type has no default Plus monoid; set Options.Monoid (e.g. ops.AnyFor)", ErrMonoidUnsupported)
+		}
+		return nil, nil
+	}
+	if m == plus {
+		return nil, nil
+	}
+	if !m.Valid() {
+		return nil, fmt.Errorf("%w: monoid %q has no Combine", ErrMonoidUnsupported, m.String())
+	}
+	// Auto resolves to a k-way algorithm, and a DropIdentity call to
+	// Hash rather than SlidingHash (validate).
+	if alg := o.Algorithm; alg != Auto && !alg.kWay() {
+		return nil, fmt.Errorf("%w: %v supports Plus only (its pairwise driver hardwires \"+\"), got %s",
+			ErrMonoidUnsupported, alg, m.Name)
+	}
+	// DropIdentity needs the single-pass engine, because only it sees
+	// values before the output is sized. SlidingHash is the one k-way
+	// algorithm on the two-pass driver.
+	if m.DropIdentity && o.Algorithm == SlidingHash {
+		return nil, fmt.Errorf("%w: DropIdentity monoid %s needs the single-pass engine, but %v runs two-pass (its symbolic phase sizes the output before values exist)",
+			ErrMonoidUnsupported, m.Name, o.Algorithm)
+	}
+	return m, nil
+}
+
+// kWay reports whether alg is one of the paper's k-way algorithms,
+// which run every monoid and coefficients.
+func (alg Algorithm) kWay() bool {
+	return alg == Heap || alg == SPA || alg == Hash || alg == SlidingHash
 }
 
 // needsSortedInput reports whether alg merges columns in row order and
@@ -188,12 +210,16 @@ func (alg Algorithm) needsSortedInput() bool {
 }
 
 // admit is the push-time check of the Accumulator and the Pool: a
-// matrix that every reduction under alg would reject is refused before
-// it is queued, where it would fail each batch it joined. The O(nnz)
-// sortedness scan runs only for the algorithms that need sorted input.
-func admit[T matrix.Number](a *matrix.CSCOf[T], alg Algorithm) error {
-	if alg.needsSortedInput() && !a.IsColumnSorted() {
-		return unsortedErr(alg)
+// matrix that every reduction under opt would reject is refused before
+// it is queued, where it would fail each batch it joined, and so are
+// options that fail every reduction (check). The O(nnz) sortedness
+// scan runs only for the algorithms that need sorted input.
+func admit[T matrix.Number](a *matrix.CSCOf[T], opt OptionsOf[T]) error {
+	if _, err := opt.check(); err != nil {
+		return err
+	}
+	if opt.Algorithm.needsSortedInput() && !a.IsColumnSorted() {
+		return unsortedErr(opt.Algorithm)
 	}
 	return nil
 }

@@ -68,7 +68,8 @@ type MonoidOf[T matrix.Number] struct {
 	// output instead of stored. Only the single-pass engine of Hash,
 	// SPA and Heap can honor it (SlidingHash's two-pass driver sizes
 	// the output structurally, before values exist), so requesting it
-	// with SlidingHash is a validation error; Auto resolves to Hash.
+	// with SlidingHash is a validation error; Auto resolves to Hash or
+	// SPA.
 	DropIdentity bool
 }
 

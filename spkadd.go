@@ -77,7 +77,8 @@ type (
 
 // Algorithm constants, in the order of the paper's evaluation tables.
 const (
-	// Auto picks Hash or SlidingHash from the cache-footprint estimate.
+	// Auto picks SlidingHash, SPA or Hash from the input's shape: its
+	// row count, column count and nnz.
 	Auto = core.Auto
 	// TwoWayIncremental adds pairs left to right (O(k²nd) work).
 	TwoWayIncremental = core.TwoWayIncremental
@@ -229,7 +230,8 @@ var (
 	// ErrMonoidUnsupported reports a monoid on a configuration that
 	// cannot run it: a non-Plus monoid on a 2-way baseline, or a
 	// DropIdentity monoid on SlidingHash, whose two-pass driver sizes
-	// the output before values exist.
+	// the output before values exist. An Accumulator or Pool under
+	// such options refuses every Push with it.
 	ErrMonoidUnsupported = core.ErrMonoidUnsupported
 )
 
