@@ -6,8 +6,8 @@
 // Overload and failure behavior, by design:
 //
 //   - Backpressure past -queue-wait answers 429 + Retry-After.
-//   - A degraded tenant keeps serving with Warning headers; a
-//     poisoned tenant flips /readyz and refuses ingest with 503.
+//   - A poisoned tenant flips /readyz and refuses ingest with 503,
+//     while its snapshots keep serving behind Warning headers.
 //   - SIGINT/SIGTERM triggers a graceful drain: stop accepting,
 //     flush every tenant pool under -drain-deadline, report
 //     stragglers, and exit 1 if any tenant's queued work had to be
@@ -41,7 +41,6 @@ func run(args []string) int {
 		addr          = fs.String("addr", ":8471", "listen address")
 		shards        = fs.Int("shards", 0, "column shards per tenant pool (0 = min(GOMAXPROCS, cols))")
 		budgetMB      = fs.Int("budget-mb", 0, "per-tenant reduction budget in MiB (0 = 256)")
-		maxRetries    = fs.Int("max-retries", 2, "reduction retries before a shard degrades")
 		maxTenants    = fs.Int("max-tenants", 0, "live tenant cap (0 = 64)")
 		idleTTL       = fs.Duration("idle-ttl", 0, "evict tenants idle past this (0 = 15m, negative disables)")
 		queueWait     = fs.Duration("queue-wait", 0, "max backpressure wait before 429 (0 = 100ms)")
@@ -65,7 +64,6 @@ func run(args []string) int {
 		Pool: core.PoolOptions{
 			Shards:      *shards,
 			BudgetBytes: int64(*budgetMB) << 20,
-			MaxRetries:  *maxRetries,
 		},
 		Logf: logf,
 	})

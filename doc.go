@@ -185,29 +185,27 @@
 // indeterminate, the owning Adder or Accumulator is poisoned: its
 // workspace is quarantined and every later call reports the same
 // sticky error; build a fresh one to continue. A Pool contains the
-// damage to the shard that hit it: ordinary reduction errors retry up
-// to PoolOptions.MaxRetries with jittered exponential backoff before
-// marking the shard degraded — a recoverable state in which the shard
-// drops the failed batch (recorded in ShardHealth.Dropped) but keeps
-// reducing, returning to HealthOK on its next success — while panics
-// poison the shard permanently, and in either case the remaining
-// shards keep serving. Sum then returns every shard's last good
-// columns together with one *ShardError per currently-failed shard
-// (naming its column range), and Pool.Health reports each shard's
-// state — HealthOK, HealthDegraded or HealthPoisoned — plus its queue
-// and dropped-piece gauges. OpStats counts PanicsRecovered, Retries
-// and the health transitions. See DESIGN.md §11 for the full failure
-// model.
+// damage to the shard that hit it: any failed reduction, a panic or
+// an error, poisons that shard permanently — it drops the failed
+// batch and everything it receives later (recorded in
+// ShardHealth.Dropped) — while the remaining shards keep serving. Sum
+// then returns every shard's last good columns together with one
+// *ShardError per poisoned shard (naming its column range), so a nil
+// error means the sum is exact over every accepted push, and
+// Pool.Health reports each shard's state — HealthOK or HealthPoisoned
+// — plus its queue and dropped-piece gauges. OpStats counts
+// PanicsRecovered and ShardsPoisoned. See DESIGN.md §11 for the full
+// failure model.
 //
 // # Serving
 //
 // The library's serving shape ships as cmd/spkadd-serve: an HTTP
 // daemon that ingests binary COO delta frames into per-tenant Pools
 // and serves snapshot sums, mapping the failure model outward — Pool
-// backpressure becomes 429 + Retry-After admission control, degraded
-// tenants keep serving behind Warning headers, poisoned tenants flip
-// /readyz and refuse ingest, and SIGTERM drains every tenant under a
-// deadline, reporting any abandoned work in its exit code. See
+// backpressure becomes 429 + Retry-After admission control, poisoned
+// tenants flip /readyz and refuse ingest while their snapshots keep
+// serving behind Warning headers, and SIGTERM drains every tenant
+// under a deadline, reporting any abandoned work in its exit code. See
 // DESIGN.md §12 and examples/firehose -serve for an end-to-end
 // client.
 //

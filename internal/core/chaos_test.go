@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,14 +17,14 @@ import (
 
 // The chaos suite drives the streaming stack through the fault
 // schedules of internal/faults and asserts the failure model of
-// DESIGN.md §11: panics poison exactly the shard they hit, transient
-// errors retry and recover, cancellation never corrupts a later sum,
-// and nothing leaks a goroutine. CI runs it under -race (the "chaos"
-// step selects on the TestChaos prefix).
+// DESIGN.md §11: a failed reduction poisons exactly the shard it hit,
+// cancellation never corrupts a later sum, and nothing leaks a
+// goroutine. CI runs it under -race (the "chaos" step selects on the
+// TestChaos prefix).
 
 // columnEqual compares one column of two matrices entry-for-entry
 // (both sides sorted by construction in these tests).
-func columnEqual(a, b *matrix.CSC, j int) bool {
+func columnEqual[T matrix.Number](a, b *matrix.CSCOf[T], j int) bool {
 	ar, br := a.ColRows(j), b.ColRows(j)
 	av, bv := a.ColVals(j), b.ColVals(j)
 	if len(ar) != len(br) {
@@ -118,72 +121,36 @@ func TestChaosPoolPanicSubset(t *testing.T) {
 	}
 }
 
-// TestChaosPoolRetryRecovers: a transient reduction failure that stops
-// within the retry budget is invisible in the result — exact parity,
-// all shards healthy — and visible in the stats.
-func TestChaosPoolRetryRecovers(t *testing.T) {
+// TestChaosPoolReductionErrorPoisons: a reduction that fails with an
+// ordinary error poisons its shard exactly as a panic does, minus the
+// quarantine. The error is sticky, the failed batch and everything the
+// shard receives later are dropped, its columns stay frozen at the last
+// good sum, and the other shard keeps reducing.
+func TestChaosPoolReductionErrorPoisons(t *testing.T) {
 	leakcheck.Begin(t)
-	// The rule fails the first two reduction attempts of every shard;
-	// the third attempt (retry #2) succeeds.
-	in := faults.New(12, faults.Rule{Point: faults.FailReduction, Key: faults.KeyAny, Count: 2})
-	defer faults.Activate(in)()
-
-	as := erInputs(10, 300, 8, 6, 72)
-	want := matrix.ReferenceAdd(as)
+	const rows, cols = 300, 8
+	as := erInputs(3, rows, cols, 6, 73)
 	stats := &OpStats{}
-	p := NewPool(300, 8, PoolOptions{
-		Shards:       2,
-		MaxRetries:   3,
-		RetryBackoff: 50 * time.Microsecond,
-		Add:          Options{Algorithm: Hash, SortedOutput: true, Stats: stats},
+	p := NewPool(rows, cols, PoolOptions{
+		Shards: 2,
+		Add:    Options{Algorithm: Hash, SortedOutput: true, Stats: stats},
 	})
-	for _, a := range as {
-		if err := p.Push(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := p.Sum()
-	if err != nil {
-		t.Fatalf("Sum after recovered transients: %v", err)
-	}
-	if !got.Equal(want) {
-		t.Error("sum after retried transients differs from the one-shot reference")
-	}
-	for i, h := range p.Health() {
-		if h.State != HealthOK {
-			t.Errorf("Health()[%d] = %v after successful retries, want ok", i, h.State)
-		}
-	}
-	if n := stats.Retries.Load(); n != 2 {
-		t.Errorf("Retries = %d, want 2 (Count=2 failures hit one shard's first reduction)", n)
-	}
-	if err := p.Close(); err != nil {
+	if err := p.Push(as[0]); err != nil {
 		t.Fatal(err)
 	}
-}
+	if _, err := p.Sum(); err != nil {
+		t.Fatal(err)
+	}
 
-// TestChaosPoolRetryExhausted: a persistent failure exhausts the
-// bounded retries and degrades the shard — sticky ordinary error, not
-// poisoned — while the rest of the pool stays healthy.
-func TestChaosPoolRetryExhausted(t *testing.T) {
-	leakcheck.Begin(t)
-	in := faults.New(13, faults.Rule{Point: faults.FailReduction, Key: 1})
-	defer faults.Activate(in)()
-
-	as := erInputs(8, 300, 8, 6, 73)
-	stats := &OpStats{}
-	p := NewPool(300, 8, PoolOptions{
-		Shards:       2,
-		MaxRetries:   2,
-		RetryBackoff: 50 * time.Microsecond,
-		Add:          Options{Algorithm: Hash, SortedOutput: true, Stats: stats},
-	})
-	for _, a := range as {
-		if err := p.Push(a); err != nil {
-			t.Fatal(err)
-		}
+	// Shard 0 reports zone key 1; its next reduction, the batch holding
+	// as[1], fails once.
+	deactivate := faults.Activate(faults.New(13,
+		faults.Rule{Point: faults.FailReduction, Key: 1, Count: 1}))
+	if err := p.Push(as[1]); err != nil {
+		t.Fatal(err)
 	}
 	_, err := p.Sum()
+	deactivate()
 	var se *ShardError
 	if !errors.As(err, &se) || se.Shard != 0 {
 		t.Fatalf("Sum = %v, want a ShardError for shard 0", err)
@@ -191,18 +158,45 @@ func TestChaosPoolRetryExhausted(t *testing.T) {
 	if !errors.Is(err, faults.ErrInjected) {
 		t.Errorf("shard error does not unwrap to the injected fault: %v", err)
 	}
+	if h := p.Health(); h[0].State != HealthPoisoned || h[1].State != HealthOK {
+		t.Fatalf("Health = %v, %v; want poisoned, ok", h[0].State, h[1].State)
+	}
+
+	// A clean push cannot revive the shard: the error stays sticky and
+	// shard 0's columns stay the sum of as[0] alone.
+	if err := p.Push(as[2]); err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Sum()
+	if !errors.As(err, &se) || se.Shard != 0 || !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("Sum after a clean push = %v, want the sticky ShardError for shard 0", err)
+	}
+	wantFrozen, wantFull := as[0], matrix.ReferenceAdd(as)
+	c0, c1 := sched.Span(cols, 2, 0)
+	for j := 0; j < cols; j++ {
+		want := wantFull
+		if j >= c0 && j < c1 {
+			want = wantFrozen
+		}
+		if !columnEqual(got, want, j) {
+			t.Errorf("column %d differs from its expected sum", j)
+		}
+	}
 	h := p.Health()
-	if h[0].State != HealthDegraded {
-		t.Errorf("Health()[0] = %v, want degraded (ordinary error, not a panic)", h[0].State)
+	if h[0].State != HealthPoisoned || h[1].State != HealthOK {
+		t.Errorf("Health after a clean push = %v, %v; want poisoned, ok", h[0].State, h[1].State)
 	}
-	if h[1].State != HealthOK {
-		t.Errorf("Health()[1] = %v, want ok", h[1].State)
+	var pe *PanicError
+	if errors.As(h[0].Err, &pe) {
+		t.Errorf("poisoned shard's error is a *PanicError for an ordinary failure: %v", h[0].Err)
 	}
-	if n := stats.Retries.Load(); n != 2 {
-		t.Errorf("Retries = %d, want MaxRetries=2", n)
+	// The barrier does not wait for a poisoned shard, so as[2]'s piece
+	// may still be queued: the two pieces are dropped or pending.
+	if n := h[0].Dropped + int64(h[0].Pending); n != 2 {
+		t.Errorf("Dropped+Pending = %d, want 2 (the failed batch's piece and the later one)", n)
 	}
-	if n := stats.ShardsDegraded.Load(); n != 1 {
-		t.Errorf("ShardsDegraded = %d, want 1", n)
+	if n := stats.ShardsPoisoned.Load(); n != 1 {
+		t.Errorf("ShardsPoisoned = %d, want 1", n)
 	}
 	if n := stats.PanicsRecovered.Load(); n != 0 {
 		t.Errorf("PanicsRecovered = %d for an ordinary error, want 0", n)
@@ -212,125 +206,173 @@ func TestChaosPoolRetryExhausted(t *testing.T) {
 	}
 }
 
-// TestChaosHealthLattice walks one shard through the full health
-// state lattice: ok → degraded (retry exhaustion drops the batch) →
-// ok again (the next successful reduction clears the degradation) →
-// poisoned (a panic is terminal; no later success ever clears it).
-// At every step the other shard stays OK and the stitched sum carries
-// exactly the inputs that survived.
-func TestChaosHealthLattice(t *testing.T) {
+// TestChaosPoolModel runs seeded random operation sequences on an
+// int64 pool, so sums compare exactly however the reducers batch, and
+// checks every completed sum against a sequential model of the
+// accepted pushes. The operations are Push, PushContext and SumContext
+// under an already-canceled context (each either completes or fails
+// with ErrCanceled), a one-shot kernel panic or reduction error armed
+// on a random shard, and Sum. After every sum, each OK shard's columns
+// must equal the reference over every accepted push; each poisoned
+// shard's columns must equal the sum of some prefix of them and never
+// change afterwards; the ShardErrors must name exactly the poisoned
+// shards; and K must count the accepted pushes. Close must leave no
+// goroutine behind.
+func TestChaosPoolModel(t *testing.T) {
+	var deepest, frozenChecks int
+	for seed := uint64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			d, f := runPoolModel(t, seed)
+			t.Logf("healthy shards checked up to %d pushes; %d poisoned-shard checks", d, f)
+			deepest = max(deepest, d)
+			frozenChecks += f
+		})
+	}
+	if t.Failed() {
+		return
+	}
+	// The model proves little if faults poison every shard early, or
+	// never fire at all.
+	if deepest < 20 {
+		t.Errorf("no healthy shard was checked past %d accepted pushes, want >= 20", deepest)
+	}
+	if frozenChecks == 0 {
+		t.Error("no seed checked a poisoned shard")
+	}
+}
+
+// runPoolModel runs one seed of TestChaosPoolModel. It returns the
+// most accepted pushes an OK shard was checked against and the number
+// of poisoned-shard checks.
+func runPoolModel(t *testing.T, seed uint64) (deepest, frozenChecks int) {
 	leakcheck.Begin(t)
-	const rows, cols = 300, 8
-	as := erInputs(6, rows, cols, 6, 81)
-	stats := &OpStats{}
-	p := NewPool(rows, cols, PoolOptions{
-		Shards:       2,
-		MaxRetries:   1,
-		RetryBackoff: 50 * time.Microsecond,
-		Add:          Options{Algorithm: Hash, SortedOutput: true, Stats: stats},
+	const shards, rows, cols, d, steps = 3, 120, 12, 3, 90
+	rng := rand.New(rand.NewPCG(seed, 29))
+	piece := int64(d*cols/shards) * entryBytesOf[int64]()
+	p := NewPoolOf[int64](rows, cols, PoolOptionsOf[int64]{
+		Shards:      shards,
+		BudgetBytes: shards * 3 * piece, // a few pushes per shard
+		Add:         OptionsOf[int64]{Algorithm: Hash, SortedOutput: true},
 	})
-	defer p.Close()
-	shardState := func(i int) ShardHealth { return p.Health()[i] }
-	assertStates := func(step string, want0, want1 HealthState) {
+	defer p.Close() // a failed check still stops the reducers
+	disarm := func() {}
+	defer func() { disarm() }()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	// prefix[i] is the sum of the first i accepted pushes.
+	prefix := []*matrix.CSCOf[int64]{matrix.NewCSCOf[int64](rows, cols, 0)}
+	frozen := make([]*matrix.CSCOf[int64], shards)
+	accept := func(a *matrix.CSCOf[int64]) {
+		prefix = append(prefix, matrix.ReferenceAdd([]*matrix.CSCOf[int64]{prefix[len(prefix)-1], a}))
+	}
+	colsEqual := func(a, b *matrix.CSCOf[int64], c0, c1 int) bool {
+		for j := c0; j < c1; j++ {
+			if !columnEqual(a, b, j) {
+				return false
+			}
+		}
+		return true
+	}
+	check := func(step int, got *matrix.CSCOf[int64], err error) {
 		t.Helper()
-		if got := shardState(0).State; got != want0 {
-			t.Fatalf("%s: Health()[0] = %v, want %v", step, got, want0)
+		k := len(prefix) - 1
+		named := map[int]bool{}
+		if err != nil {
+			joined, ok := err.(interface{ Unwrap() []error })
+			if !ok {
+				t.Fatalf("step %d: sum error %v is not a join of ShardErrors", step, err)
+			}
+			for _, e := range joined.Unwrap() {
+				var se *ShardError
+				if !errors.As(e, &se) {
+					t.Fatalf("step %d: sum error %v is not a ShardError", step, e)
+				}
+				named[se.Shard] = true
+			}
 		}
-		if got := shardState(1).State; got != want1 {
-			t.Fatalf("%s: Health()[1] = %v, want %v", step, got, want1)
+		for i, h := range p.Health() {
+			if h.State == HealthOK {
+				if named[i] {
+					t.Fatalf("step %d: OK shard %d is named by the sum error %v", step, i, err)
+				}
+				if !colsEqual(got, prefix[k], h.Col0, h.Col1) {
+					t.Fatalf("step %d: healthy shard %d differs from the reference over %d pushes", step, i, k)
+				}
+				deepest = max(deepest, k)
+				continue
+			}
+			if !named[i] {
+				t.Fatalf("step %d: %v shard %d is not named by the sum error %v", step, h.State, i, err)
+			}
+			if frozen[i] == nil {
+				if !slices.ContainsFunc(prefix, func(s *matrix.CSCOf[int64]) bool { return colsEqual(got, s, h.Col0, h.Col1) }) {
+					t.Fatalf("step %d: poisoned shard %d's columns are no prefix sum of the %d accepted pushes", step, i, k)
+				}
+				frozen[i] = got
+			} else if !colsEqual(got, frozen[i], h.Col0, h.Col1) {
+				t.Fatalf("step %d: poisoned shard %d's columns changed after poisoning", step, i)
+			}
+			frozenChecks++
+		}
+		if p.K() != k {
+			t.Fatalf("step %d: K = %d, want %d accepted pushes", step, p.K(), k)
 		}
 	}
-
-	// Step 1: healthy baseline.
-	if err := p.Push(as[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Sum(); err != nil {
-		t.Fatal(err)
-	}
-	assertStates("baseline", HealthOK, HealthOK)
-
-	// Step 2: exhaust the retries of shard 0 (zone key 1) — the batch
-	// holding as[1] is dropped and the shard turns degraded, while
-	// shard 1 absorbs its slice of as[1] normally.
-	deactivate := faults.Activate(faults.New(21,
-		faults.Rule{Point: faults.FailReduction, Key: 1, Count: 2}))
-	if err := p.Push(as[1]); err != nil {
-		t.Fatal(err)
-	}
-	_, err := p.Sum()
-	deactivate()
-	var se *ShardError
-	if !errors.As(err, &se) || se.Shard != 0 {
-		t.Fatalf("Sum while degraded = %v, want a ShardError for shard 0", err)
-	}
-	assertStates("degraded", HealthDegraded, HealthOK)
-	if h := shardState(0); h.Dropped == 0 {
-		t.Error("degraded shard reports Dropped = 0, want the exhausted batch counted")
-	}
-	if n := stats.ShardsDegraded.Load(); n != 1 {
-		t.Errorf("ShardsDegraded = %d, want 1", n)
+	delta := func() *matrix.CSCOf[int64] {
+		a := matrix.Convert[int64](erInputs(1, rows, cols, d, rng.Uint64())[0])
+		for q := range a.Val {
+			a.Val[q] *= 1 + rng.Int64N(1000)
+		}
+		return a
 	}
 
-	// Step 3: the next successful reduction recovers the shard. The
-	// dropped piece stays dropped: shard 0's columns must sum as[0] and
-	// as[2] only, shard 1's all three.
-	if err := p.Push(as[2]); err != nil {
-		t.Fatal(err)
+	for step := range steps {
+		switch r := rng.IntN(24); {
+		case r < 11:
+			a := delta()
+			if err := p.Push(a); err != nil {
+				t.Fatalf("step %d: Push: %v", step, err)
+			}
+			accept(a)
+		case r < 13:
+			a := delta()
+			switch err := p.PushContext(canceled, a); {
+			case err == nil:
+				accept(a)
+			case !errors.Is(err, ErrCanceled):
+				t.Fatalf("step %d: canceled PushContext = %v, want nil or ErrCanceled", step, err)
+			}
+		case r < 15:
+			got, err := p.SumContext(canceled)
+			if got == nil {
+				if !errors.Is(err, ErrCanceled) {
+					t.Fatalf("step %d: canceled SumContext = %v, want a sum or ErrCanceled", step, err)
+				}
+				continue
+			}
+			check(step, got, err)
+		case r < 17:
+			// Arming replaces any fault still unfired.
+			pt := faults.FailReduction
+			if rng.IntN(2) == 0 {
+				pt = faults.PanicInKernel
+			}
+			disarm()
+			disarm = faults.Activate(faults.New(seed, faults.Rule{Point: pt, Key: int64(rng.IntN(shards)) + 1, Count: 1}))
+		default:
+			got, err := p.Sum()
+			check(step, got, err)
+		}
 	}
+	disarm()
 	got, err := p.Sum()
-	if err != nil {
-		t.Fatalf("Sum after recovery = %v, want nil (degradation cleared)", err)
+	check(steps, got, err)
+	poisoned := slices.ContainsFunc(frozen, func(f *matrix.CSCOf[int64]) bool { return f != nil })
+	if err := p.Close(); (err != nil) != poisoned {
+		t.Errorf("Close = %v, want an error exactly when a shard is poisoned", err)
 	}
-	assertStates("recovered", HealthOK, HealthOK)
-	if n := stats.ShardsRecovered.Load(); n != 1 {
-		t.Errorf("ShardsRecovered = %d, want 1", n)
-	}
-	if d := shardState(0).Dropped; d == 0 {
-		t.Error("recovered shard lost its Dropped record")
-	}
-	wantLossy := matrix.ReferenceAdd([]*matrix.CSC{as[0], as[2]})
-	wantFull := matrix.ReferenceAdd(as[:3])
-	c0, c1 := sched.Span(cols, 2, 0)
-	for j := 0; j < cols; j++ {
-		want := wantFull
-		if j >= c0 && j < c1 {
-			want = wantLossy
-		}
-		if !columnEqual(got, want, j) {
-			t.Errorf("column %d after recovery differs from its expected survivors", j)
-		}
-	}
-
-	// Step 4: a panic is terminal. Poison shard 0, then prove a later
-	// clean reduction cannot resurrect it.
-	deactivate = faults.Activate(faults.New(22,
-		faults.Rule{Point: faults.PanicInKernel, Key: 1, Count: 1}))
-	if err := p.Push(as[3]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Sum(); !errors.As(err, &se) || se.Shard != 0 {
-		t.Fatalf("Sum after panic = %v, want a ShardError for shard 0", err)
-	}
-	deactivate()
-	assertStates("poisoned", HealthPoisoned, HealthOK)
-	if err := p.Push(as[4]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Sum(); !errors.As(err, &se) || se.Shard != 0 {
-		t.Fatalf("Sum after poison + clean push = %v, want the sticky ShardError", err)
-	}
-	assertStates("poisoned stays poisoned", HealthPoisoned, HealthOK)
-	var pe *PanicError
-	if h := shardState(0); !errors.As(h.Err, &pe) {
-		t.Errorf("poisoned shard's health error = %v, want *PanicError", h.Err)
-	}
-	if n := stats.ShardsPoisoned.Load(); n != 1 {
-		t.Errorf("ShardsPoisoned = %d, want 1", n)
-	}
-	if n := stats.ShardsRecovered.Load(); n != 1 {
-		t.Errorf("ShardsRecovered = %d after poisoning, want still 1", n)
-	}
+	return deepest, frozenChecks
 }
 
 // TestChaosPushCancelUnderBackpressure: a producer blocked on a full
@@ -462,26 +504,22 @@ func TestChaosCloseContextDeadline(t *testing.T) {
 	}
 }
 
-// TestChaosRandomizedTransients: a seeded probabilistic schedule of
-// transient-only faults (failures within the retry budget, small
-// stalls) must be fully absorbed — exact parity, every shard healthy.
-func TestChaosRandomizedTransients(t *testing.T) {
+// TestChaosRandomizedStalls: a seeded probabilistic schedule of small
+// reduction stalls must be fully absorbed — exact parity, every shard
+// healthy.
+func TestChaosRandomizedStalls(t *testing.T) {
 	leakcheck.Begin(t)
 	in := faults.New(0xC0FFEE,
-		faults.Rule{Point: faults.FailReduction, Key: faults.KeyAny, Prob: 0.3},
 		faults.Rule{Point: faults.SlowReduction, Key: faults.KeyAny, Prob: 0.2, Delay: time.Millisecond},
 	)
 	defer faults.Activate(in)()
 
 	as := erInputs(24, 400, 12, 8, 77)
 	want := matrix.ReferenceAdd(as)
-	stats := &OpStats{}
 	p := NewPool(400, 12, PoolOptions{
-		Shards:       3,
-		BudgetBytes:  64 * entryBytes * 3, // several reductions per shard
-		MaxRetries:   16,                  // ample: P(17 straight 30% failures) ~ 1e-9
-		RetryBackoff: 20 * time.Microsecond,
-		Add:          Options{Algorithm: Hash, SortedOutput: true, Stats: stats},
+		Shards:      3,
+		BudgetBytes: 64 * entryBytes * 3, // several reductions per shard
+		Add:         Options{Algorithm: Hash, SortedOutput: true},
 	})
 	for _, a := range as {
 		if err := p.Push(a); err != nil {
@@ -490,10 +528,10 @@ func TestChaosRandomizedTransients(t *testing.T) {
 	}
 	got, err := p.Sum()
 	if err != nil {
-		t.Fatalf("Sum under transient chaos: %v", err)
+		t.Fatalf("Sum under stalls: %v", err)
 	}
 	if !got.Equal(want) {
-		t.Error("sum under transient-only chaos differs from the one-shot reference")
+		t.Error("sum under stall-only chaos differs from the one-shot reference")
 	}
 	for i, h := range p.Health() {
 		if h.State != HealthOK {

@@ -252,25 +252,14 @@ type OpStats struct {
 	// a recovery boundary (executor region, shard reducer, accumulator
 	// flush) and converted to errors, once per workspace the panic made
 	// its owner quarantine — a pooled call's, an Adder's, an
-	// Accumulator's or a Pool shard's; Retries counts reduction attempts
-	// beyond the first made by the pool's bounded-retry machinery;
-	// FaultsInjected counts faults the internal/faults harness fired
-	// into code observed by these stats — zero in production, where no
-	// injector is active.
+	// Accumulator's or a Pool shard's; FaultsInjected counts faults the
+	// internal/faults harness fired into code observed by these stats —
+	// zero in production, where no injector is active; ShardsPoisoned
+	// counts pool shards poisoned by a failed reduction, a panic or an
+	// error (Pool.Health reports which).
 	PanicsRecovered atomic.Int64 //spkadd:atomic
-	Retries         atomic.Int64 //spkadd:atomic
 	FaultsInjected  atomic.Int64 //spkadd:atomic
-	// ShardsDegraded and ShardsPoisoned count pool-shard health
-	// transitions: a shard entering the degraded state (sticky
-	// non-panic error after retries were exhausted) or the poisoned
-	// state (recovered panic; workspace quarantined). They count
-	// transitions, not current state — Pool.Health reports the latter.
-	// ShardsRecovered counts the reverse transition: a degraded shard
-	// whose next successful reduction cleared it back to OK (poisoned
-	// shards never recover).
-	ShardsDegraded  atomic.Int64 //spkadd:atomic
 	ShardsPoisoned  atomic.Int64 //spkadd:atomic
-	ShardsRecovered atomic.Int64 //spkadd:atomic
 }
 
 // RecordRegion folds one parallel region's load statistics into the

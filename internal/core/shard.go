@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"spkadd/internal/faults"
 	"spkadd/internal/matrix"
@@ -39,21 +37,19 @@ import (
 // column ranges — into one CSC with a pure copy; no merge is needed,
 // which is what makes column sharding the right axis to split on.
 //
-// Failure model (DESIGN.md §11): faults are contained per shard. A
-// reduction that fails with an ordinary error is retried up to
-// PoolOptions.MaxRetries times with jittered exponential backoff;
-// exhausting the retries drops that batch (counted in
-// ShardHealth.Dropped) and marks the shard degraded. Degradation is
-// not terminal: the shard keeps reducing later batches, and the next
-// success clears it back to OK — the serving layer's "transient
-// backend trouble" state. A reduction that panics — in a kernel, on a
-// worker, anywhere — is recovered, never retried, and poisons the
-// shard permanently: its workspace is quarantined (the scratch is
-// mid-kernel garbage) while its last good sum stays valid, because a
-// failed reduction never touches the ping-pong buffer holding it.
-// Healthy shards keep accepting and reducing work throughout; Sum
-// stitches every shard's last good sum and reports the failed shards'
-// errors alongside, and Health exposes the per-shard state.
+// Failure model (DESIGN.md §11): faults are contained per shard, and
+// a shard fails one way. Push refuses every matrix and option set a
+// reduction would reject, so in a race-free program a reduction fails
+// only by panicking — in a kernel, on a worker, anywhere — or by an
+// injected fault. Any failed reduction poisons its shard permanently:
+// the failed batch is dropped (counted in ShardHealth.Dropped), a
+// panicked workspace is quarantined (the scratch is mid-kernel
+// garbage), and the shard discards everything it receives later. Its
+// last good sum stays valid, because a failed reduction never touches
+// the ping-pong buffer holding it. Healthy shards keep accepting and
+// reducing work throughout; Sum stitches every shard's last good sum
+// and reports the poisoned shards' errors alongside, and Health
+// exposes the per-shard state.
 
 // ErrPoolClosed is returned by Push after Close has been called, and
 // by a second Close after the first completed.
@@ -65,25 +61,16 @@ type HealthState int
 const (
 	// HealthOK: the shard is reducing normally.
 	HealthOK HealthState = iota
-	// HealthDegraded: a reduction failed with an ordinary error and
-	// the bounded retries were exhausted; that batch's input was
-	// dropped (counted in ShardHealth.Dropped). The error stays
-	// reported while the shard is degraded, but the shard keeps
-	// accepting and reducing new work — a later successful reduction
-	// clears it back to HealthOK. Its last good sum is served by Sum
-	// throughout.
-	HealthDegraded
-	// HealthPoisoned: a reduction panicked. The panic was recovered
-	// and converted to a sticky *PanicError, and the shard's workspace
-	// was quarantined — its scratch state is indeterminate. Poisoning
-	// is terminal: the shard discards further work and never
-	// recovers. The last good sum is still served by Sum.
+	// HealthPoisoned: a reduction failed, and its error is sticky. A
+	// panic was recovered into a *PanicError and the shard's workspace
+	// quarantined — its scratch state is indeterminate. Poisoning is
+	// terminal: the shard discards further work and never recovers.
+	// The last good sum is still served by Sum.
 	HealthPoisoned
 )
 
 var healthNames = map[HealthState]string{
 	HealthOK:       "ok",
-	HealthDegraded: "degraded",
 	HealthPoisoned: "poisoned",
 }
 
@@ -96,12 +83,10 @@ func (h HealthState) String() string {
 }
 
 // ShardHealth reports one shard's condition: its column range, its
-// state, the error for the non-OK states, and the queue/loss gauges a
+// state, the error of a poisoned shard, and the queue/loss gauges a
 // serving layer needs — how much work is still pending (the drain
 // straggler report) and how many pushed pieces the shard has dropped
-// across its lifetime (the permanent record of data a past
-// degradation lost; a recovered shard's sum is exact for everything
-// after the drop).
+// since it was poisoned.
 type ShardHealth struct {
 	Shard      int
 	Col0, Col1 int
@@ -113,8 +98,8 @@ type ShardHealth struct {
 	// after a deadline-bounded drain identifies the straggler shards.
 	Pending      int
 	PendingBytes int64
-	// Dropped counts pushed pieces this shard discarded: the inputs of
-	// retry-exhausted batches and everything a poisoned shard receives.
+	// Dropped counts pushed pieces this shard discarded: the failed
+	// batch's and everything the poisoned shard received later.
 	Dropped int64
 }
 
@@ -147,17 +132,6 @@ type PoolOptionsOf[T matrix.Number] struct {
 	// pieces would exceed its share (<=0 means 256MB total, like
 	// NewAccumulator).
 	BudgetBytes int64
-	// MaxRetries bounds how many times a shard re-attempts a reduction
-	// that failed with an ordinary (non-panic) error before the error
-	// goes sticky and the shard turns degraded. 0 means no retries.
-	// Panics are never retried: a panicking reduction poisons its
-	// shard immediately.
-	MaxRetries int
-	// RetryBackoff is the base delay of the jittered exponential
-	// backoff between retry attempts (attempt i waits ~base·2^(i-1),
-	// plus up to half that again of jitter). <=0 means 500µs. The
-	// backoff aborts early when the pool is closed.
-	RetryBackoff time.Duration
 	// FaultZone offsets this pool's fault-injection keys: shard i's
 	// reduction sites report key FaultZone+i+1 and the pool's push
 	// site reports key FaultZone, so a deterministic chaos schedule
@@ -205,8 +179,6 @@ type PoolOf[T matrix.Number] struct {
 	closeDone  atomic.Bool
 	absorbed   atomic.Int64
 	wg         sync.WaitGroup
-	// quitc is closed when Close begins, aborting retry backoffs.
-	quitc chan struct{}
 	// reducersDone is closed by the close watcher once every reducer
 	// has exited, so CloseContext can wait with a deadline.
 	reducersDone chan struct{}
@@ -259,26 +231,16 @@ func NewPoolOf[T matrix.Number](rows, cols int, popt PoolOptionsOf[T]) *PoolOf[T
 	if opt.Threads < 1 && s > 1 {
 		opt.Threads = 1
 	}
-	retries := popt.MaxRetries
-	if retries < 0 {
-		retries = 0
-	}
-	backoff := popt.RetryBackoff
-	if backoff <= 0 {
-		backoff = 500 * time.Microsecond
-	}
 	p := &PoolOf[T]{
 		rows: rows, cols: cols,
 		shards:       make([]*poolShardOf[T], s),
 		faultZone:    popt.FaultZone,
-		quitc:        make(chan struct{}),
 		reducersDone: make(chan struct{}),
 	}
 	for i := range p.shards {
 		c0, c1 := sched.Span(cols, s, i)
 		sh := &poolShardOf[T]{
 			c0: c0, c1: c1, streamOf: streamOf[T]{budget: shardBudget, opt: opt},
-			maxRetries: retries, baseBackoff: backoff, quitc: p.quitc,
 			zone: popt.FaultZone + int64(i) + 1,
 		}
 		// Reductions report faults under the shard's 1-based zone, so
@@ -383,16 +345,13 @@ func pieceBytes[T matrix.Number](a *matrix.CSCOf[T], s *poolShardOf[T]) int64 {
 // excluded whole (Push linearizes with Sum; producers block for the
 // duration of the barrier and stitch).
 //
-// Failed shards degrade the result instead of suppressing it: the
+// Poisoned shards degrade the result instead of suppressing it: the
 // returned matrix always stitches every shard's last successfully
 // reduced sum — correct and current for healthy shards, stale (or
-// empty) for degraded and poisoned ones — and the error joins one
-// ShardError per failed shard so the caller can tell which column
-// ranges are affected. A nil error means every shard is currently
-// healthy; inputs a past degradation dropped are permanently gone
-// from the total, and Health's Dropped counter is their record (the
-// error was reported by the Sums issued while the shard was
-// degraded).
+// empty) for poisoned ones — and the error joins one ShardError per
+// poisoned shard so the caller can tell which column ranges are
+// affected. A nil error means the sum is exact over every accepted
+// push.
 func (p *PoolOf[T]) Sum() (*matrix.CSCOf[T], error) {
 	return p.SumContext(context.Background())
 }
@@ -452,11 +411,9 @@ func (p *PoolOf[T]) SumContext(ctx context.Context) (*matrix.CSCOf[T], error) {
 
 // barrier asks every shard to drain and waits until each has reduced
 // everything enqueued before the request (poisoned shards stop
-// blocking the barrier the moment their error goes sticky; degraded
-// shards still drain — failing batches are dropped after their
-// bounded retries, so the wait terminates). Requests are issued to
-// all shards first, so they drain concurrently, then awaited; ctx
-// cancels the wait.
+// blocking the barrier the moment their error goes sticky). Requests
+// are issued to all shards first, so they drain concurrently, then
+// awaited; ctx cancels the wait.
 func (p *PoolOf[T]) barrier(ctx context.Context) error {
 	reqs := make([]int64, len(p.shards))
 	for i, s := range p.shards {
@@ -484,7 +441,7 @@ func (p *PoolOf[T]) barrier(ctx context.Context) error {
 	}
 	for i, s := range p.shards {
 		s.mu.Lock()
-		for !s.exited && !s.poisoned && s.flushAck < reqs[i] {
+		for !s.exited && s.err == nil && s.flushAck < reqs[i] {
 			if ctx.Err() != nil {
 				s.mu.Unlock()
 				return ctxErr(ctx)
@@ -515,7 +472,6 @@ func (p *PoolOf[T]) Close() error {
 func (p *PoolOf[T]) CloseContext(ctx context.Context) error {
 	p.pushMu.Lock()
 	if !p.closed.Swap(true) {
-		close(p.quitc)
 		for _, s := range p.shards {
 			s.mu.Lock()
 			s.closed = true
@@ -548,8 +504,8 @@ func (p *PoolOf[T]) CloseContext(ctx context.Context) error {
 	return p.stickyErr()
 }
 
-// stickyErr joins the failed shards' sticky errors, one ShardError
-// per failed shard; nil when every shard is healthy.
+// stickyErr joins the poisoned shards' sticky errors, one ShardError
+// per poisoned shard; nil when every shard is healthy.
 //
 //spkadd:allow(ctxblock) short per-shard critical sections; nothing waits on external progress
 func (p *PoolOf[T]) stickyErr() error {
@@ -575,14 +531,12 @@ func (p *PoolOf[T]) stickyErrLocked() error {
 	return errors.Join(errs...)
 }
 
-// Health reports every shard's condition: OK, degraded (an ordinary
-// reduction error exhausted its retries; the shard keeps reducing and
-// recovers on its next success) or poisoned (recovered panic,
-// workspace quarantined, terminal). Failed shards keep serving their
-// last good sum through Sum; Health is how a caller finds out that is
-// what it is getting — including the queue-depth and dropped-piece
-// gauges a serving layer turns into drain-straggler reports and loss
-// metrics. Safe for concurrent use.
+// Health reports every shard's condition: OK or poisoned (a reduction
+// failed; terminal). Poisoned shards keep serving their last good sum
+// through Sum; Health is how a caller finds out that is what it is
+// getting — including the queue-depth and dropped-piece gauges a
+// serving layer turns into drain-straggler reports and loss metrics.
+// Safe for concurrent use.
 //
 //spkadd:allow(ctxblock) short per-shard critical sections; nothing waits on external progress
 func (p *PoolOf[T]) Health() []ShardHealth {
@@ -595,12 +549,7 @@ func (p *PoolOf[T]) Health() []ShardHealth {
 			Dropped: s.dropped,
 		}
 		if s.err != nil {
-			h.Err = s.err
-			if s.poisoned {
-				h.State = HealthPoisoned
-			} else {
-				h.State = HealthDegraded
-			}
+			h.State, h.Err = HealthPoisoned, s.err
 		}
 		out[i] = h
 		s.mu.Unlock()
@@ -630,18 +579,15 @@ func (p *PoolOf[T]) Reductions() int {
 // resident workspace and the range's running sum.
 //
 // Locking: mu guards the queue, the reservation counter, the
-// flush/close handshake, the health fields, the reduction count and
+// flush/close handshake, the failure fields, the reduction count and
 // the sum POINTER. The workspace, the batch and the sum's storage
 // belong to the reducer goroutine; reductions run outside the lock so
 // producers enqueue wait-free relative to reduction work. cond wakes
 // the reducer (work over budget, flush requested, closed); done wakes
 // flush waiters; space wakes producers blocked on the high-water mark.
 type poolShardOf[T matrix.Number] struct {
-	c0, c1      int
-	maxRetries  int
-	baseBackoff time.Duration
-	quitc       <-chan struct{}
-	zone        int64 // 1-based fault-injection key
+	c0, c1 int
+	zone   int64 // 1-based fault-injection key
 
 	//spkadd:lockorder(2)
 	mu       sync.Mutex
@@ -653,9 +599,8 @@ type poolShardOf[T matrix.Number] struct {
 	flushAck int64
 	closed   bool
 	exited   bool
-	err      error // current failure; see poisoned for its class
-	poisoned bool  // err came from a recovered panic; ws quarantined
-	dropped  int64 // pushed pieces discarded across the shard's lifetime
+	err      error // sticky failure; non-nil means poisoned
+	dropped  int64 // pushed pieces discarded: the failed batch's and all later ones
 	inflight int   // pieces claimed by the reduction currently running
 
 	streamOf[T]
@@ -664,13 +609,12 @@ type poolShardOf[T matrix.Number] struct {
 // reserve claims bytes of high-water capacity for one push, blocking
 // while the queue plus outstanding reservations are at the mark (2x
 // the shard budget) — unless the shard is poisoned, whose queue only
-// ever gets discarded, or the pool is closing. Degraded shards still
-// reduce, so they still exert backpressure. ctx cancels the wait.
+// ever gets discarded, or the pool is closing. ctx cancels the wait.
 func (s *poolShardOf[T]) reserve(ctx context.Context, bytes int64) error {
 	var stop func() bool
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.pendingBytes+s.reserved >= 2*s.budget && !s.closed && !s.poisoned {
+	for s.pendingBytes+s.reserved >= 2*s.budget && !s.closed && s.err == nil {
 		if ctx.Err() != nil {
 			if stop != nil {
 				stop()
@@ -731,7 +675,7 @@ func (s *poolShardOf[T]) commit(piece *matrix.CSCOf[T], bytes int64) {
 // barriers waiting on the queue are released. Callers hold mu.
 func (s *poolShardOf[T]) wakeNeeded() bool {
 	return s.closed || s.flushReq > s.flushAck || s.due(0) ||
-		(s.poisoned && len(s.pending) > 0)
+		(s.err != nil && len(s.pending) > 0)
 }
 
 // claimBatch moves the next budget-bounded batch out of the queue into
@@ -745,13 +689,10 @@ func (s *poolShardOf[T]) claimBatch() int {
 }
 
 // run is the shard's reducer goroutine: sleep until woken, reduce one
-// budget-sized batch outside the lock (with bounded retries), mark
-// the shard degraded or poisoned when the batch ultimately fails,
-// acknowledge flush barriers whenever the queue is empty, and exit
-// once closed and drained. A degraded shard keeps reducing — the
-// failed batch is dropped and counted, and the next success clears
-// the degradation; only poisoning (a quarantined workspace) makes the
-// shard discard everything it receives.
+// budget-sized batch outside the lock, poison the shard when the batch
+// fails, acknowledge flush barriers whenever the queue is empty, and
+// exit once closed and drained. A poisoned shard discards everything
+// it receives.
 //
 //spkadd:allow(ctxblock) reducer goroutine: lives for the pool's lifetime, woken by cond, exits on close; Push/Flush carry the context
 func (s *poolShardOf[T]) run(wg *sync.WaitGroup) {
@@ -762,8 +703,8 @@ func (s *poolShardOf[T]) run(wg *sync.WaitGroup) {
 			s.cond.Wait()
 		}
 		if len(s.pending) > 0 {
-			if s.poisoned {
-				// Terminal failure: discard instead of reducing, so flush
+			if s.err != nil {
+				// Poisoned: discard instead of reducing, so flush
 				// barriers, backpressured producers and Close still
 				// terminate.
 				s.dropped += int64(len(s.pending))
@@ -774,21 +715,13 @@ func (s *poolShardOf[T]) run(wg *sync.WaitGroup) {
 			claimed := s.claimBatch()
 			s.inflight = claimed
 			s.mu.Unlock()
-			sum, err := s.reduceWithRetry()
+			sum, err := s.reduceOnce()
+			s.clearBatch()
 			s.mu.Lock()
 			s.inflight = 0
 			if err != nil {
 				s.fail(err, claimed)
 				continue
-			}
-			if s.err != nil {
-				// A degraded shard just proved itself functional again:
-				// the degradation clears, the Dropped counter keeps the
-				// record of what the failed batches lost.
-				s.err = nil
-				if st := s.opt.Stats; st != nil {
-					st.ShardsRecovered.Add(1)
-				}
 			}
 			s.sum = sum
 			s.reductions++
@@ -814,77 +747,25 @@ func (s *poolShardOf[T]) run(wg *sync.WaitGroup) {
 	}
 }
 
-// fail records the claimed batch's ultimate failure: a recovered
-// panic poisons the shard (workspace quarantined — its scratch is
-// mid-kernel garbage — and never retried, never recovered); anything
-// else marks it degraded, dropping the batch's claimed pieces while
-// the shard keeps reducing later work. Either way the error is
-// reported, the last good sum stays served, and everyone waiting on
-// this shard is released. Callers hold mu.
+// fail poisons the shard with the claimed batch's error: the batch's
+// pieces are dropped, a panicked workspace is quarantined (its scratch
+// is mid-kernel garbage), the last good sum stays served, and everyone
+// waiting on this shard is released. Callers hold mu.
 func (s *poolShardOf[T]) fail(err error, claimed int) {
-	wasOK := s.err == nil
 	s.err = err
 	s.dropped += int64(claimed)
-	st := s.opt.Stats
 	if isPanicErr(err) {
-		s.poisoned = true
 		s.quarantine()
-		if st != nil {
-			st.ShardsPoisoned.Add(1)
-		}
-	} else if st != nil && wasOK {
-		// A state transition, not a repeat failure of an
-		// already-degraded shard.
-		st.ShardsDegraded.Add(1)
+	}
+	if st := s.opt.Stats; st != nil {
+		st.ShardsPoisoned.Add(1)
 	}
 	s.done.Broadcast()
 	s.space.Broadcast()
 }
 
-// reduceWithRetry runs one claimed batch, retrying ordinary failures
-// up to maxRetries times with jittered exponential backoff. Panics
-// are never retried — the workspace they interrupted is not safely
-// reusable — and a pool shutdown aborts the backoff (the batch then
-// fails with its last error). The claimed batch is released only
-// here, after the final attempt, so every retry reduces the same
-// input.
-func (s *poolShardOf[T]) reduceWithRetry() (*matrix.CSCOf[T], error) {
-	sum, err := s.reduceOnce()
-	for attempt := 1; err != nil && !isPanicErr(err) && attempt <= s.maxRetries; attempt++ {
-		if st := s.opt.Stats; st != nil {
-			st.Retries.Add(1)
-		}
-		if !s.backoff(attempt) {
-			break
-		}
-		sum, err = s.reduceOnce()
-	}
-	s.clearBatch()
-	return sum, err
-}
-
-// backoff sleeps before retry attempt n (1-based): the base delay
-// doubled per attempt, plus up to half that again of jitter so
-// colliding shards decorrelate. Returns false when the pool began
-// closing instead — no point backing off into a shutdown.
-//
-//spkadd:allow(ctxblock) bounded by the retry timer and aborted by pool close via quitc
-func (s *poolShardOf[T]) backoff(n int) bool {
-	d := s.baseBackoff << (n - 1)
-	d += time.Duration(rand.Int64N(int64(d)/2 + 1))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-s.quitc:
-		return false
-	}
-}
-
-// reduceOnce is one attempt at the claimed batch: the shard's
-// fault-injection sites, then the shared reduction. Runs outside the
-// shard lock.
+// reduceOnce reduces the claimed batch: the shard's fault-injection
+// sites, then the shared reduction. Runs outside the shard lock.
 func (s *poolShardOf[T]) reduceOnce() (*matrix.CSCOf[T], error) {
 	if faults.SleepOn(faults.SlowReduction, s.zone) {
 		if st := s.opt.Stats; st != nil {

@@ -110,10 +110,10 @@ func (st *streamOf[T]) drop(n int, bytes int64) {
 // addition. The running sum is already in the monoid's result domain,
 // so it re-enters premapped (for Count, mapping it again would
 // collapse every accumulated count back to 1). A failed attempt does
-// not consume the workspace's ping-pong flip, so a retry never writes
-// the buffer holding the sum it reads. A panic anywhere in the
-// reduction comes back as a *PanicError, as a worker's panic does from
-// the executor. The batch stays set for a retry; the owner releases it
+// not consume the workspace's ping-pong flip, so the Accumulator's
+// next attempt never writes the buffer holding the sum it reads. A
+// panic anywhere in the reduction comes back as a *PanicError, as a
+// worker's panic does from the executor. The owner releases the batch
 // with clearBatch.
 func (st *streamOf[T]) reduce(ctx context.Context) (b *matrix.CSCOf[T], err error) {
 	defer func() {

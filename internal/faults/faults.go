@@ -39,8 +39,8 @@ const (
 	FailedPush
 	// WorkerStall delays an executor worker at region entry.
 	WorkerStall
-	// FailReduction fails a pool shard's reduction with a transient
-	// error — the input of the bounded-retry machinery.
+	// FailReduction fails a pool shard's reduction with an error,
+	// which poisons the shard as a panic does, minus the quarantine.
 	FailReduction
 	numPoints
 )
@@ -61,9 +61,8 @@ func (p Point) String() string {
 const KeyAny int64 = -1
 
 // ErrInjected is the default error of error-producing rules. Injected
-// transient failures wrap it, so tests (and the retry machinery's
-// tests) can tell injected faults from real ones.
-var ErrInjected = errors.New("spkadd: injected transient fault")
+// failures wrap it, so tests can tell injected faults from real ones.
+var ErrInjected = errors.New("spkadd: injected fault")
 
 // InjectedPanic is the value PanicOn panics with, so recovery layers
 // and tests can assert a recovered panic's provenance.

@@ -14,6 +14,10 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n% comment\n\n1 1 0\n")
 	f.Add("garbage")
 	f.Add("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 nan\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n10 10 -1\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n10 10 1\n4294967297 1 5.0\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n-3 10 0\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		a, err := ReadMatrixMarket(strings.NewReader(in))
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -55,7 +56,8 @@ func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 	}
 	// Skip comments, read size line.
 	var rows, cols, nnz int
-	for sc.Scan() {
+	sized := false
+	for !sized && sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "%") {
 			continue
@@ -63,9 +65,21 @@ func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 		if _, err := fmt.Sscan(line, &rows, &cols, &nnz); err != nil {
 			return nil, fmt.Errorf("%w: bad size line %q: %v", ErrFormat, line, err)
 		}
-		break
+		sized = true
 	}
-	coo := &COO{Rows: rows, Cols: cols, Entries: make([]Triple, 0, nnz)}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if !sized {
+		return nil, fmt.Errorf("%w: missing size line", ErrFormat)
+	}
+	// Dimensions past math.MaxInt32 would wrap the 32-bit Index.
+	if rows < 0 || cols < 0 || nnz < 0 || rows > math.MaxInt32 || cols > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: bad size line %d %d %d", ErrFormat, rows, cols, nnz)
+	}
+	// nnz is only a promise until the entries arrive: reserve at most
+	// 64Ki entries (1 MiB) up front and let append grow past that.
+	coo := &COO{Rows: rows, Cols: cols, Entries: make([]Triple, 0, min(nnz, 1<<16))}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "%") {
@@ -87,6 +101,9 @@ func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: bad column index in %q: %v", ErrFormat, line, err)
 		}
+		if i < 1 || i > rows || j < 1 || j > cols {
+			return nil, fmt.Errorf("%w: entry (%d, %d) out of range %dx%d", ErrFormat, i, j, rows, cols)
+		}
 		v := 1.0
 		if !pattern {
 			v, err = strconv.ParseFloat(fields[2], 64)
@@ -97,9 +114,6 @@ func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 		coo.Append(Index(i-1), Index(j-1), v)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := coo.Validate(); err != nil {
 		return nil, err
 	}
 	if coo.NNZ() != nnz {

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -47,13 +48,18 @@ func TestReadMatrixMarketErrors(t *testing.T) {
 		"",
 		"not a banner\n1 1 1\n1 1 1\n",
 		"%%MatrixMarket matrix array real general\n1 1\n1\n",
-		"%%MatrixMarket matrix coordinate real general\n2 2 1\n5 1 1.0\n", // out of range
-		"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n", // count mismatch
-		"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n",     // short line
+		"%%MatrixMarket matrix coordinate real general\n2 2 1\n5 1 1.0\n",            // out of range
+		"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n",            // count mismatch
+		"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n",                // short line
+		"%%MatrixMarket matrix coordinate real general\n10 10 -1\n",                  // negative nnz
+		"%%MatrixMarket matrix coordinate real general\n10 10 1\n4294967297 1 5.0\n", // row wraps Index
+		"%%MatrixMarket matrix coordinate real general\n10 10 1\n1 4294967297 5.0\n", // column wraps Index
+		"%%MatrixMarket matrix coordinate real general\n-3 10 0\n",                   // negative rows
+		"%%MatrixMarket matrix coordinate real general\n",                            // no size line
 	}
 	for i, in := range cases {
-		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d: bad input accepted", i)
+		if _, err := ReadMatrixMarket(strings.NewReader(in)); !errors.Is(err, ErrFormat) {
+			t.Errorf("case %d: err = %v, want ErrFormat", i, err)
 		}
 	}
 }

@@ -169,7 +169,7 @@ func TestChaosServerPoisonedTenantIsolation(t *testing.T) {
 	_, _, metrics := httpGet(t, client, ts.URL+"/metrics")
 	for _, want := range []string{
 		`spkadd_tenant_shards_poisoned_total{tenant="beta"} 1`,
-		`spkadd_tenant_health{tenant="beta"} 2`,
+		`spkadd_tenant_health{tenant="beta"} 1`,
 		`spkadd_tenant_health{tenant="alpha"} 0`,
 		`spkadd_tenant_rejected_total{tenant="beta"} 1`,
 	} {

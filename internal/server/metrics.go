@@ -123,7 +123,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 		worst, hs := t.health()
 		p.add("spkadd_tenant_health", g,
-			"Tenant health: 0 ok, 1 degraded (serving, some columns stale), 2 poisoned (ingest refused).",
+			"Tenant health: 0 ok, 1 poisoned (ingest refused, some columns stale).",
 			float64(worst), lt...)
 		var pending, pendingBytes, dropped float64
 		shardStates := map[core.HealthState]int{}
@@ -138,9 +138,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.add("spkadd_tenant_pending_bytes", g, "Bytes of queued pieces awaiting reduction.",
 			pendingBytes, lt...)
 		p.add("spkadd_tenant_dropped_pieces_total", c,
-			"Pieces permanently dropped by shards after retry exhaustion or poisoning.",
+			"Pieces permanently dropped by poisoned shards.",
 			dropped, lt...)
-		for _, st := range []core.HealthState{core.HealthOK, core.HealthDegraded, core.HealthPoisoned} {
+		for _, st := range []core.HealthState{core.HealthOK, core.HealthPoisoned} {
 			p.add("spkadd_tenant_shards", g, "Shards by health state.",
 				float64(shardStates[st]), "tenant", t.name, "state", st.String())
 		}
@@ -154,17 +154,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			float64(st.Steals.Load()), lt...)
 		p.add("spkadd_tenant_sched_regions_total", c, "Parallel regions executed.",
 			float64(st.SchedRegions.Load()), lt...)
-		p.add("spkadd_tenant_retries_total", c, "Reduction retries after transient failures.",
-			float64(st.Retries.Load()), lt...)
 		p.add("spkadd_tenant_panics_recovered_total", c, "Reduction panics recovered (each poisons a shard).",
 			float64(st.PanicsRecovered.Load()), lt...)
 		p.add("spkadd_tenant_faults_injected_total", c, "Faults injected by the active chaos schedule.",
 			float64(st.FaultsInjected.Load()), lt...)
-		p.add("spkadd_tenant_shards_degraded_total", c, "OK-to-degraded shard transitions.",
-			float64(st.ShardsDegraded.Load()), lt...)
-		p.add("spkadd_tenant_shards_recovered_total", c, "Degraded-to-OK shard transitions.",
-			float64(st.ShardsRecovered.Load()), lt...)
-		p.add("spkadd_tenant_shards_poisoned_total", c, "Shards permanently poisoned by panics.",
+		p.add("spkadd_tenant_shards_poisoned_total", c, "Shards permanently poisoned by failed reductions.",
 			float64(st.ShardsPoisoned.Load()), lt...)
 	}
 	p.writeTo(w)

@@ -249,6 +249,6 @@ func drainTenant(ctx context.Context, t *tenant) tenantDrain {
 		}
 		return d
 	}
-	d.Err = err // sticky shard errors (degraded/poisoned), or nil
+	d.Err = err // sticky poisoned-shard errors, or nil
 	return d
 }

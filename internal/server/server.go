@@ -4,17 +4,16 @@
 //
 // Every failure mode the core makes injectable (internal/faults) or
 // reportable (Pool.Health, ShardError, typed context errors) becomes
-// an externally observable, gracefully degraded behavior here:
+// an externally observable behavior here:
 //
 //   - Admission control: a push that would block on Pool backpressure
 //     past Config.QueueWait is refused with 429 + Retry-After instead
 //     of wedging the connection; client disconnects propagate through
 //     PushContext/SumContext, so a gone client can never pin a shard.
-//   - Health taxonomy: degraded tenants (a shard dropped a batch and
-//     is retrying its way back) KEEP serving — responses carry a
-//     Warning header and per-shard detail. Poisoned tenants (a shard's
-//     workspace was quarantined by a panic) flip /readyz and refuse
-//     ingest with 503 while snapshots still serve the last good sums.
+//   - Health taxonomy: poisoned tenants (a shard's reduction failed,
+//     so the shard discards what it receives) flip /readyz and refuse
+//     ingest with 503, while snapshots still serve the last good sums
+//     behind a Warning header and per-shard detail.
 //   - Graceful drain: BeginDrain stops admission, Drain closes every
 //     tenant pool under the caller's deadline and reports stragglers
 //     (shards whose queues did not empty in time) so the operator
@@ -291,7 +290,7 @@ func retryAfter(w http.ResponseWriter, wait time.Duration) {
 // handlePush is the ingest path: decode, admit, push with a bounded
 // backpressure wait.
 //
-//	202 Accepted       absorbed (Warning header while degraded)
+//	202 Accepted       absorbed
 //	400 / 409 / 413    malformed frame / wrong dims / too large
 //	408                client went away while we waited
 //	429 + Retry-After  backpressure outlasted Config.QueueWait
@@ -368,9 +367,6 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		t.pushes.Add(1)
 		t.pushEntries.Add(int64(delta.NNZ()))
 		t.touch()
-		if worst != core.HealthOK {
-			warnHeader(w, t, hs)
-		}
 		writeJSON(w, http.StatusAccepted, map[string]any{
 			"tenant": t.name, "k": t.pool.K(),
 		})
@@ -394,9 +390,9 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSum is the snapshot path: barrier the tenant's reducers and
-// return the stitched sum. Degraded/poisoned tenants still serve —
-// their stale column ranges are flagged by a Warning header and the
-// per-shard health detail.
+// return the stitched sum. Poisoned tenants still serve — their stale
+// column ranges are flagged by a Warning header and the per-shard
+// health detail.
 //
 //	200                  the snapshot (JSON envelope, or raw frame
 //	                     with ?format=wire)
@@ -534,8 +530,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleReadyz is readiness: 503 while draining or while any tenant
 // is poisoned (a poisoned tenant refuses ingest, so a load balancer
-// should stop routing floods here), 200 otherwise. Degraded tenants
-// do not flip readiness — they are still doing useful work.
+// should stop routing floods here), 200 otherwise.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	var poisoned []string
 	for _, t := range s.reg.list() {
@@ -563,8 +558,8 @@ type TenantDrain struct {
 	// still holding work (the pool keeps shutting down behind us).
 	Abandoned  bool
 	Stragglers []core.ShardHealth
-	// Err carries the pool's shard errors (degraded/poisoned) for a
-	// drain that did complete; nil for a clean tenant.
+	// Err carries the pool's poisoned-shard errors for a drain that
+	// did complete; nil for a clean tenant.
 	Err error
 }
 

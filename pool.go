@@ -32,27 +32,25 @@ import (
 // easily as sums — each shard folds its running sum back in unmapped,
 // so mapped monoids accumulate correctly across reductions.
 //
-// Failures are contained per shard (DESIGN.md §11): an ordinary
-// reduction error is retried up to PoolOptions.MaxRetries times with
-// jittered exponential backoff, then drops that batch and marks the
-// shard degraded — the shard keeps reducing later work and recovers
-// to OK on its next success, with the loss recorded in
-// ShardHealth.Dropped. A panicking reduction is recovered, poisons
-// its shard permanently and quarantines that shard's workspace.
-// Healthy shards keep reducing throughout. Sum always returns the
-// stitch of every shard's last good sum, joined with one ShardError
-// per currently-failed shard; Health reports each shard's state plus
-// its queue-depth and dropped-piece gauges. PushContext, SumContext
-// and CloseContext bound the blocking operations (backpressure waits,
-// drain barriers, shutdown) with a context.
+// Failures are contained per shard (DESIGN.md §11): a reduction that
+// fails, by a recovered panic or an error, poisons its shard
+// permanently. The failed batch is dropped, a panicked workspace is
+// quarantined, and the shard discards everything it receives later,
+// recording the loss in ShardHealth.Dropped. Healthy shards keep
+// reducing throughout. Sum always returns the stitch of every shard's
+// last good sum, joined with one ShardError per poisoned shard, so a
+// nil error means the sum is exact over every accepted push; Health
+// reports each shard's state plus its queue-depth and dropped-piece
+// gauges. PushContext, SumContext and CloseContext bound the blocking
+// operations (backpressure waits, drain barriers, shutdown) with a
+// context.
 type Pool = core.Pool
 
 // PoolOptions configure NewPool: shard count (default
 // min(GOMAXPROCS, cols)), total reduction budget in bytes (divided
-// among shards; <=0 means 256MB), the retry policy for failed
-// reductions (MaxRetries, RetryBackoff), and the Options each
-// per-shard reduction runs with. Internally parallel reductions each
-// run on their shard workspace's resident executor.
+// among shards; <=0 means 256MB), a fault-injection zone, and the
+// Options each per-shard reduction runs with. Internally parallel
+// reductions each run on their shard workspace's resident executor.
 type PoolOptions = core.PoolOptions
 
 // NewPool returns a sharded accumulation pool for rows x cols

@@ -3,7 +3,7 @@
 # build it, flood it over real HTTP with the firehose example client,
 # SIGTERM it mid-flood, and assert a clean graceful drain (exit 0).
 #
-# The in-process chaos suites prove the degradation contracts; this
+# The in-process chaos suites prove the failure contracts; this
 # script proves the actual binary wires them together: flags, signal
 # handling, listener shutdown ordering, exit codes.
 set -euo pipefail

@@ -178,8 +178,7 @@ type (
 	PanicError = core.PanicError
 	// ShardHealth reports one pool shard's condition (see Pool.Health).
 	ShardHealth = core.ShardHealth
-	// HealthState classifies a shard: HealthOK, HealthDegraded or
-	// HealthPoisoned.
+	// HealthState classifies a shard: HealthOK or HealthPoisoned.
 	HealthState = core.HealthState
 	// ShardError attributes a sticky shard failure to its column
 	// range; Pool.Sum and Pool.Close join one per failed shard.
@@ -190,14 +189,9 @@ type (
 const (
 	// HealthOK: the shard is reducing normally.
 	HealthOK = core.HealthOK
-	// HealthDegraded: a reduction failed and the bounded retries were
-	// exhausted; that batch was dropped, the last good sum is served,
-	// and the shard recovers to HealthOK on its next successful
-	// reduction.
-	HealthDegraded = core.HealthDegraded
-	// HealthPoisoned: a reduction panicked; the panic was recovered,
-	// the shard's workspace quarantined, the last good sum is served.
-	// Poisoning is terminal.
+	// HealthPoisoned: a reduction failed; its error is sticky, a
+	// panicked workspace is quarantined, and the last good sum is
+	// served. Poisoning is terminal.
 	HealthPoisoned = core.HealthPoisoned
 )
 
